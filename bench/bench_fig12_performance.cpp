@@ -90,13 +90,10 @@ void print_fig12a() {
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
             .count();
-    table.add_row(
-        {"snapshot -> prefix tree (" +
-             util::fmt_int(static_cast<std::int64_t>(vfs.index().node_count())) +
-             " nodes)",
-         util::fmt_int(static_cast<std::int64_t>(vfs.file_count())),
-         util::format_bytes(static_cast<double>(vfs.index().memory_bytes())),
-         util::format_duration_seconds(secs)});
+    table.add_row({"snapshot -> file table",
+                   util::fmt_int(static_cast<std::int64_t>(vfs.file_count())),
+                   util::format_bytes(static_cast<double>(delta.bytes())),
+                   util::format_duration_seconds(secs)});
   }
   table.print(std::cout);
 }
@@ -536,8 +533,8 @@ void BM_SnapshotScanSequential(benchmark::State& state) {
 BENCHMARK(BM_SnapshotScanSequential)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotScanSharded(benchmark::State& state) {
-  // The mpi4py-style decomposition: each shard scans the user directories
-  // it owns (users are disjoint subtrees, so shards never contend).
+  // The mpi4py-style decomposition: each shard scans the users it owns
+  // (per-owner index entries are disjoint, so shards never contend).
   const auto& s = scenario();
   adr::fs::Vfs vfs;
   vfs.import_snapshot(s.snapshot);
@@ -546,11 +543,10 @@ void BM_SnapshotScanSharded(benchmark::State& state) {
     adr::util::global_pool().parallel_for(
         0, s.registry.size(), [&](std::size_t u) {
           std::uint64_t mine = 0;
-          vfs.for_each_under(
-              s.registry.home_dir(static_cast<adr::trace::UserId>(u)),
-              [&](const std::string&, const adr::fs::FileMeta& meta) {
-                mine += meta.size_bytes;
-              });
+          for (const auto& e : vfs.purge_index().entries(
+                   static_cast<adr::trace::UserId>(u))) {
+            mine += e.size_bytes;
+          }
           bytes.fetch_add(mine, std::memory_order_relaxed);
         });
     benchmark::DoNotOptimize(bytes.load());
@@ -560,7 +556,7 @@ void BM_SnapshotScanSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotScanSharded)->Unit(benchmark::kMillisecond);
 
-// ---- supporting microbenches: the prefix tree -----------------------------
+// ---- supporting microbench: the file table lookup --------------------------
 void BM_TrieLookup(benchmark::State& state) {
   const auto& s = scenario();
   adr::fs::Vfs vfs;
@@ -574,19 +570,6 @@ void BM_TrieLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrieLookup);
-
-void BM_TrieInsertErase(benchmark::State& state) {
-  adr::fs::PathTrie trie;
-  adr::fs::FileMeta meta;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::string path =
-        "/scratch/u/p/r/file_" + std::to_string(i++ % 4096) + ".dat";
-    trie.insert(path, meta);
-    trie.erase(path);
-  }
-}
-BENCHMARK(BM_TrieInsertErase);
 
 // ---- Fig. 12b companion: registry-driven phase breakdown ------------------
 // Every evaluator/policy/vfs/thread-pool call above reported into the global

@@ -1,9 +1,9 @@
 // Million-user scale tier bench (DESIGN.md §15).
 //
-// Drives sim::run_scale — streaming synthesis into the live service, purge
-// triggers at a simulated cadence, Vfs residency budget on — across a list
-// of user-count tiers, and writes BENCH_scale.json (peak RSS, events/sec,
-// trigger p50/p99 per tier) for tools/run_bench.sh to gate.
+// Drives sim::run_scale — streaming synthesis into the live service's Vfs
+// file table and ingest queues, purge triggers at a simulated cadence —
+// across a list of user-count tiers, and writes BENCH_scale.json (peak RSS,
+// events/sec, trigger p50/p99 per tier) for tools/run_bench.sh to gate.
 //
 // Exit status is nonzero when the streamed-vs-materialized identity anchor
 // fails or any tier's peak RSS exceeds the budget, so CI can use the binary
@@ -14,7 +14,6 @@
 //   --files-per-user N     backfill files per user   (default 10)
 //   --events-per-user-day X                          (default 2.0)
 //   --span-days N / --trigger-days X / --shards N / --seed N
-//   --vfs-budget-mb N      residency budget          (default 512, 0 = off)
 //   --rss-budget-gb X      peak-RSS assert per tier  (default 4.0, 0 = off)
 //   --skip-identity        skip the 600-user identity anchor
 //   --bench-json PATH      output path (default BENCH_scale.json)
@@ -79,25 +78,20 @@ int main(int argc, char** argv) {
   base.shards = static_cast<std::size_t>(raw.get_int("shards", 0));
   base.seed = static_cast<std::uint64_t>(
       raw.get_int("seed", static_cast<std::int64_t>(base.seed)));
-  base.memory_budget_bytes =
-      static_cast<std::uint64_t>(raw.get_int("vfs-budget-mb", 512)) * 1024 *
-      1024;
 
   const double rss_budget_gb = raw.get_double("rss-budget-gb", 4.0);
   const auto rss_budget_bytes = static_cast<std::uint64_t>(
       rss_budget_gb * 1024.0 * 1024.0 * 1024.0);
 
-  // The correctness anchor first: streamed ingest under a deliberately tiny
-  // budget (forcing evictions and faults) must match the materialized,
-  // residency-off replay event for event, rank for rank, victim for victim.
+  // The correctness anchor first: streamed ingest must match the
+  // materialized replay event for event, rank for rank, victim for victim.
   sim::ScaleIdentityResult identity;
   bool identity_ran = false;
   if (!raw.get_bool("skip-identity", false)) {
     sim::ScaleConfig small = base;
     small.users = 600;
     small.initial_files_per_user = 20;
-    const std::uint64_t tiny_budget = 256 * 1024;  // ~tens of users resident
-    identity = sim::check_scale_identity(small, tiny_budget);
+    identity = sim::check_scale_identity(small);
     identity_ran = true;
     std::printf(
         "identity @ 600 users: events %s, ranks %s, victims %s (%zu "
@@ -108,10 +102,9 @@ int main(int argc, char** argv) {
         identity.triggers);
   }
 
-  util::Table table("Scale tiers (vfs budget " +
-                    mib(base.memory_budget_bytes) + " MiB)");
+  util::Table table("Scale tiers");
   table.set_headers({"Users", "Events", "Files", "ev/s", "Triggers", "p50 ms",
-                     "p99 ms", "RSS peak MiB", "Evicted", "Faults"});
+                     "p99 ms", "RSS peak MiB"});
 
   std::vector<sim::ScaleResult> results;
   bool rss_ok = true;
@@ -128,8 +121,7 @@ int main(int argc, char** argv) {
                    std::to_string(r.files_created),
                    fmt(r.events_per_sec), std::to_string(r.triggers),
                    fmt(r.trigger_p50_ms), fmt(r.trigger_p99_ms),
-                   mib(r.rss_peak_bytes), std::to_string(r.evicted_users),
-                   std::to_string(r.residency_faults)});
+                   mib(r.rss_peak_bytes)});
   }
   table.print(std::cout);
 
@@ -141,7 +133,6 @@ int main(int argc, char** argv) {
       << "  \"seed\": " << base.seed << ",\n"
       << "  \"files_per_user\": " << base.initial_files_per_user << ",\n"
       << "  \"span_days\": " << base.sim_span_days << ",\n"
-      << "  \"vfs_budget_bytes\": " << base.memory_budget_bytes << ",\n"
       << "  \"rss_budget_bytes\": " << rss_budget_bytes << ",\n"
       << "  \"tiers\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -156,10 +147,6 @@ int main(int argc, char** argv) {
         << ", \"trigger_p99_ms\": " << r.trigger_p99_ms
         << ", \"trigger_max_ms\": " << r.trigger_max_ms
         << ", \"rss_peak_bytes\": " << r.rss_peak_bytes
-        << ", \"vfs_resident_bytes\": " << r.vfs_resident_bytes
-        << ", \"vfs_spilled_bytes\": " << r.vfs_spilled_bytes
-        << ", \"evicted_users\": " << r.evicted_users
-        << ", \"residency_faults\": " << r.residency_faults
         << ", \"purged_files\": " << r.purged_files
         << ", \"purged_bytes\": " << r.purged_bytes << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";

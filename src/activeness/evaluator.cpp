@@ -290,14 +290,20 @@ UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
   return ua;
 }
 
-std::vector<UserActiveness> Evaluator::evaluate_all(
-    const ActivityStore& store) const {
+std::vector<UserActiveness> Evaluator::evaluate_range(
+    const ActivityStore& store, trace::UserId begin, trace::UserId end) const {
   obs::TimerSpan span("evaluator.evaluate_all");
-  std::vector<UserActiveness> out(store.user_count());
-  util::global_pool().parallel_for(0, store.user_count(), [&](std::size_t u) {
-    out[u] = evaluate_user(store, static_cast<trace::UserId>(u));
+  std::vector<UserActiveness> out(static_cast<std::size_t>(end - begin));
+  util::global_pool().parallel_for(0, out.size(), [&](std::size_t i) {
+    out[i] = evaluate_user(store, begin + static_cast<trace::UserId>(i));
   });
   return out;
+}
+
+std::vector<UserActiveness> Evaluator::evaluate_all(
+    const ActivityStore& store) const {
+  return evaluate_range(store, 0,
+                        static_cast<trace::UserId>(store.user_count()));
 }
 
 }  // namespace adr::activeness

@@ -221,15 +221,9 @@ void IncrementalEvaluator::rebuild(ActivityStore& store, util::TimePoint now) {
   EvaluationParams params = base_params_;
   params.now = now;
   Evaluator evaluator(*catalog_, params);
-  if (!ranged_) {
-    users_ = evaluator.evaluate_all(store);
-  } else {
-    users_.resize(range_size(store));
-    util::global_pool().parallel_for(0, users_.size(), [&](std::size_t i) {
-      users_[i] = evaluator.evaluate_user(
-          store, range_begin_ + static_cast<trace::UserId>(i));
-    });
-  }
+  users_ = evaluator.evaluate_range(
+      store, range_begin_,
+      range_begin_ + static_cast<trace::UserId>(range_size(store)));
   groups_.resize(users_.size());
   for (std::size_t u = 0; u < users_.size(); ++u) {
     groups_[u] = classify(users_[u]);

@@ -124,9 +124,7 @@ bool Service::apply(const trace::Event& event) {
       break;
     }
     case trace::EventKind::kAccess:
-      // The acting user doubles as the residency owner hint: an access to
-      // an evicted subtree faults it back instead of counting a miss.
-      if (!vfs_.access(event.path, event.timestamp, event.user)) {
+      if (!vfs_.access(event.path, event.timestamp)) {
         metrics.counter("service.access_misses").add();
       }
       break;
@@ -141,7 +139,7 @@ bool Service::apply(const trace::Event& event) {
       break;
     }
     case trace::EventKind::kRemove:
-      vfs_.remove(event.path, event.user);
+      vfs_.remove(event.path);
       break;
   }
   if (event.seq != 0) {

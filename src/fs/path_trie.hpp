@@ -3,19 +3,19 @@
 //
 // The paper uses one "compact prefix tree" structure in three places: as the
 // virtual file system index for replay, as the snapshot index, and as the
-// purge-exemption reservation list. This is that structure. Edges are
-// compressed at path-component granularity (an edge may span several
-// components, and is split lazily on insert), so deep per-user directory
-// chains cost one node, not one node per level.
+// purge-exemption reservation list. Here it serves only the reservation list
+// (retention::ExemptionList); the Vfs keeps its files in a flat table keyed
+// by PathId (DESIGN.md §15.3). Edges are compressed at path-component
+// granularity (an edge may span several components, and is split lazily on
+// insert), so deep per-user directory chains cost one node, not one node per
+// level.
 //
-// Concurrency: const traversal (find / for_each*) is safe from many threads
-// as long as no thread mutates; mutation is single-threaded. This matches
-// the scan-then-apply shape of the retention policies.
+// Concurrency: const traversal (find / for_each / contains_prefix_of) is
+// safe from many threads as long as no thread mutates; mutation is
+// single-threaded.
 
-#include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,41 +45,21 @@ class PathTrie {
 
   /// Metadata for an exact file path, or nullptr.
   const FileMeta* find(std::string_view path) const;
-  FileMeta* find(std::string_view path);
 
   bool contains(std::string_view path) const { return find(path) != nullptr; }
-
-  /// Remove the file at `path`; prunes now-empty interior nodes.
-  /// Returns false if no such file.
-  bool erase(std::string_view path);
-
-  /// True if any file exists at or below `prefix` (a directory or file path).
-  bool contains_under(std::string_view prefix) const;
 
   /// True if some stored path is a component-wise prefix of `path`
   /// (including an exact match) — the exemption-list query: a reserved
   /// directory covers everything beneath it.
   bool contains_prefix_of(std::string_view path) const;
 
-  /// Visit every file at or below `prefix` ("" or "/" = whole tree), in
-  /// depth-first lexicographic edge order, as (canonical path, meta).
-  void for_each_under(
-      std::string_view prefix,
-      const std::function<void(const std::string&, const FileMeta&)>& fn) const;
-
-  /// Visit every file in the tree.
+  /// Visit every file in depth-first lexicographic edge order, as
+  /// (canonical path, meta).
   void for_each(
       const std::function<void(const std::string&, const FileMeta&)>& fn) const;
 
   std::size_t file_count() const { return file_count_; }
   bool empty() const { return file_count_ == 0; }
-
-  /// Number of allocated trie nodes — the compaction metric surfaced by the
-  /// Fig. 12 memory benches.
-  std::size_t node_count() const { return node_count_; }
-
-  /// Approximate heap footprint in bytes (nodes + edge strings).
-  std::size_t memory_bytes() const;
 
   void clear();
 
@@ -87,14 +67,8 @@ class PathTrie {
   struct Node;
 
  private:
-  bool insert_components(Node* node, const std::vector<std::string>& comps,
-                         std::size_t i, const FileMeta& meta);
-  const Node* descend(const std::vector<std::string>& comps,
-                      std::string* out_prefix) const;
-
   std::unique_ptr<Node> root_;
   std::size_t file_count_ = 0;
-  std::size_t node_count_ = 0;
 };
 
 }  // namespace adr::fs

@@ -313,17 +313,4 @@ bool PurgeIndex::contains(const FileMeta& meta) const {
   return bit->size_bytes == meta.size_bytes;
 }
 
-std::size_t PurgeIndex::memory_bytes() const {
-  std::size_t bytes = paths_.capacity() * sizeof(std::string) +
-                      free_ids_.capacity() * sizeof(PathId) +
-                      by_owner_.capacity() * sizeof(OwnerList);
-  for (const auto& p : paths_) bytes += p.capacity();
-  for (const OwnerList& list : by_owner_) {
-    bytes += (list.base.capacity() + list.inserts.capacity() +
-              list.graves.capacity()) *
-             sizeof(Entry);
-  }
-  return bytes;
-}
-
 }  // namespace adr::fs

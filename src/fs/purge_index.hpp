@@ -2,7 +2,7 @@
 // Incrementally-maintained, atime-ordered purge index over the Vfs.
 //
 // The retention policies' hot path is "which of this user's files have
-// atime < now − ε?". Answering that with a namespace walk costs a full trie
+// atime < now − ε?". Answering that with a namespace walk costs a full
 // traversal per trigger (and ActiveDR's retrospective passes re-walk the
 // same directories up to five more times). Production policy engines on
 // billion-entry file systems (Robinhood and kin) replace the walk with a
@@ -23,9 +23,12 @@
 //
 // Paths are interned once at create time — scans and victim bookkeeping
 // move 4-byte PathIds around, never per-victim std::string copies; freed
-// ids (and their string storage) are recycled on later creates.
+// ids (and their string storage) are recycled on later creates. The
+// interned string is the only copy of a path in memory: the Vfs's path
+// lookup keys are views into it, so the strings live in a deque, whose
+// elements never move as it grows.
 //
-// Concurrency matches the trie: const queries (entries / collect_expired /
+// Concurrency matches the Vfs: const queries (entries / collect_expired /
 // contains / path) are safe from many threads while no thread mutates —
 // queries never compact, they merge on the fly. Mutation is
 // single-threaded. This is exactly the scan-then-apply shape of the
@@ -37,6 +40,7 @@
 // next to the scan time it saves.
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,7 +102,7 @@ class PurgeIndex {
   /// the next intern).
   const std::string& path(PathId id) const { return paths_[id]; }
 
-  /// Indexed file count (equals the trie's file count when consistent).
+  /// Indexed file count (equals the Vfs's file count when consistent).
   std::size_t entry_count() const { return entry_count_; }
 
   /// Owners currently holding at least one file.
@@ -127,10 +131,6 @@ class PurgeIndex {
   /// the consistency-check primitive (see Vfs::verify_purge_index).
   bool contains(const FileMeta& meta) const;
 
-  /// Approximate heap footprint (flat vectors + interned strings) for the
-  /// Fig. 12a / scale-tier memory probes.
-  std::size_t memory_bytes() const;
-
  private:
   /// Per-owner deferred-merge entry storage. `base` is the sorted bulk;
   /// `inserts` and `graves` are small sorted side buffers. Graves only ever
@@ -156,7 +156,7 @@ class PurgeIndex {
   /// Erase the live entry with `key`'s (atime, id); true when found.
   bool erase_key(OwnerList& list, const Entry& key);
 
-  std::vector<std::string> paths_;  // id -> path; slots recycled via free_ids_
+  std::deque<std::string> paths_;  // id -> path; slots recycled via free_ids_
   std::vector<PathId> free_ids_;
   std::vector<OwnerList> by_owner_;  // dense by owner id
   std::size_t entry_count_ = 0;

@@ -1,29 +1,28 @@
 #pragma once
 // Virtual file system: the emulation substrate standing in for Spider II.
 //
-// A Vfs is a path-trie index plus full accounting: total bytes, per-user
+// A Vfs is a flat file table plus full accounting: total bytes, per-user
 // bytes/files, and a nominal capacity (purge targets are expressed as a
 // fraction of it). The emulator replays application logs against it; the
 // retention policies scan and purge it.
 //
-// Scale tier (DESIGN.md §15): per-user usage lives in a dense vector indexed
-// by the (already dense) 32-bit UserId, and an optional byte-budgeted
-// *residency layer* keeps the heavyweight trie bounded at 10⁷–10⁸ files.
-// When the estimated resident trie footprint exceeds the budget, the coldest
-// users' subtrees are evicted: their trie nodes are dropped and each file
-// shrinks to a ~24 B spill record (the purge index keeps atime/size/owner and
-// the interned path, so victim selection never faults). An access, create, or
-// remove naming an evicted owner faults that user's subtree back from the
-// index + spill records. Walk-mode scans (for_each*) see only resident files
-// — policies must run in indexed scan mode when a budget is set.
+// File table (DESIGN.md §15.3): one FileMeta record per PathId, where the id
+// is the one PurgeIndex::intern assigns, plus a hash lookup from canonical
+// path to id whose keys are views into the interned string — the only copy
+// of each path in memory. Paths are canonicalized once at this boundary
+// (split_path/join_path rules: repeated '/' collapse, a trailing '/' drops),
+// so lookups, victim lists, the removal sink and export_snapshot agree.
+// Walks (for_each*, export_snapshot) sort ids into component order — the
+// depth-first order of a prefix tree over the same paths. Per-user usage
+// lives in a dense vector indexed by the (already dense) 32-bit UserId.
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
-#include "fs/path_trie.hpp"
 #include "fs/purge_index.hpp"
 #include "trace/snapshot.hpp"
 
@@ -93,44 +92,44 @@ class UserUsageView {
 class Vfs {
  public:
   Vfs() = default;
+  // Lookup keys view the interned strings, which a move carries along; a
+  // copy would leave them pointing into the source.
+  Vfs(Vfs&&) = default;
+  Vfs& operator=(Vfs&&) = default;
+  Vfs(const Vfs&) = delete;
+  Vfs& operator=(const Vfs&) = delete;
 
   /// Create (or overwrite) a file. Accounting is updated for both the old
   /// and new metadata; overwriting routes the *displaced* version through
   /// the removal sink so the archive tier never silently loses it. Returns
-  /// true if the file is new. Under a memory budget, the creating owner is
-  /// faulted resident first (overwrites of one's own evicted files re-key
-  /// correctly); overwriting *another* user's evicted file is outside the
-  /// residency contract — see DESIGN.md §15.
+  /// true if the file is new.
   bool create(std::string_view path, const FileMeta& meta);
 
   /// Record an access at time `t`: bumps atime monotonically. Returns false
-  /// (a *file miss*) if the path does not exist. `owner_hint`, when valid,
-  /// lets the residency layer fault an evicted owner back before declaring
-  /// a miss — call sites replaying app logs always know the acting user.
+  /// (a *file miss*) if the path does not exist. The third argument is
+  /// ignored; it stays so existing three-argument callers compile.
   bool access(std::string_view path, util::TimePoint t,
-              trace::UserId owner_hint = trace::kInvalidUser);
+              trace::UserId /*unused*/ = trace::kInvalidUser);
 
   /// Remove a file; returns false if absent. The removal sink (if any)
-  /// observes the file before it disappears. `owner_hint` as in access():
-  /// purge policies know each victim's owner, so removing an evicted cold
-  /// user's files faults the subtree back once and then drains it.
-  bool remove(std::string_view path,
-              trace::UserId owner_hint = trace::kInvalidUser);
+  /// observes the file before it disappears. `path` may alias the purge
+  /// index's own string for the file.
+  bool remove(std::string_view path);
 
   /// Observer invoked for every file that leaves the tier — removals and
-  /// the displaced old version on an overwriting create(). This is how the
-  /// emulator routes purged/displaced files into the archive tier.
+  /// the displaced old version on an overwriting create() — with the
+  /// file's canonical path. This is how the emulator routes
+  /// purged/displaced files into the archive tier.
   using RemovalSink = std::function<void(const std::string&, const FileMeta&)>;
   void set_removal_sink(RemovalSink sink) { removal_sink_ = std::move(sink); }
 
-  /// Resident-view lookups: an evicted file stats as absent (const methods
-  /// cannot fault). Use access/remove with an owner hint on hot paths.
-  const FileMeta* stat(std::string_view path) const { return trie_.find(path); }
-  bool exists(std::string_view path) const { return trie_.contains(path); }
+  /// Metadata for a file, or nullptr. The pointer stays valid until the
+  /// next mutating call (create/access/remove/import/clear).
+  const FileMeta* stat(std::string_view path) const;
+  bool exists(std::string_view path) const { return stat(path) != nullptr; }
 
   std::uint64_t total_bytes() const { return total_bytes_; }
-  /// All files, resident or spilled.
-  std::size_t file_count() const { return trie_.file_count() + spilled_files_; }
+  std::size_t file_count() const { return ids_.size(); }
 
   /// Usage of one user (zeros if unknown).
   UserUsage usage(trace::UserId user) const;
@@ -143,107 +142,49 @@ class Vfs {
     return capacity_bytes_ ? capacity_bytes_ : total_bytes_;
   }
 
-  // -- residency / memory budget --------------------------------------------
-
-  /// Cap the estimated resident trie footprint; 0 (default) disables
-  /// eviction. When a mutation pushes the estimate over the cap, the
-  /// coldest users are evicted down to a low watermark (7/8 of the budget).
-  void set_memory_budget_bytes(std::uint64_t budget);
-  std::uint64_t memory_budget_bytes() const { return budget_bytes_; }
-
-  /// True when `user`'s subtree is materialized in the trie (users with no
-  /// files are trivially resident).
-  bool user_resident(trace::UserId user) const;
-  std::size_t evicted_user_count() const { return evicted_users_; }
-  std::size_t spilled_file_count() const { return spilled_files_; }
-  /// Estimated bytes of trie structure for resident files (path bytes plus
-  /// a per-file node constant — see DESIGN.md §15 for the budget model).
-  std::uint64_t resident_bytes_estimate() const { return resident_cost_; }
-  /// Bytes held in spill records for evicted files.
-  std::uint64_t spilled_bytes() const { return spilled_bytes_; }
-
-  /// Force one user out / back in (tests and the scale bench's cold-start
-  /// probes; normal operation goes through the budget).
-  void evict_user(trace::UserId user);
-  void fault_user(trace::UserId user);
-
-  /// Visit all files under a path prefix (policy scan entry point).
-  /// Resident view only: evicted files are not walked (indexed scan mode is
-  /// the contract under a memory budget).
+  /// Visit every file at or below `prefix` ("" or "/" = everything) in
+  /// component order, as (canonical path, meta). A filtered pass over the
+  /// whole table: the policies' fast path is purge_index().
   void for_each_under(
       std::string_view prefix,
-      const std::function<void(const std::string&, const FileMeta&)>& fn) const {
-    trie_.for_each_under(prefix, fn);
-  }
+      const std::function<void(const std::string&, const FileMeta&)>& fn) const;
   void for_each(
       const std::function<void(const std::string&, const FileMeta&)>& fn) const {
-    trie_.for_each(fn);
+    for_each_under("/", fn);
   }
 
-  /// Underlying index (read-only), exposed for memory probes.
-  const PathTrie& index() const { return trie_; }
-
   /// Atime-ordered purge index, maintained incrementally by every
-  /// create/access/remove — the policies' fast scan path. Entries stay
-  /// indexed while their owner is evicted (victim selection never faults).
+  /// create/access/remove — the policies' fast scan path.
   const PurgeIndex& purge_index() const { return purge_index_; }
 
-  /// Opt-in consistency check: cross-verify the purge index against a full
-  /// trie walk plus the spill records of evicted users (every file indexed
-  /// with matching owner/atime/size/path, and nothing extra). Returns true
-  /// when consistent; otherwise describes the first mismatch in *error (if
-  /// non-null). O(files) — meant for tests, audits
+  /// Opt-in consistency check, both directions: every live record is
+  /// indexed with matching owner/atime/size and its path looks up to its
+  /// own id, and the index holds exactly as many entries as there are live
+  /// records. Returns true when consistent; otherwise describes the first
+  /// mismatch in *error (if non-null). O(files) — meant for tests, audits
   /// (EmulatorConfig::audit_purge_index), and `purge --check-index`.
   bool verify_purge_index(std::string* error = nullptr) const;
 
-  /// Seed from / export to a metadata snapshot. Export covers evicted files
-  /// too (reconstructed from the index + spill records).
+  /// Seed from / export to a metadata snapshot (export in component order).
   void import_snapshot(const trace::Snapshot& snapshot);
   trace::Snapshot export_snapshot() const;
 
   void clear();
 
  private:
-  /// Compact per-file record for an evicted file: everything the purge
-  /// index does *not* already hold. Stored in the owner's entries() order.
-  struct SpillRecord {
-    PathId id = kInvalidPathId;
-    std::int32_t stripe_count = 1;
-    util::TimePoint ctime = 0;
-    std::uint32_t access_count = 0;
-  };
-
-  /// Residency bookkeeping, dense by user id (parallel to usage_).
-  struct UserResidency {
-    std::uint64_t resident_cost = 0;  // estimate; 0 while evicted
-    std::uint64_t last_touch = 0;     // monotonic op tick (cold = small)
-    bool evicted = false;
-    std::vector<SpillRecord> spill;   // only while evicted
-  };
-
   void account_add(const FileMeta& meta);
   void account_remove(const FileMeta& meta);
-  UserResidency& residency(trace::UserId user);
-  void touch_user(trace::UserId user);
-  /// Fault `owner_hint` if it names an evicted user; true when a fault ran.
-  bool maybe_fault(trace::UserId owner_hint);
-  /// Evict coldest users until the estimate is back under the watermark.
-  void enforce_budget();
+  /// Id of the live file at an already-canonical path, or kInvalidPathId.
+  PathId id_of(std::string_view path) const;
 
-  PathTrie trie_;
+  std::vector<FileMeta> files_;  // by PathId; path_id == kInvalidPathId: free
+  std::unordered_map<std::string_view, PathId> ids_;  // keys view paths
   PurgeIndex purge_index_;
   RemovalSink removal_sink_;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t capacity_bytes_ = 0;
   std::vector<UserUsage> usage_;  // dense by user id
   std::size_t users_with_files_ = 0;
-  std::vector<UserResidency> residency_;  // dense by user id
-  std::uint64_t budget_bytes_ = 0;
-  std::uint64_t resident_cost_ = 0;
-  std::uint64_t spilled_bytes_ = 0;
-  std::size_t spilled_files_ = 0;
-  std::size_t evicted_users_ = 0;
-  std::uint64_t touch_tick_ = 0;
 };
 
 }  // namespace adr::fs

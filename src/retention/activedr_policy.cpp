@@ -244,9 +244,7 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
             if (record) report.victim_paths.push_back(path);
           } else {
             if (record) report.victim_paths.push_back(path);
-            // Owner hint: a cold victim's subtree may be evicted under a
-            // memory budget; the hint faults it back for the removal.
-            if (!vfs.remove(path, user)) {
+            if (!vfs.remove(path)) {
               if (record) report.victim_paths.pop_back();
               return;  // purged in an earlier pass
             }

@@ -69,12 +69,12 @@ struct ActiveDrConfig {
 
   /// kAuto/kIndexed: scan the Vfs's atime-ordered purge index — candidates
   /// materialize once per group and retrospective passes advance a cursor
-  /// (no re-walks). kWalk: the seed's per-pass trie walk. Both modes
-  /// produce identical PurgeReports: the same victims (per user, ascending
-  /// atime with path-id tie-break) and the same exempted_files count (an
-  /// exempt file counts once per scanned group, and only when expired at
-  /// the group's widest fully-decayed cutoff — the candidate population
-  /// the index materializes).
+  /// (no re-walks). kWalk: the seed's per-pass walk of each home
+  /// directory. Both modes produce identical PurgeReports: the same victims
+  /// (per user, ascending atime with path-id tie-break) and the same
+  /// exempted_files count (an exempt file counts once per scanned group,
+  /// and only when expired at the group's widest fully-decayed cutoff — the
+  /// candidate population the index materializes).
   ScanMode scan_mode = ScanMode::kAuto;
 };
 

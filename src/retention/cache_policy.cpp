@@ -36,7 +36,7 @@ PurgeReport ScratchCachePolicy::run(fs::Vfs& vfs, util::TimePoint now,
 
   std::vector<bool> seen_user;
   for (const auto& v : victims) {
-    vfs.remove(v.path, v.owner);
+    vfs.remove(v.path);
     report.purged_bytes += v.size;
     ++report.purged_files;
     auto& g = report.group(group_of_(v.owner));

@@ -34,8 +34,8 @@ PurgeReport FltPolicy::run(fs::Vfs& vfs, util::TimePoint now,
   const bool no_target = target_purge_bytes == 0;
   // Strict runs purge the whole expired set, so its order is unobservable
   // and the index is always safe; purge-to-target runs keep the documented
-  // trie-DFS "system scan order" unless the caller opts into the index
-  // (whose order is oldest-first).
+  // component-order "system scan order" unless the caller opts into the
+  // index (whose order is oldest-first).
   const bool indexed =
       config_.scan_mode == ScanMode::kIndexed ||
       (config_.scan_mode == ScanMode::kAuto && no_target);
@@ -72,7 +72,7 @@ PurgeReport FltPolicy::run(fs::Vfs& vfs, util::TimePoint now,
     if (!no_target && remaining == 0) break;
     const std::string& path = vfs.purge_index().path(v.id);
     if (record) report.victim_paths.push_back(path);
-    if (!config_.dry_run) vfs.remove(path, v.owner);
+    if (!config_.dry_run) vfs.remove(path);
     report.purged_bytes += v.size;
     ++report.purged_files;
     auto& g = report.group(group_of_(v.owner));

@@ -6,10 +6,11 @@
 // Two modes:
 //  * strict (target = 0): purge *all* expired files — the classic cron
 //    behaviour behind Fig. 1;
-//  * purge-to-target: purge expired files in system scan order (the trie's
-//    DFS path order) until the byte target is met — the "same purge target"
-//    comparison mode of §4. FLT has no recourse beyond expired files: if
-//    they don't cover the target the run reports target_reached = false.
+//  * purge-to-target: purge expired files in system scan order (the Vfs's
+//    component path order) until the byte target is met — the "same purge
+//    target" comparison mode of §4. FLT has no recourse beyond expired
+//    files: if they don't cover the target the run reports
+//    target_reached = false.
 
 #include <cstdint>
 #include <string>
@@ -26,8 +27,8 @@ struct FltConfig {
   bool record_victims = false;
 
   /// kIndexed: read expired files straight off the Vfs's atime-ordered
-  /// purge index, oldest first, instead of walking the trie. kWalk keeps
-  /// the legacy trie-DFS path order. kAuto picks indexed for strict
+  /// purge index, oldest first, instead of walking the file table. kWalk
+  /// keeps the legacy component path order. kAuto picks indexed for strict
   /// (no-target) runs — where the victim *set* is order-independent — and
   /// the walk for purge-to-target runs, whose documented semantics purge in
   /// system scan order.

@@ -22,7 +22,8 @@ enum class ScanMode {
   /// unobservable, and keeps the legacy path-order walk when a byte target
   /// makes the order part of its documented semantics.
   kAuto,
-  /// Trie walk per pass (the seed behaviour; the bench baseline).
+  /// Path-order walk of the file table per pass (the seed behaviour; the
+  /// bench baseline).
   kWalk,
   /// Range queries against the Vfs's atime-ordered purge index; ActiveDR's
   /// retrospective passes become cursor advances over candidates

@@ -84,7 +84,7 @@ PurgeReport ValuePolicy::run(fs::Vfs& vfs, util::TimePoint now,
     } else if (remaining == 0) {
       break;
     }
-    vfs.remove(victim.path, victim.owner);
+    vfs.remove(victim.path);
     report.purged_bytes += victim.size;
     ++report.purged_files;
     auto& g = report.group(group_of_(victim.owner));

@@ -202,7 +202,7 @@ EmulationResult Emulator::run(RetentionDriver& driver,
         meta.ctime = entry.timestamp;
         vfs.create(entry.path, meta);
       } else {
-        const bool hit = vfs.access(entry.path, entry.timestamp, entry.user);
+        const bool hit = vfs.access(entry.path, entry.timestamp);
         metrics.record_access(entry.timestamp,
                               timeline_->group_at(entry.user, entry.timestamp),
                               !hit);

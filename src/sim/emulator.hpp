@@ -183,7 +183,7 @@ struct EmulatorConfig {
   /// Restore bandwidth/latency model for the archive tier.
   fs::ArchiveConfig archive;
   /// Consistency-check mode: after every purge trigger, cross-verify the
-  /// Vfs's purge index against a full trie walk (Vfs::verify_purge_index).
+  /// Vfs's purge index against its file table (Vfs::verify_purge_index).
   /// O(files) per trigger — for tests and debugging, not production runs.
   bool audit_purge_index = false;
   /// User-range shards for the trigger evaluations (activeness/sharded.hpp):

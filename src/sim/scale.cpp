@@ -44,7 +44,6 @@ ScaleResult drive(const ScaleConfig& config, NextFn&& next_event) {
   core::Service service(
       trace::UserRegistry::with_synthetic_users(config.users), service_config);
   service.register_paper_types();
-  service.vfs().set_memory_budget_bytes(config.memory_budget_bytes);
 
   service.prepare_ingest();
   const synth::StreamSynthConfig synth_cfg = synth_config(config);
@@ -55,9 +54,6 @@ ScaleResult drive(const ScaleConfig& config, NextFn&& next_event) {
   obs::Histogram& trigger_hist =
       obs::MetricsRegistry::global().histogram("scale.trigger_seconds");
   trigger_hist.reset();
-  obs::Counter& faults =
-      obs::MetricsRegistry::global().counter("vfs.faults");
-  const std::uint64_t faults_before = faults.value();
 
   const auto trigger_step = static_cast<util::Duration>(
       std::max(1.0, config.trigger_every_days *
@@ -124,10 +120,9 @@ ScaleResult drive(const ScaleConfig& config, NextFn&& next_event) {
           break;
         }
         case synth::StreamEventKind::kFileAccess:
-          // Owner hint: under a budget the target subtree may be evicted.
           // A miss is expected when a purge already removed the ordinal.
           service.vfs().access(synth::StreamSynth::path_of(e.user, e.ordinal),
-                               e.timestamp, e.user);
+                               e.timestamp);
           break;
       }
       ++result.events;
@@ -146,10 +141,6 @@ ScaleResult drive(const ScaleConfig& config, NextFn&& next_event) {
   result.trigger_p99_ms = trigger_hist.quantile(0.99) * 1e3;
   result.trigger_max_ms = trigger_hist.max_seconds() * 1e3;
   result.rss_peak_bytes = util::rss_peak();
-  result.vfs_resident_bytes = service.vfs().resident_bytes_estimate();
-  result.vfs_spilled_bytes = service.vfs().spilled_bytes();
-  result.evicted_users = service.vfs().evicted_user_count();
-  result.residency_faults = faults.value() - faults_before;
 
   // Rank fingerprint: one line per user, exact keys — memcmp-equality
   // across runs is the identity contract.
@@ -183,8 +174,7 @@ ScaleResult run_scale(const ScaleConfig& config) {
   });
 }
 
-ScaleIdentityResult check_scale_identity(const ScaleConfig& config,
-                                         std::uint64_t budget_bytes) {
+ScaleIdentityResult check_scale_identity(const ScaleConfig& config) {
   ScaleIdentityResult out;
 
   // 1. The event stream itself: heap-merged next() order must equal the
@@ -210,15 +200,13 @@ ScaleIdentityResult check_scale_identity(const ScaleConfig& config,
     out.events_identical = out.events_identical && i == mat.size();
   }
 
-  // 2. End-to-end: streamed ingest under the budget vs materialized replay
-  // with residency off — ranks and purge victims must match exactly.
+  // 2. End-to-end: streamed ingest vs materialized replay — ranks and purge
+  // victims must match exactly.
   ScaleConfig streamed = config;
   streamed.streamed = true;
-  streamed.memory_budget_bytes = budget_bytes;
   streamed.record_victims = true;
   ScaleConfig materialized = config;
   materialized.streamed = false;
-  materialized.memory_budget_bytes = 0;
   materialized.record_victims = true;
 
   const ScaleResult a = run_scale(streamed);

@@ -3,15 +3,15 @@
 //
 // run_scale drives a core::Service from synth::StreamSynth's merged event
 // stream: job/publication activities enqueue into the ActivityStore's
-// per-shard ingest queues, file creates/accesses hit the Vfs (optionally
-// under a residency byte budget), and ActiveDR purge triggers fire at a
-// fixed simulated cadence. Nothing is materialized up front — peak RSS
-// measures the retention structures, not the workload generator.
+// per-shard ingest queues, file creates/accesses hit the Vfs's file table,
+// and ActiveDR purge triggers fire at a fixed simulated cadence. Nothing is
+// materialized up front — peak RSS measures the retention structures, not
+// the workload generator.
 //
 // Correctness anchor: check_scale_identity runs the same configuration
-// twice — streamed ingest with the residency budget on, then the
-// materialized event vector with residency off — and demands byte-identical
-// event sequences, final ranks, and per-trigger purge victims. The scale
+// twice — streamed ingest into the per-shard queues, then the materialized
+// event vector appended directly — and demands byte-identical event
+// sequences, final ranks, and per-trigger purge victims. The scale
 // path is only trusted because the small tier proves it exact.
 
 #include <cstddef>
@@ -34,8 +34,6 @@ struct ScaleConfig {
   int backfill_days = 400;
   int lifetime_days = 30;  ///< Eq. 7 base lifetime (backfill is expired)
 
-  /// Vfs residency budget in bytes; 0 disables eviction.
-  std::uint64_t memory_budget_bytes = 0;
   /// Simulated days between purge triggers.
   double trigger_every_days = 5.0;
 
@@ -56,10 +54,6 @@ struct ScaleResult {
   double trigger_p99_ms = 0.0;
   double trigger_max_ms = 0.0;
   std::uint64_t rss_peak_bytes = 0;
-  std::uint64_t vfs_resident_bytes = 0;
-  std::uint64_t vfs_spilled_bytes = 0;
-  std::size_t evicted_users = 0;
-  std::uint64_t residency_faults = 0;
   std::uint64_t purged_bytes = 0;
   std::size_t purged_files = 0;
   /// Per-trigger victim paths (record_victims only) — the identity probe.
@@ -72,7 +66,7 @@ ScaleResult run_scale(const ScaleConfig& config);
 
 struct ScaleIdentityResult {
   bool events_identical = false;   ///< next()-drain vs materialize()
-  bool ranks_identical = false;    ///< streamed+budget vs materialized
+  bool ranks_identical = false;    ///< streamed vs materialized
   bool victims_identical = false;  ///< per-trigger victim path lists
   std::size_t triggers = 0;
   bool ok() const {
@@ -81,9 +75,7 @@ struct ScaleIdentityResult {
 };
 
 /// The small-tier correctness anchor (forces record_victims and real
-/// purges): streamed mode runs under `budget_bytes` (pick one small enough
-/// to force evictions), materialized mode runs with residency off.
-ScaleIdentityResult check_scale_identity(const ScaleConfig& config,
-                                         std::uint64_t budget_bytes);
+/// purges): streamed mode against materialized mode.
+ScaleIdentityResult check_scale_identity(const ScaleConfig& config);
 
 }  // namespace adr::sim

@@ -8,8 +8,7 @@
 // time-ordered event stream from per-user forward-only cursors:
 //
 //   * each user's event sequence is a pure function of (seed, user_id) —
-//     an evicted user's history can be re-derived from 8 bytes, which is
-//     the regeneration contract behind Vfs residency;
+//     any user's history can be re-derived from 8 bytes;
 //   * a binary min-heap over (next_event_time, user) yields the global
 //     stream in nondecreasing (time, user) order with O(log U) per event
 //     and O(U) resident state (one small cursor per user, no traces);
@@ -21,8 +20,8 @@
 // exact same order as draining next() — per-user times are strictly
 // increasing and ties across users break by user id, so the global order
 // (time, user) is total. bench_scale and the identity tests rely on this:
-// streamed ingest (with residency on) and materialized replay must produce
-// byte-identical ranks and purge victims.
+// streamed ingest and materialized replay must produce byte-identical ranks
+// and purge victims.
 
 #include <cstdint>
 #include <string>

@@ -231,6 +231,31 @@ TEST_F(ServiceTest, CheckpointPlusTailReplayMatchesColdRun) {
   }
 }
 
+TEST_F(ServiceTest, NonCanonicalPathNamesOneVictimAcrossRestore) {
+  // Regression: a path fed with a doubled '/' was reported verbatim by the
+  // live service but canonicalized by the checkpoint's snapshot, so a
+  // restarted daemon named the same victim differently.
+  trace::Event create;
+  create.kind = trace::EventKind::kCreate;
+  create.user = 0;
+  create.timestamp = kBase;
+  create.path = "/scratch/user_00000//a";
+  create.size_bytes = 100;
+  const std::string ckpt = dir_ + "/ckpt_canonical";
+  std::vector<std::string> live;
+  {
+    auto service = make_service(1);
+    service->apply(create);
+    service->save_checkpoint(ckpt);
+    live = service->purge(now_, 0).victim_paths;
+  }
+  EXPECT_EQ(live, std::vector<std::string>{"/scratch/user_00000/a"});
+  auto restored = make_service(1);
+  const auto status = restored->restore_checkpoint(ckpt);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(restored->purge(now_, 0).victim_paths, live);
+}
+
 TEST_F(ServiceTest, ShardCountsAgreeByteForByte) {
   const auto one = cold_run(1, "s1");
   const auto four = cold_run(4, "s4");

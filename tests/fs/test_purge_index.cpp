@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -159,6 +160,8 @@ TEST(PurgeIndex, RandomizedChurnMatchesSetReference) {
   PurgeIndex index;
   std::set<PurgeIndex::Entry, RefOrder> ref[3];
   std::vector<FileMeta> live;
+  std::set<PathId> freed;
+  std::size_t recycled = 0;
 
   for (int step = 0; step < 6000; ++step) {
     const int op = static_cast<int>(rng.uniform_int(0, 9));
@@ -167,7 +170,11 @@ TEST(PurgeIndex, RandomizedChurnMatchesSetReference) {
       FileMeta m = meta(owner, static_cast<std::uint64_t>(
                                    rng.uniform_int(1, 1000)),
                         rng.uniform_int(0, 1'000'000));
-      m.path_id = index.intern("/s/f" + std::to_string(step));
+      const std::string path = "/s/f" + std::to_string(step);
+      m.path_id = index.intern(path);
+      // A recycled id names the new path, never the one it held before.
+      recycled += freed.erase(m.path_id);
+      ASSERT_EQ(index.path(m.path_id), path);
       index.add(m);
       ref[owner].insert({m.atime, m.path_id, m.size_bytes});
       live.push_back(m);
@@ -188,6 +195,7 @@ TEST(PurgeIndex, RandomizedChurnMatchesSetReference) {
       const FileMeta m = live[pick];
       index.remove(m);
       ref[m.owner].erase({m.atime, m.path_id, 0});
+      freed.insert(m.path_id);
       live[pick] = live.back();
       live.pop_back();
     }
@@ -218,6 +226,7 @@ TEST(PurgeIndex, RandomizedChurnMatchesSetReference) {
                   static_cast<std::size_t>(!ref[1].empty()) +
                   static_cast<std::size_t>(!ref[2].empty()));
   }
+  EXPECT_GT(recycled, 100u);
 }
 
 // -- Vfs maintenance integration --------------------------------------------
@@ -289,7 +298,7 @@ TEST(VfsPurgeIndex, ImportSnapshotIndexesEverything) {
   EXPECT_TRUE(fresh.verify_purge_index());
 }
 
-// -- Randomized property: the index always mirrors the trie ------------------
+// -- Randomized property: the index always mirrors the file table ------------
 
 TEST(VfsPurgeIndex, RandomizedOpsStayConsistent) {
   util::Rng rng(20260807);
@@ -299,6 +308,7 @@ TEST(VfsPurgeIndex, RandomizedOpsStayConsistent) {
   for (int i = 0; i < 64; ++i) {
     paths.push_back("/s/u" + std::to_string(i % 8) + "/f" + std::to_string(i));
   }
+  std::map<std::string, FileMeta> ref;  // path -> owner/size/atime
 
   for (int step = 0; step < 4000; ++step) {
     const std::string& path =
@@ -308,18 +318,33 @@ TEST(VfsPurgeIndex, RandomizedOpsStayConsistent) {
     if (op == 0 || op == 1) {
       // create or overwrite (owner may differ from the path's usual one)
       const auto owner = static_cast<trace::UserId>(rng.uniform_int(0, 9));
-      vfs.create(path, meta(owner, static_cast<std::uint64_t>(
-                                       rng.uniform_int(1, 1000)),
-                            t));
+      const FileMeta m =
+          meta(owner, static_cast<std::uint64_t>(rng.uniform_int(1, 1000)), t);
+      vfs.create(path, m);
+      ref[path] = m;
     } else if (op == 2) {
-      vfs.access(path, t);
+      const auto it = ref.find(path);
+      EXPECT_EQ(vfs.access(path, t), it != ref.end());
+      if (it != ref.end()) it->second.atime = std::max(it->second.atime, t);
     } else {
-      vfs.remove(path);
+      EXPECT_EQ(vfs.remove(path), ref.erase(path) > 0);
     }
     if (step % 257 == 0) {
       std::string error;
       ASSERT_TRUE(vfs.verify_purge_index(&error)) << "step " << step << ": "
                                                   << error;
+    }
+    // Removes free ids that later creates recycle under other paths: every
+    // path must still look up its own record, and its id its own path.
+    for (const std::string& p : paths) {
+      const FileMeta* got = vfs.stat(p);
+      const auto it = ref.find(p);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << step << " " << p;
+      if (got == nullptr) continue;
+      EXPECT_EQ(vfs.purge_index().path(got->path_id), p);
+      EXPECT_EQ(got->owner, it->second.owner);
+      EXPECT_EQ(got->size_bytes, it->second.size_bytes);
+      EXPECT_EQ(got->atime, it->second.atime);
     }
   }
   std::string error;

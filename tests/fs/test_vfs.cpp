@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "fs/path_trie.hpp"
+
 namespace adr::fs {
 namespace {
 
@@ -156,6 +162,137 @@ TEST(Vfs, ClearResetsEverything) {
   EXPECT_EQ(vfs.file_count(), 0u);
   EXPECT_EQ(vfs.capacity_bytes(), 0u);
   EXPECT_EQ(vfs.usage(0).files, 0u);
+}
+
+TEST(Vfs, UsageViewSkipsEmptySlots) {
+  Vfs vfs;
+  vfs.create("/s/u0/a", meta(0, 10, 1));
+  vfs.create("/s/u5/b", meta(5, 20, 2));
+  vfs.create("/s/u5/c", meta(5, 30, 3));
+
+  UserUsageView view = vfs.usage_by_user();
+  EXPECT_EQ(view.size(), 2u);
+  EXPECT_EQ(view.count(0), 1u);
+  EXPECT_EQ(view.count(3), 0u);
+  EXPECT_EQ(view.count(5), 1u);
+  EXPECT_EQ(view.count(trace::kInvalidUser), 0u);
+
+  std::vector<std::pair<trace::UserId, UserUsage>> seen;
+  for (const auto& [user, usage] : view) seen.emplace_back(user, usage);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].first, 0u);
+  EXPECT_EQ(seen[0].second.bytes, 10u);
+  EXPECT_EQ(seen[1].first, 5u);
+  EXPECT_EQ(seen[1].second.files, 2u);
+
+  // Removing the last file empties the slot and shrinks the view.
+  vfs.remove("/s/u0/a");
+  view = vfs.usage_by_user();
+  EXPECT_EQ(view.size(), 1u);
+  EXPECT_EQ(view.count(0), 0u);
+  EXPECT_TRUE(view.begin() != view.end());
+}
+
+TEST(Vfs, PathsAreCanonicalizedAtTheBoundary) {
+  // Regression: a non-canonical path used to be interned verbatim while
+  // lookups normalized it, so the index, victim lists and snapshot export
+  // disagreed about the file's name.
+  Vfs vfs;
+  std::vector<std::string> sunk;
+  vfs.set_removal_sink(
+      [&](const std::string& path, const FileMeta&) { sunk.push_back(path); });
+  EXPECT_TRUE(vfs.create("/s//u0/a", meta(0, 10, 1)));
+  std::string error;
+  EXPECT_TRUE(vfs.verify_purge_index(&error)) << error;
+
+  const FileMeta* m = vfs.stat("/s/u0/a");
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(vfs.purge_index().path(m->path_id), "/s/u0/a");
+  EXPECT_EQ(vfs.stat("s/u0//a/"), m);
+  EXPECT_FALSE(vfs.create("/s/u0/a/", meta(0, 20, 2)));  // an overwrite
+  EXPECT_EQ(vfs.file_count(), 1u);
+  EXPECT_TRUE(vfs.access("//s/u0/a", 5));
+
+  std::vector<std::string> walked;
+  vfs.for_each([&](const std::string& p, const FileMeta&) {
+    walked.push_back(p);
+  });
+  EXPECT_EQ(walked, std::vector<std::string>{"/s/u0/a"});
+  const trace::Snapshot snap = vfs.export_snapshot();
+  ASSERT_EQ(snap.entries().size(), 1u);
+  EXPECT_EQ(snap.entries()[0].path, "/s/u0/a");
+
+  EXPECT_TRUE(vfs.remove("/s/u0//a"));
+  EXPECT_EQ(sunk, (std::vector<std::string>{"/s/u0/a", "/s/u0/a"}));
+  EXPECT_EQ(vfs.file_count(), 0u);
+  EXPECT_TRUE(vfs.verify_purge_index(&error)) << error;
+}
+
+TEST(Vfs, WalksFollowComponentOrder) {
+  // Component order is the depth-first order of a prefix tree: '/' ranks
+  // below every byte ("/a/b" before "/a.b") and bytes compare unsigned
+  // ("\xC3" after 'b'). Creation order is scrambled on purpose.
+  const std::vector<std::string> expected = {"/a", "/a/b", "/a.b", "/ab",
+                                             "/a\xC3\xA9"};
+  Vfs vfs;
+  PathTrie trie;
+  for (const std::size_t i : {3u, 0u, 4u, 2u, 1u}) {
+    vfs.create(expected[i], meta(0, 1));
+    trie.insert(expected[i], meta(0, 1));
+  }
+  std::vector<std::string> trie_order;
+  trie.for_each([&](const std::string& p, const FileMeta&) {
+    trie_order.push_back(p);
+  });
+  EXPECT_EQ(trie_order, expected);
+
+  std::vector<std::string> walked;
+  vfs.for_each([&](const std::string& p, const FileMeta&) {
+    walked.push_back(p);
+  });
+  EXPECT_EQ(walked, expected);
+
+  std::vector<std::string> exported;
+  const trace::Snapshot snap = vfs.export_snapshot();
+  for (const auto& e : snap.entries()) exported.push_back(e.path);
+  EXPECT_EQ(exported, expected);
+
+  std::vector<std::string> under_a;
+  vfs.for_each_under("/a", [&](const std::string& p, const FileMeta&) {
+    under_a.push_back(p);
+  });
+  EXPECT_EQ(under_a, (std::vector<std::string>{"/a", "/a/b"}));
+
+  int missing = 0;
+  vfs.for_each_under("/nope", [&](const std::string&, const FileMeta&) {
+    ++missing;
+  });
+  EXPECT_EQ(missing, 0);
+}
+
+TEST(Vfs, MovedVfsStaysUsable) {
+  Vfs source;
+  for (int i = 0; i < 100; ++i) {
+    source.create("/s/u" + std::to_string(i % 7) + "/f" + std::to_string(i),
+                  meta(static_cast<trace::UserId>(i % 7), 10,
+                       static_cast<util::TimePoint>(i)));
+  }
+  Vfs moved = std::move(source);
+  ASSERT_NE(moved.stat("/s/u3/f10"), nullptr);
+  EXPECT_EQ(moved.stat("/s/u3/f10")->owner, 3u);
+  EXPECT_TRUE(moved.access("/s/u3/f10", 500));
+  EXPECT_TRUE(moved.remove("/s/u0/f0"));
+  EXPECT_FALSE(moved.exists("/s/u0/f0"));
+
+  Vfs assigned;
+  assigned.create("/old", meta(9, 1));
+  assigned = std::move(moved);
+  EXPECT_FALSE(assigned.exists("/old"));
+  EXPECT_EQ(assigned.file_count(), 99u);
+  EXPECT_EQ(assigned.stat("/s/u3/f10")->atime, 500);
+  EXPECT_TRUE(assigned.create("/s/u0/f0", meta(0, 10, 1)));  // recycled id
+  std::string error;
+  EXPECT_TRUE(assigned.verify_purge_index(&error)) << error;
 }
 
 }  // namespace

@@ -122,7 +122,7 @@ TEST_F(EmulatorTest, DeterministicAcrossRuns) {
 }
 
 TEST_F(EmulatorTest, AuditModeFindsIndexConsistentAllYear) {
-  // audit_purge_index cross-verifies the purge index against a trie walk
+  // audit_purge_index cross-verifies the purge index against the file table
   // after every trigger; a year of replay with ~52 purges must log zero
   // failures.
   ActivenessTimeline timeline = ActivenessTimeline::for_scenario(

@@ -38,8 +38,8 @@
 #        the single driver thread: budget minutes on a multi-core machine
 #        (shard fan-out soaks up the evaluate/purge side) and tens of
 #        minutes on a 1-core container — it is deliberately NOT part of the
-#        default gate. The RSS budget is the interesting axis and 100k
-#        already exercises eviction; run 1M manually before a release.
+#        default gate. The RSS ceiling is the interesting axis; run 1M
+#        manually before a release.
 
 set -euo pipefail
 
