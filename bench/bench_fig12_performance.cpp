@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 #include <fstream>
 #include <iostream>
 
@@ -261,122 +260,6 @@ EvalModeComparison run_eval_mode_comparison(int reps) {
   return cmp;
 }
 
-// ---- Shard-scaling harness: 1 shard vs N shards ---------------------------
-// The same daily-trigger replay year driven through the sharded pipeline
-// (activeness/sharded.hpp) at S = 1 and S = N. Sharding must be invisible in
-// the results — identical plans at every trigger and identical purge victims
-// off the final plan — and at S >= 4 the concurrent advance must beat the
-// single pipeline by >= MIN_SHARD_SPEEDUP (gated in tools/run_bench.sh,
-// which fails loudly if this harness reports S < 4 on a machine with >= 4
-// cores). N is --shards if given; otherwise at least 4 whenever the
-// hardware has >= 4 cores, even if ACTIVEDR_THREADS shrank the pool — the
-// gate exists to exercise the parallel advance, so it must not silently
-// collapse to a configuration the gate then skips. Only on < 4-core boxes
-// does N fall back to the (small) default shard count, and the floor is
-// informational only.
-struct ShardComparison {
-  std::size_t shards = 1;
-  double shard_1_seconds = 0.0;
-  double shard_n_seconds = 0.0;
-  double speedup = 0.0;
-  std::size_t triggers = 0;
-  bool ranks_identical = true;
-  bool victims_identical = true;
-};
-
-ShardComparison run_shard_comparison(int reps, std::size_t shards_override) {
-  using namespace adr;
-  const auto& s = scenario();
-  const activeness::ActivityCatalog catalog =
-      activeness::ActivityCatalog::paper_default();
-  activeness::EvaluationParams params;
-  params.period_length_days = 30;  // same cadence premise as the eval bench
-
-  ShardComparison cmp;
-  if (shards_override != 0) {
-    cmp.shards = shards_override;
-  } else {
-    cmp.shards = activeness::ShardedEvaluator::default_shard_count();
-    if (std::thread::hardware_concurrency() >= 4) {
-      cmp.shards = std::max<std::size_t>(cmp.shards, 4);
-    }
-  }
-
-  // Identity pass (untimed): lockstep daily triggers, every plan compared;
-  // then a dry-run purge off each final plan must pick the same victims.
-  {
-    sim::ActivenessTimeline one(catalog, build_store(s), params,
-                                activeness::EvalMode::kAuto, 1);
-    sim::ActivenessTimeline many(catalog, build_store(s), params,
-                                 activeness::EvalMode::kAuto, cmp.shards);
-    std::size_t triggers = 0;
-    for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
-         t += util::days(1)) {
-      const auto& plan_1 = one.plan_at(t);
-      const auto& plan_n = many.plan_at(t);
-      ++triggers;
-      if (!same_plans(plan_1, plan_n)) cmp.ranks_identical = false;
-    }
-    cmp.triggers = triggers;
-
-    fs::Vfs vfs_1, vfs_n;
-    vfs_1.import_snapshot(s.snapshot);
-    vfs_n.import_snapshot(s.snapshot);
-    retention::ActiveDrConfig config;
-    config.dry_run = true;
-    const retention::ActiveDrPolicy policy(config, s.registry);
-    const std::uint64_t target = retention::purge_target_bytes(vfs_1, 0.25);
-    auto report_1 = policy.run(vfs_1, s.sim_end, target, one.plan_at(s.sim_end));
-    auto report_n = policy.run(vfs_n, s.sim_end, target, many.plan_at(s.sim_end));
-    cmp.victims_identical =
-        report_1.victim_paths == report_n.victim_paths &&
-        report_1.purged_bytes == report_n.purged_bytes;
-  }
-
-  // Timed reps: each shard count drives its own fresh timeline through the
-  // replay year; best-of-reps. eval_seconds() counts only this timeline's
-  // advance() wall time (wake filter + segment advances + plan merge).
-  const auto run_shards = [&](std::size_t shards) {
-    sim::ActivenessTimeline timeline(catalog, build_store(s), params,
-                                     activeness::EvalMode::kAuto, shards);
-    for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
-         t += util::days(1)) {
-      benchmark::DoNotOptimize(timeline.plan_at(t));
-    }
-    return timeline.eval_seconds();
-  };
-  for (int rep = 0; rep < reps; ++rep) {
-    const double one_secs = run_shards(1);
-    const double many_secs = run_shards(cmp.shards);
-    if (rep == 0 || one_secs < cmp.shard_1_seconds) {
-      cmp.shard_1_seconds = one_secs;
-    }
-    if (rep == 0 || many_secs < cmp.shard_n_seconds) {
-      cmp.shard_n_seconds = many_secs;
-    }
-  }
-  cmp.speedup = cmp.shard_n_seconds > 0.0
-                    ? cmp.shard_1_seconds / cmp.shard_n_seconds
-                    : 0.0;
-
-  util::Table table("Eval phase: 1 shard vs " + std::to_string(cmp.shards) +
-                    " shards (daily triggers)");
-  table.set_headers({"Shards", "Best time (year)", "Triggers"});
-  table.add_row({"1 (single pipeline)",
-                 util::format_duration_seconds(cmp.shard_1_seconds),
-                 util::fmt_int(static_cast<std::int64_t>(cmp.triggers))});
-  table.add_row({std::to_string(cmp.shards) + " (parallel advance)",
-                 util::format_duration_seconds(cmp.shard_n_seconds),
-                 util::fmt_int(static_cast<std::int64_t>(cmp.triggers))});
-  table.print(std::cout);
-  std::printf(
-      "shard speedup: %.2fx at %zu shards, plan identity: %s, "
-      "victim identity: %s\n",
-      cmp.speedup, cmp.shards, cmp.ranks_identical ? "yes" : "NO (BUG)",
-      cmp.victims_identical ? "yes" : "NO (BUG)");
-  return cmp;
-}
-
 // ---- Perf regression harness: walk vs indexed purge trigger ---------------
 // A realistic purge trigger timed under both scan modes against identical
 // state: the initial snapshot plus half a replay year of accesses (so
@@ -422,8 +305,7 @@ ScanModeRun run_purge_trigger(adr::fs::Vfs& vfs,
 }
 
 void run_scan_mode_comparison(const std::string& json_path,
-                              const EvalModeComparison& eval_cmp,
-                              const ShardComparison& shard_cmp) {
+                              const EvalModeComparison& eval_cmp) {
   using namespace adr;
   const auto& s = scenario();
 
@@ -505,15 +387,7 @@ void run_scan_mode_comparison(const std::string& json_path,
       << ",\n"
       << "  \"eval_speedup\": " << eval_cmp.speedup << ",\n"
       << "  \"eval_ranks_identical\": "
-      << (eval_cmp.ranks_identical ? "true" : "false") << ",\n"
-      << "  \"shards\": " << shard_cmp.shards << ",\n"
-      << "  \"shard_1_seconds\": " << shard_cmp.shard_1_seconds << ",\n"
-      << "  \"shard_n_seconds\": " << shard_cmp.shard_n_seconds << ",\n"
-      << "  \"shard_speedup\": " << shard_cmp.speedup << ",\n"
-      << "  \"shard_ranks_identical\": "
-      << (shard_cmp.ranks_identical ? "true" : "false") << ",\n"
-      << "  \"shard_victims_identical\": "
-      << (shard_cmp.victims_identical ? "true" : "false") << "\n}\n";
+      << (eval_cmp.ranks_identical ? "true" : "false") << "\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
 }
 
@@ -612,10 +486,8 @@ int main(int argc, char** argv) {
       g_options);
   print_fig12a();
   const EvalModeComparison eval_cmp = run_eval_mode_comparison(3);
-  const ShardComparison shard_cmp = run_shard_comparison(
-      3, static_cast<std::size_t>(raw.get_int("shards", 0)));
   run_scan_mode_comparison(raw.get_string("bench-json", "BENCH_fig12.json"),
-                           eval_cmp, shard_cmp);
+                           eval_cmp);
 
   // Hand benchmark only the flags it understands.
   int bench_argc = 1;

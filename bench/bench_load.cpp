@@ -1,9 +1,9 @@
 // Sustained-load latency harness (DESIGN.md §12).
 //
 // Drives the sim::run_load ramp — concurrent producers enqueueing trace
-// events into ActivityStore's per-shard ingest queues while the main thread
-// fires evaluate/purge triggers — then runs a short identity matrix (the
-// same fixed-rate level at 1, 2, and 4 shards) and writes BENCH_load.json
+// events into ActivityStore's ingest queue while the main thread fires
+// evaluate/purge triggers — then runs a short identity matrix (the same
+// fixed-rate level at 1, 2, and 4 producers) and writes BENCH_load.json
 // for tools/run_bench.sh to gate.
 //
 // Exit status is nonzero when any level or identity-matrix run diverges
@@ -16,7 +16,7 @@
 //   --trigger-interval S   seconds between triggers          (default 0.1)
 //   --p99-budget-ms MS     sustainability budget             (default 50)
 //   --ramp-levels N / --ramp-factor X
-//   --users N / --files-per-user N / --producers N / --shards N / --seed N
+//   --users N / --files-per-user N / --producers N / --seed N
 //   --skip-identity-matrix  (timing-only runs)
 //   --bench-json PATH      output path (default BENCH_load.json)
 
@@ -42,7 +42,6 @@ adr::sim::LoadGenConfig config_from(const adr::util::Config& raw) {
       raw.get_int("seed", static_cast<std::int64_t>(c.seed)));
   c.producers = static_cast<std::size_t>(
       raw.get_int("producers", static_cast<std::int64_t>(c.producers)));
-  c.shards = static_cast<std::size_t>(raw.get_int("shards", 0));
   c.events_per_sec = raw.get_double("load-rate", c.events_per_sec);
   c.duration_seconds = raw.get_double("load-duration", c.duration_seconds);
   c.trigger_interval_seconds =
@@ -76,8 +75,8 @@ int main(int argc, char** argv) {
 
   const sim::LoadResult result = sim::run_load(config);
 
-  util::Table table("Sustained load ramp (" + std::to_string(result.shards) +
-                    " shards)");
+  util::Table table("Sustained load ramp (" +
+                    std::to_string(config.producers) + " producers)");
   table.set_headers({"Target ev/s", "Achieved", "Triggers", "p50 ms", "p99 ms",
                      "p999 ms", "Identical", "Sustainable"});
   for (const sim::LoadLevelResult& level : result.levels) {
@@ -93,22 +92,22 @@ int main(int argc, char** argv) {
               result.ranks_identical ? "yes" : "NO (BUG)");
 
   // Identity matrix: the concurrent-vs-serial contract must hold at every
-  // shard count, not just the ramp's. Short fixed-rate levels keep this
+  // producer count, not just the ramp's. Short fixed-rate levels keep this
   // cheap enough for the per-push smoke.
-  const std::vector<std::size_t> matrix_shards = {1, 2, 4};
+  const std::vector<std::size_t> matrix_producers = {1, 2, 4};
   std::vector<bool> matrix_identical;
   bool identity_ok = result.ranks_identical;
   if (!raw.get_bool("skip-identity-matrix", false)) {
-    for (const std::size_t shards : matrix_shards) {
+    for (const std::size_t producers : matrix_producers) {
       sim::LoadGenConfig check = config;
-      check.shards = shards;
+      check.producers = producers;
       check.duration_seconds = std::min(config.duration_seconds, 0.5);
       check.ramp_levels = 1;
       const sim::LoadLevelResult level =
           sim::run_load_level(check, config.events_per_sec);
       matrix_identical.push_back(level.ranks_identical);
       identity_ok = identity_ok && level.ranks_identical;
-      std::printf("identity @ %zu shards: %s\n", shards,
+      std::printf("identity @ %zu producers: %s\n", producers,
                   level.ranks_identical ? "yes" : "NO (BUG)");
     }
   }
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
       << "  \"users\": " << config.users << ",\n"
       << "  \"seed\": " << config.seed << ",\n"
       << "  \"producers\": " << config.producers << ",\n"
-      << "  \"shards\": " << result.shards << ",\n"
       << "  \"start_rate\": " << config.events_per_sec << ",\n"
       << "  \"duration_seconds\": " << config.duration_seconds << ",\n"
       << "  \"trigger_interval_seconds\": " << config.trigger_interval_seconds
@@ -149,9 +147,10 @@ int main(int argc, char** argv) {
       << ",\n"
       << "  \"ranks_identical\": "
       << (result.ranks_identical ? "true" : "false") << ",\n"
-      << "  \"identity_shard_counts\": [";
+      << "  \"identity_producer_counts\": [";
   for (std::size_t i = 0; i < matrix_identical.size(); ++i) {
-    out << matrix_shards[i] << (i + 1 < matrix_identical.size() ? ", " : "");
+    out << matrix_producers[i]
+        << (i + 1 < matrix_identical.size() ? ", " : "");
   }
   out << "],\n"
       << "  \"identity_all_identical\": " << (identity_ok ? "true" : "false")

@@ -13,7 +13,7 @@
 //   --users LIST           comma-separated tiers     (default 10000,100000,1000000)
 //   --files-per-user N     backfill files per user   (default 10)
 //   --events-per-user-day X                          (default 2.0)
-//   --span-days N / --trigger-days X / --shards N / --seed N
+//   --span-days N / --trigger-days X / --seed N
 //   --rss-budget-gb X      peak-RSS assert per tier  (default 4.0, 0 = off)
 //   --skip-identity        skip the 600-user identity anchor
 //   --bench-json PATH      output path (default BENCH_scale.json)
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
       static_cast<int>(raw.get_int("span-days", base.sim_span_days));
   base.trigger_every_days =
       raw.get_double("trigger-days", base.trigger_every_days);
-  base.shards = static_cast<std::size_t>(raw.get_int("shards", 0));
   base.seed = static_cast<std::uint64_t>(
       raw.get_int("seed", static_cast<std::int64_t>(base.seed)));
 
@@ -137,8 +136,7 @@ int main(int argc, char** argv) {
       << "  \"tiers\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const sim::ScaleResult& r = results[i];
-    out << "    {\"users\": " << r.users << ", \"shards\": " << r.shards
-        << ", \"events\": " << r.events
+    out << "    {\"users\": " << r.users << ", \"events\": " << r.events
         << ", \"files_created\": " << r.files_created
         << ", \"wall_seconds\": " << r.wall_seconds
         << ", \"events_per_sec\": " << r.events_per_sec

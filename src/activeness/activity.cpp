@@ -46,69 +46,13 @@ ActivityStore::ActivityStore(std::size_t user_count, std::size_t type_count)
       streams_(user_count * type_count),
       prefix_(user_count * type_count),
       gap_prefix_(user_count * type_count),
-      chrono_(1),
       dirty_flags_(user_count, 0),
-      shard_map_(user_count, 1),
-      dirty_lists_(1),
-      ingest_(make_ingest(1)),
-      admit_(std::make_unique<AdmissionState>()) {}
-
-std::vector<std::unique_ptr<ActivityStore::IngestShard>>
-ActivityStore::make_ingest(std::size_t shards) {
-  std::vector<std::unique_ptr<IngestShard>> out;
-  out.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    out.push_back(std::make_unique<IngestShard>());
-  }
-  return out;
-}
+      ingest_(std::make_unique<IngestQueue>()) {}
 
 void ActivityStore::mark_dirty(trace::UserId user) {
   if (dirty_flags_[user]) return;
   dirty_flags_[user] = 1;
-  dirty_lists_[shard_map_.shard_of(user)].push_back(user);
-}
-
-void ActivityStore::set_dirty_shards(std::size_t shards) {
-  if (shards == 0) shards = 1;
-  if (shards == shard_map_.shards()) return;
-  shard_map_ = ShardMap(users_, shards);
-  std::vector<std::vector<trace::UserId>> lists(shards);
-  for (auto& old : dirty_lists_) {
-    for (const trace::UserId u : old) {
-      lists[shard_map_.shard_of(u)].push_back(u);
-    }
-  }
-  dirty_lists_ = std::move(lists);
-  // Re-bucket the chronological index onto the new partition. Entries from
-  // different old shards interleave in time, so each new shard re-sorts.
-  std::vector<std::vector<std::pair<util::TimePoint, trace::UserId>>> chrono(
-      shards);
-  for (auto& old : chrono_) {
-    for (const auto& entry : old) {
-      chrono[shard_map_.shard_of(entry.second)].push_back(entry);
-    }
-  }
-  for (auto& c : chrono) std::sort(c.begin(), c.end());
-  chrono_ = std::move(chrono);
-  // Re-route queued ingest events (callers guarantee no racing producers).
-  auto ingest = make_ingest(shards);
-  for (auto& old : ingest_) {
-    std::lock_guard<std::mutex> lock(old->mutex);
-    for (auto& event : old->queue) {
-      IngestShard& dst = *ingest[shard_map_.shard_of(std::get<0>(event))];
-      dst.queue.push_back(std::move(event));
-      dst.pending.store(dst.queue.size(), std::memory_order_relaxed);
-    }
-  }
-  ingest_ = std::move(ingest);
-}
-
-bool ActivityStore::has_dirty() const {
-  for (const auto& list : dirty_lists_) {
-    if (!list.empty()) return true;
-  }
-  return false;
+  dirty_list_.push_back(user);
 }
 
 void ActivityStore::add(trace::UserId user, ActivityTypeId type,
@@ -121,7 +65,7 @@ void ActivityStore::add(trace::UserId user, ActivityTypeId type,
 }
 
 void ActivityStore::rebuild_aggregates() {
-  chrono_.assign(shard_map_.shards(), {});
+  chrono_.clear();
   for (std::size_t s = 0; s < streams_.size(); ++s) {
     const auto& stream = streams_[s];
     auto& prefix = prefix_[s];
@@ -138,10 +82,9 @@ void ActivityStore::rebuild_aggregates() {
                             stream[i].timestamp - stream[i - 1].timestamp);
     }
     const auto user = static_cast<trace::UserId>(s / types_);
-    auto& chrono = chrono_[shard_map_.shard_of(user)];
-    for (const auto& a : stream) chrono.emplace_back(a.timestamp, user);
+    for (const auto& a : stream) chrono_.emplace_back(a.timestamp, user);
   }
-  for (auto& c : chrono_) std::sort(c.begin(), c.end());
+  std::sort(chrono_.begin(), chrono_.end());
   obs::MetricsRegistry::global()
       .gauge("activity_store.aggregate_entries")
       .set(static_cast<std::int64_t>(aggregate_entries()));
@@ -192,12 +135,11 @@ void ActivityStore::append(trace::UserId user, ActivityTypeId type,
             ? 0
             : std::max(gaps[i], stream[i].timestamp - stream[i - 1].timestamp);
   }
-  auto& chrono = chrono_[shard_map_.shard_of(user)];
   const auto cit = std::upper_bound(
-      chrono.begin(), chrono.end(),
+      chrono_.begin(), chrono_.end(),
       std::make_pair(activity.timestamp,
                      std::numeric_limits<trace::UserId>::max()));
-  chrono.emplace(cit, activity.timestamp, user);
+  chrono_.emplace(cit, activity.timestamp, user);
   mark_dirty(user);
   static obs::Counter& appends =
       obs::MetricsRegistry::global().counter("activity_store.appends");
@@ -258,84 +200,55 @@ std::span<const util::Duration> ActivityStore::max_gap_prefix(
 }
 
 std::vector<trace::UserId> ActivityStore::take_dirty() {
-  std::vector<trace::UserId> out = std::move(dirty_lists_[0]);
-  dirty_lists_[0].clear();
-  for (std::size_t s = 1; s < dirty_lists_.size(); ++s) {
-    out.insert(out.end(), dirty_lists_[s].begin(), dirty_lists_[s].end());
-    dirty_lists_[s].clear();
-  }
-  for (const trace::UserId u : out) dirty_flags_[u] = 0;
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<trace::UserId> ActivityStore::take_dirty(std::size_t shard) {
-  std::vector<trace::UserId> out = std::move(dirty_lists_[shard]);
-  dirty_lists_[shard].clear();
+  std::vector<trace::UserId> out = std::move(dirty_list_);
+  dirty_list_.clear();
   for (const trace::UserId u : out) dirty_flags_[u] = 0;
   std::sort(out.begin(), out.end());
   return out;
 }
 
 std::span<const std::pair<util::TimePoint, trace::UserId>>
-ActivityStore::chrono_window(std::size_t shard, util::TimePoint begin,
+ActivityStore::chrono_window(util::TimePoint begin,
                              util::TimePoint end) const {
   if (end <= begin) return {};
-  const auto& chrono = chrono_[shard];
   const auto lo = std::upper_bound(
-      chrono.begin(), chrono.end(),
+      chrono_.begin(), chrono_.end(),
       std::make_pair(begin, std::numeric_limits<trace::UserId>::max()));
   const auto hi = std::upper_bound(
-      chrono.begin(), chrono.end(),
+      chrono_.begin(), chrono_.end(),
       std::make_pair(end, std::numeric_limits<trace::UserId>::max()));
-  return {chrono.data() + (lo - chrono.begin()),
+  return {chrono_.data() + (lo - chrono_.begin()),
           static_cast<std::size_t>(hi - lo)};
-}
-
-std::vector<trace::UserId> ActivityStore::users_active_between(
-    util::TimePoint begin, util::TimePoint end) const {
-  std::vector<trace::UserId> out;
-  for (std::size_t s = 0; s < chrono_.size(); ++s) {
-    for (const auto& [ts, user] : chrono_window(s, begin, end)) {
-      out.push_back(user);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 EnqueueResult ActivityStore::enqueue(trace::UserId user, ActivityTypeId type,
                                      Activity activity) {
   if (user >= users_ || type >= types_)
     throw std::out_of_range("ActivityStore: bad user/type");
-  IngestShard& shard = *ingest_[shard_map_.shard_of(user)];
-  AdmissionState& admit = *admit_;
-  const std::size_t cap = admit.config.queue_cap;
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  if (cap > 0 && shard.queue.size() >= cap) {
+  IngestQueue& iq = *ingest_;
+  const std::size_t cap = iq.config.queue_cap;
+  std::unique_lock<std::mutex> lock(iq.mutex);
+  if (cap > 0 && iq.queue.size() >= cap) {
     // Over the cap: apply the backpressure policy. Every branch either
     // accounts for the event (shed log, spill segment) or ends up blocking,
     // so nothing is ever lost silently.
-    switch (admit.config.policy) {
-      case BackpressurePolicy::kShed: {
-        std::lock_guard<std::mutex> shed_lock(admit.shed_mutex);
-        if (admit.shed_events.size() < admit.config.shed_budget) {
-          admit.shed_events.emplace_back(user, type, activity);
-          admit.shed_total.fetch_add(1, std::memory_order_acq_rel);
+    switch (iq.config.policy) {
+      case BackpressurePolicy::kShed:
+        if (iq.shed_events.size() < iq.config.shed_budget) {
+          iq.shed_events.emplace_back(user, type, activity);
+          iq.shed_total.fetch_add(1, std::memory_order_acq_rel);
           obs::MetricsRegistry::global()
               .counter("activity_store.ingest_shed")
               .add();
           return EnqueueResult::kShed;
         }
         break;  // budget spent: degrade to blocking, never silent loss
-      }
       case BackpressurePolicy::kSpill: {
-        if (admit.config.spill != nullptr) {
-          lock.unlock();  // file IO must not hold the shard lock
+        if (iq.config.spill != nullptr) {
+          lock.unlock();  // file IO must not hold the queue lock
           try {
-            admit.config.spill->append(user, type, activity);
-            admit.spilled_total.fetch_add(1, std::memory_order_acq_rel);
+            iq.config.spill->append(user, type, activity);
+            iq.spilled_total.fetch_add(1, std::memory_order_acq_rel);
             obs::MetricsRegistry::global()
                 .counter("activity_store.ingest_spilled")
                 .add();
@@ -351,61 +264,42 @@ EnqueueResult ActivityStore::enqueue(trace::UserId user, ActivityTypeId type,
       case BackpressurePolicy::kBlock:
         break;
     }
-    if (shard.queue.size() >= cap) {
+    if (iq.queue.size() >= cap) {
       obs::MetricsRegistry::global()
           .counter("activity_store.ingest_blocked")
           .add();
-      shard.drained.wait(lock, [&] { return shard.queue.size() < cap; });
+      iq.drained.wait(lock, [&] { return iq.queue.size() < cap; });
     }
   }
-  shard.queue.emplace_back(user, type, activity);
-  const std::size_t depth = shard.queue.size();
-  shard.pending.store(depth, std::memory_order_release);
+  iq.queue.emplace_back(user, type, activity);
+  const std::size_t depth = iq.queue.size();
+  iq.pending.store(depth, std::memory_order_release);
+  if (depth > iq.depth_high_water.load(std::memory_order_relaxed)) {
+    iq.depth_high_water.store(depth, std::memory_order_release);
+  }
   lock.unlock();
 
-  std::size_t seen = admit.depth_high_water.load(std::memory_order_relaxed);
-  while (depth > seen && !admit.depth_high_water.compare_exchange_weak(
-                             seen, depth, std::memory_order_acq_rel)) {
-  }
   static obs::Counter& enqueued =
       obs::MetricsRegistry::global().counter("activity_store.ingest_enqueued");
   enqueued.add();
   return EnqueueResult::kQueued;
 }
 
-std::size_t ActivityStore::pending_ingest() const {
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < ingest_.size(); ++s) total += pending_ingest(s);
-  return total;
-}
-
 std::vector<std::tuple<trace::UserId, ActivityTypeId, Activity>>
 ActivityStore::shed_events() const {
-  std::lock_guard<std::mutex> lock(admit_->shed_mutex);
-  return admit_->shed_events;
+  std::lock_guard<std::mutex> lock(ingest_->mutex);
+  return ingest_->shed_events;
 }
 
-bool ActivityStore::has_pending_ingest() const {
-  for (std::size_t s = 0; s < ingest_.size(); ++s) {
-    if (has_pending_ingest(s)) return true;
+std::size_t ActivityStore::drain_ingest() {
+  if (!finalized_ && has_pending_ingest()) {
+    sort_all();  // flush pending bulk rows before applying queued events
   }
-  return false;
-}
-
-std::size_t ActivityStore::drain_ingest(std::size_t shard) {
-  IngestShard& iq = *ingest_[shard];
+  IngestQueue& iq = *ingest_;
   std::vector<std::tuple<trace::UserId, ActivityTypeId, Activity>> batch;
   {
     std::lock_guard<std::mutex> lock(iq.mutex);
     if (iq.queue.empty()) return 0;
-    if (!finalized_) {
-      // append() would sort_all(), which touches every shard — not legal
-      // from a parallel per-shard drain. The evaluators finalize before
-      // fanning out; anything else should use the global drain_ingest().
-      // Checked before the swap so the queued events survive the throw.
-      throw std::logic_error(
-          "ActivityStore::drain_ingest(shard): store not finalized");
-    }
     batch.swap(iq.queue);
     iq.pending.store(0, std::memory_order_release);
   }
@@ -419,17 +313,6 @@ std::size_t ActivityStore::drain_ingest(std::size_t shard) {
   return batch.size();
 }
 
-std::size_t ActivityStore::drain_ingest() {
-  if (!finalized_ && has_pending_ingest()) {
-    sort_all();  // flush pending bulk rows before applying queued events
-  }
-  std::size_t applied = 0;
-  for (std::size_t s = 0; s < ingest_.size(); ++s) {
-    applied += drain_ingest(s);
-  }
-  return applied;
-}
-
 std::size_t ActivityStore::total_activities() const {
   std::size_t n = 0;
   for (const auto& s : streams_) n += s.size();
@@ -437,8 +320,7 @@ std::size_t ActivityStore::total_activities() const {
 }
 
 std::size_t ActivityStore::aggregate_entries() const {
-  std::size_t n = 0;
-  for (const auto& c : chrono_) n += c.size();
+  std::size_t n = chrono_.size();
   for (const auto& p : prefix_) n += p.size();
   for (const auto& g : gap_prefix_) n += g.size();
   return n;

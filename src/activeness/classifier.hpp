@@ -53,9 +53,10 @@ struct ScanPlan {
 ScanPlan build_scan_plan(const std::vector<UserActiveness>& users);
 
 /// The strict total order a group's users are scanned in (rank keys, then
-/// the recency tie-break, then user id) — exposed so incremental plan
-/// maintenance can splice one re-evaluated user into a sorted group and
-/// land exactly where a full build_scan_plan rebuild would put them.
+/// the recency tie-break, then user id; classifier.cpp's ScanKey states it)
+/// — exposed so incremental plan maintenance can splice re-evaluated users
+/// into a sorted group and land exactly where a full build_scan_plan
+/// rebuild would put them.
 bool scan_less(UserGroup group, const UserActiveness& a,
                const UserActiveness& b);
 

@@ -83,35 +83,7 @@ obs::Counter& auto_recoveries_counter() {
 IncrementalEvaluator::IncrementalEvaluator(const ActivityCatalog& catalog,
                                            EvaluationParams base_params,
                                            EvalMode mode)
-    : catalog_(&catalog),
-      base_params_(base_params),
-      mode_(mode),
-      op_types_(catalog.types_in(ActivityCategory::kOperation)),
-      oc_types_(catalog.types_in(ActivityCategory::kOutcome)) {}
-
-IncrementalEvaluator::IncrementalEvaluator(const ActivityCatalog& catalog,
-                                           EvaluationParams base_params,
-                                           EvalMode mode,
-                                           trace::UserId range_begin,
-                                           trace::UserId range_end,
-                                           std::size_t dirty_shard)
-    : IncrementalEvaluator(catalog, base_params, mode) {
-  range_begin_ = range_begin;
-  range_end_ = range_end;
-  ranged_ = true;
-  dirty_shard_ = dirty_shard;
-}
-
-std::size_t IncrementalEvaluator::range_size(const ActivityStore& store) const {
-  return ranged_ ? static_cast<std::size_t>(range_end_ - range_begin_)
-                 : store.user_count();
-}
-
-std::vector<trace::UserId> IncrementalEvaluator::drain_dirty(
-    ActivityStore& store) const {
-  return dirty_shard_ == kGlobalDirty ? store.take_dirty()
-                                      : store.take_dirty(dirty_shard_);
-}
+    : catalog_(&catalog), base_params_(base_params), mode_(mode) {}
 
 bool IncrementalEvaluator::skippable(const ActivityStore& store,
                                      const UserActiveness& ua,
@@ -218,12 +190,12 @@ bool IncrementalEvaluator::skippable(const ActivityStore& store,
 }
 
 void IncrementalEvaluator::rebuild(ActivityStore& store, util::TimePoint now) {
+  op_types_ = catalog_->types_in(ActivityCategory::kOperation);
+  oc_types_ = catalog_->types_in(ActivityCategory::kOutcome);
   EvaluationParams params = base_params_;
   params.now = now;
   Evaluator evaluator(*catalog_, params);
-  users_ = evaluator.evaluate_range(
-      store, range_begin_,
-      range_begin_ + static_cast<trace::UserId>(range_size(store)));
+  users_ = evaluator.evaluate_all(store);
   groups_.resize(users_.size());
   for (std::size_t u = 0; u < users_.size(); ++u) {
     groups_[u] = classify(users_[u]);
@@ -231,6 +203,20 @@ void IncrementalEvaluator::rebuild(ActivityStore& store, util::TimePoint now) {
   plan_ = build_scan_plan(users_);
   frozen_.assign(users_.size(), 0);
   frozen_count_ = 0;
+}
+
+std::size_t IncrementalEvaluator::mark_candidates(ActivityStore& store,
+                                                  util::TimePoint now) {
+  candidate_flags_.assign(users_.size(), 0);
+  for (const trace::UserId u : store.take_dirty()) {
+    if (u < candidate_flags_.size()) candidate_flags_[u] = 1;
+  }
+  for (const auto& [ts, u] : store.chrono_window(last_now_, now)) {
+    if (u < candidate_flags_.size()) candidate_flags_[u] = 1;
+  }
+  std::size_t marked = 0;
+  for (const std::uint8_t f : candidate_flags_) marked += f;
+  return marked;
 }
 
 AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
@@ -241,51 +227,23 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
 
   if (!store.finalized()) store.sort_all();
 
-  // Apply queued concurrent ingest for this pipeline's slice first: the
-  // events land in streams/dirty/chrono exactly as direct appends would
-  // have, so everything below sees them as ordinary dirty users. A ranged
-  // pipeline drains only its own shard's queue (other shards' queues are
-  // their owners' to drain, possibly concurrently).
-  if (dirty_shard_ == kGlobalDirty) {
-    store.drain_ingest();
-  } else {
-    store.drain_ingest(dirty_shard_);
-  }
-
-  // The chrono shards this pipeline scans for window-revealed users.
-  const std::size_t chrono_begin =
-      dirty_shard_ == kGlobalDirty ? 0 : dirty_shard_;
-  const std::size_t chrono_end = dirty_shard_ == kGlobalDirty
-                                     ? store.chrono_shard_count()
-                                     : dirty_shard_ + 1;
+  // Apply queued concurrent ingest first: the events land in
+  // streams/dirty/chrono exactly as direct appends would have, so
+  // everything below sees them as ordinary dirty users.
+  store.drain_ingest();
 
   const bool resolved_full =
       mode_ == EvalMode::kFull || (mode_ == EvalMode::kAuto && auto_full_);
   const bool continuous = evaluated_ && now >= last_now_ &&
-                          users_.size() == range_size(store);
+                          users_.size() == store.user_count();
   const bool delta = !resolved_full && continuous;
-  // Everything below indexes the instance-local dense vectors by
-  // u − range_begin_; in the default full pipeline range_begin_ is 0 and
-  // the bounds checks reduce to the pre-sharding user_count guard.
-  const trace::UserId base = range_begin_;
   if (!delta) {
     if (mode_ == EvalMode::kAuto && auto_full_ && continuous) {
       // Running full under auto: keep measuring the delta candidate fraction
       // (dirty set + chrono window — cheap, no skip-rule checks) so the
       // pipeline can recover once the storm passes. The dirty set is
       // consumed here; the rebuild below re-evaluates everyone anyway.
-      candidate_flags_.assign(users_.size(), 0);
-      for (const trace::UserId u : drain_dirty(store)) {
-        if (u >= base && u - base < candidate_flags_.size())
-          candidate_flags_[u - base] = 1;
-      }
-      for (std::size_t cs = chrono_begin; cs < chrono_end; ++cs) {
-        for (const auto& [ts, u] : store.chrono_window(cs, last_now_, now)) {
-          if (u >= base && u - base < candidate_flags_.size())
-            candidate_flags_[u - base] = 1;
-        }
-      }
-      for (const std::uint8_t f : candidate_flags_) stats.users_dirty += f;
+      stats.users_dirty = mark_candidates(store, now);
       if (stats.users_dirty * 4 < users_.size()) {
         if (++calm_streak_ >= kRecoverAfter) {
           auto_full_ = false;
@@ -297,9 +255,7 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
         calm_streak_ = 0;
       }
     } else {
-      // Everything (in range) is re-evaluated; this pipeline's dirty slice
-      // is stale by definition. Other shards' queues are not ours to drain.
-      drain_dirty(store);
+      store.take_dirty();  // everyone is re-evaluated: the set is stale
     }
     rebuild(store, now);
     stats.full_rebuild = true;
@@ -315,22 +271,11 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
     // whole trace up front — time moving forward is what "adds" activity).
     // All the working sets below are instance scratch: the steady-state
     // delta path allocates nothing.
-    candidate_flags_.assign(users_.size(), 0);
     reeval_.clear();
-    for (const trace::UserId u : drain_dirty(store)) {
-      if (u >= base && u - base < candidate_flags_.size())
-        candidate_flags_[u - base] = 1;
-    }
-    for (std::size_t cs = chrono_begin; cs < chrono_end; ++cs) {
-      for (const auto& [ts, u] : store.chrono_window(cs, last_now_, now)) {
-        if (u >= base && u - base < candidate_flags_.size())
-          candidate_flags_[u - base] = 1;
-      }
-    }
-    for (const std::uint8_t f : candidate_flags_) stats.users_dirty += f;
+    stats.users_dirty = mark_candidates(store, now);
 
     for (std::size_t i = 0; i < users_.size(); ++i) {
-      const trace::UserId u = base + static_cast<trace::UserId>(i);
+      const auto u = static_cast<trace::UserId>(i);
       if (candidate_flags_[i]) {
         if (frozen_[i]) {  // new activity voids any memoized skip
           frozen_[i] = 0;
@@ -379,8 +324,8 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
       // Near-full delta: patching costs more than sorting from scratch.
       // Same output either way — scan_less is a strict total order.
       for (std::size_t i = 0; i < reeval_.size(); ++i) {
-        users_[reeval_[i] - base] = updated_[i];
-        groups_[reeval_[i] - base] = classify(updated_[i]);
+        users_[reeval_[i]] = updated_[i];
+        groups_[reeval_[i]] = classify(updated_[i]);
       }
       plan_ = build_scan_plan(users_);
     } else if (!reeval_.empty()) {
@@ -391,17 +336,16 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
       for (auto& vec : plan_.groups) {
         vec.erase(std::remove_if(vec.begin(), vec.end(),
                                  [this](const UserActiveness& x) {
-                                   return candidate_flags_[x.user -
-                                                           range_begin_];
+                                   return candidate_flags_[x.user];
                                  }),
                   vec.end());
       }
       std::array<std::vector<UserActiveness>, kGroupCount> incoming;
       for (std::size_t i = 0; i < reeval_.size(); ++i) {
         const trace::UserId u = reeval_[i];
-        users_[u - base] = updated_[i];
+        users_[u] = updated_[i];
         const UserGroup g = classify(updated_[i]);
-        groups_[u - base] = g;
+        groups_[u] = g;
         incoming[static_cast<std::size_t>(g)].push_back(updated_[i]);
       }
       for (std::size_t gi = 0; gi < kGroupCount; ++gi) {

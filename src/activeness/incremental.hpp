@@ -86,35 +86,18 @@ class IncrementalEvaluator {
   IncrementalEvaluator(ActivityCatalog&&, EvaluationParams,
                        EvalMode = EvalMode::kAuto) = delete;
 
-  /// Shard-segment pipeline (used by ShardedEvaluator): evaluates only the
-  /// users in [range_begin, range_end) and drains dirty shard `dirty_shard`
-  /// from the store, whose routing the owner must have configured with a
-  /// matching ShardMap (ActivityStore::set_dirty_shards). users()/groups()/
-  /// frozen state are then indexed range-locally; plan() holds only the
-  /// range's users. The default-constructed full pipeline is the
-  /// dirty-shard-free whole-store special case.
-  IncrementalEvaluator(const ActivityCatalog& catalog,
-                       EvaluationParams base_params, EvalMode mode,
-                       trace::UserId range_begin, trace::UserId range_end,
-                       std::size_t dirty_shard);
-  IncrementalEvaluator(ActivityCatalog&&, EvaluationParams, EvalMode,
-                       trace::UserId, trace::UserId, std::size_t) = delete;
-
   /// Advance the evaluation to t_c = `now`. Finalizes the store if bulk
-  /// rows are pending, drains its dirty set, re-evaluates what can have
-  /// changed, and patches the cached plan. Full-rebuilds on the first call,
-  /// when `now` moves backwards, or in kFull mode.
+  /// rows are pending, applies its ingest queue, drains its dirty set,
+  /// re-evaluates what can have changed, and patches the cached plan.
+  /// Full-rebuilds on the first call, when `now` moves backwards, when the
+  /// user count changed, or in kFull mode.
   AdvanceStats advance(ActivityStore& store, util::TimePoint now);
 
-  /// Latest evaluation (valid after the first advance()). In a shard
-  /// segment, users()/groups() are dense over the *range* (element i is
-  /// user range_begin() + i) and plan() covers only those users.
+  /// Latest evaluation (valid after the first advance()), dense by user id.
   const ScanPlan& plan() const { return plan_; }
   const std::vector<UserActiveness>& users() const { return users_; }
   const std::vector<UserGroup>& groups() const { return groups_; }
-  UserGroup group_of(trace::UserId user) const {
-    return groups_[user - range_begin_];
-  }
+  UserGroup group_of(trace::UserId user) const { return groups_[user]; }
 
   bool evaluated() const { return evaluated_; }
   util::TimePoint last_now() const { return last_now_; }
@@ -126,23 +109,9 @@ class IncrementalEvaluator {
   /// pressure clears. Output is unaffected: every mode computes identical
   /// ranks, only the work schedule differs.
   void set_mode(EvalMode mode) { mode_ = mode; }
-  trace::UserId range_begin() const { return range_begin_; }
-
-  /// Users re-evaluated by the last advance() (global ids, ascending).
-  /// Meaningful only when that advance took the delta path — a full rebuild
-  /// re-evaluates everyone without tracking the list.
-  const std::vector<trace::UserId>& last_reevaluated() const {
-    return reeval_;
-  }
 
   /// Users currently memoized as durably skippable (frozen_ bits set).
   std::size_t frozen_users() const { return frozen_count_; }
-  /// Every cached user is frozen: with no new activity this pipeline's next
-  /// advance is provably a no-op, so a sharded owner can leave the whole
-  /// segment asleep (the wake conditions in sharded.cpp lean on this).
-  bool quiescent() const {
-    return evaluated_ && frozen_count_ == users_.size();
-  }
 
   /// kAuto hysteresis (ROADMAP: auto-mode fallback). When the delta fraction
   /// stays at or above the rebuild threshold (re-evals ≥ half the users, the
@@ -170,34 +139,31 @@ class IncrementalEvaluator {
   /// dirty, so advance() memoizes it in frozen_ and never rechecks).
   bool skippable(const ActivityStore& store, const UserActiveness& ua,
                  util::TimePoint now, bool& durable) const;
-
-  /// Size of the evaluated user range: the whole store in full mode, the
-  /// fixed [range_begin_, range_end_) in a shard segment.
-  std::size_t range_size(const ActivityStore& store) const;
-  std::vector<trace::UserId> drain_dirty(ActivityStore& store) const;
-
-  static constexpr std::size_t kGlobalDirty = static_cast<std::size_t>(-1);
+  /// Mark the delta candidates in candidate_flags_ (sized to the cached
+  /// users): the store's dirty set, drained here, plus every user the
+  /// chronological index shows active in (last_now_, now]. Returns their
+  /// count.
+  std::size_t mark_candidates(ActivityStore& store, util::TimePoint now);
 
   const ActivityCatalog* catalog_;
   EvaluationParams base_params_;
   EvalMode mode_;
+  /// The catalog's operation/outcome types, re-read at every rebuild so
+  /// types registered after construction count (Service builds its
+  /// pipeline before the catalog is populated).
   std::vector<ActivityTypeId> op_types_;
   std::vector<ActivityTypeId> oc_types_;
-  trace::UserId range_begin_ = 0;
-  trace::UserId range_end_ = 0;  // meaningful only when ranged_
-  bool ranged_ = false;
-  std::size_t dirty_shard_ = kGlobalDirty;
 
   bool evaluated_ = false;
   util::TimePoint last_now_ = 0;
   bool auto_full_ = false;  // kAuto currently resolved to full rebuilds
   int hot_streak_ = 0;      // consecutive triggers at/above rebuild threshold
   int calm_streak_ = 0;     // consecutive calm triggers while auto_full_
-  std::vector<UserActiveness> users_;  // dense by user id − range_begin_
-  std::vector<UserGroup> groups_;      // dense by user id − range_begin_
+  std::vector<UserActiveness> users_;  // dense by user id
+  std::vector<UserGroup> groups_;      // dense by user id
   /// Users whose skip was established by durable (t_c-monotone)
   /// certificates: skipped without any recheck until they turn dirty.
-  std::vector<std::uint8_t> frozen_;   // dense by user id − range_begin_
+  std::vector<std::uint8_t> frozen_;   // dense by user id
   std::size_t frozen_count_ = 0;       // set bits in frozen_
 
   // Per-advance scratch, kept across triggers so the delta path allocates

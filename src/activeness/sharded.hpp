@@ -1,130 +1,21 @@
 #pragma once
-// Sharded evaluation (DESIGN.md §11).
-//
-// Eqs. 2–6 are embarrassingly parallel across users — each Φop/Φoc depends
-// only on that user's own streams — so the pipeline partitions the dense
-// user-id space into S contiguous ranges (ShardMap) and gives every range
-// its own IncrementalEvaluator segment plus its own dirty queue inside the
-// shared ActivityStore. One advance() then:
-//
-//  1. decides which shards need to run at all — a shard sleeps through the
-//     trigger when it has no queued dirty users, no trace events inside
-//     (its last t_c, now], every cached user is frozen under a durable
-//     skip certificate, and time did not move backwards;
-//  2. runs the woken segment advances concurrently on util::global_pool()
-//     (distinct shards touch disjoint users, disjoint dirty queues, and
-//     disjoint frozen bitmaps — no shared mutable state);
-//  3. S-way-merges the per-shard plan fragments into the global ScanPlan.
-//     scan_less is a strict total order, so the merged plan is
-//     element-for-element identical to a single-pipeline build — sharding
-//     can never change ranks, classifications, scan order, or purge
-//     victims, only wall time.
-//
-// S = 1 constructs one full-range IncrementalEvaluator and forwards to it
-// verbatim: no wake filter, no copy, no merge — the exact legacy code path.
-//
-// Observability: counters `shard.advances` (segment advances actually run)
-// and `shard.users_reevaluated`, gauge `shard.imbalance_max_over_mean`
-// (max/mean re-evaluations across woken shards, percent — 100 = perfectly
-// balanced), span `shard.merge` (plan-merge wall time histogram).
+// Compatibility alias: perfbench's full-evaluation oracle
+// (check_full_eval) is built as ShardedEvaluator(catalog, params, kFull, 1).
+// User-range sharding is gone (DESIGN.md §11), so the fourth `shards`
+// argument is ignored and the class is a plain IncrementalEvaluator. New
+// code uses that directly.
 
 #include <cstddef>
-#include <vector>
 
 #include "activeness/incremental.hpp"
 
 namespace adr::activeness {
 
-/// Drop-in replacement for a single IncrementalEvaluator that fans the
-/// advance out over user-range shards. Not itself thread-safe: one advance
-/// at a time, like the single pipeline.
-class ShardedEvaluator {
+class ShardedEvaluator : public IncrementalEvaluator {
  public:
-  /// `shards` = 0 picks default_shard_count(); 1 pins the legacy
-  /// single-pipeline path; anything else is used as-is (empty ranges are
-  /// fine when S exceeds the user count).
-  ShardedEvaluator(const ActivityCatalog& catalog,
-                   EvaluationParams base_params,
-                   EvalMode mode = EvalMode::kAuto, std::size_t shards = 0);
-  /// The evaluator keeps a pointer to the caller's catalog for its whole
-  /// lifetime; binding a temporary would dangle by the first advance().
-  ShardedEvaluator(ActivityCatalog&&, EvaluationParams,
-                   EvalMode = EvalMode::kAuto, std::size_t = 0) = delete;
-
-  /// min(thread-pool parallelism, 16): one shard per thread the advance can
-  /// actually run on, capped where merge overhead outgrows the win.
-  static std::size_t default_shard_count();
-
-  /// Advance every shard that can have changed to t_c = `now` (concurrently
-  /// for S > 1) and refresh the merged plan. Aggregated stats: sums over
-  /// shards; full_rebuild reports whether *every* shard rebuilt (first
-  /// advance, backwards time, kFull — the same triggers as the single
-  /// pipeline); auto_full whether *any* shard's hysteresis resolved to full.
-  AdvanceStats advance(ActivityStore& store, util::TimePoint now);
-
-  /// Latest merged evaluation (valid after the first advance). users() and
-  /// groups() are dense by global user id; plan() spans all shards. For
-  /// S = 1 these forward to the inner pipeline.
-  const ScanPlan& plan() const;
-  const std::vector<UserActiveness>& users() const;
-  const std::vector<UserGroup>& groups() const;
-  UserGroup group_of(trace::UserId user) const { return groups()[user]; }
-
-  bool evaluated() const { return evaluated_; }
-  util::TimePoint last_now() const { return last_now_; }
-  EvalMode mode() const { return mode_; }
-  /// Re-pin the evaluation mode on every shard segment (see
-  /// IncrementalEvaluator::set_mode — the degradation ladder's lever).
-  void set_mode(EvalMode mode) {
-    mode_ = mode;
-    for (auto& eval : evals_) eval.set_mode(mode);
-  }
-  /// Wall time spent in advance() on this instance (includes wake
-  /// filtering, the parallel segment advances, and the plan merge).
-  double seconds() const { return seconds_; }
-
-  std::size_t shard_count() const { return shards_; }
-  /// The user-range partition (valid after the first advance).
-  const ShardMap& shard_map() const { return map_; }
-  /// How many shards the most recent advance actually ran.
-  std::size_t shards_advanced() const { return shards_advanced_; }
-  /// Per-shard stats from the most recent advance. A shard that slept
-  /// through it reports zeros except users_skipped = its range size.
-  /// Hysteresis is per shard: one hot shard resolving kAuto to full
-  /// rebuilds (auto_full) leaves the others on the delta path.
-  const AdvanceStats& shard_stats(std::size_t shard) const {
-    return shard_stats_[shard];
-  }
-  bool shard_auto_full(std::size_t shard) const {
-    return evals_[shard].auto_full();
-  }
-
- private:
-  void ensure_shards(ActivityStore& store);
-  void merge_plans();
-
-  const ActivityCatalog* catalog_;
-  EvaluationParams base_params_;
-  EvalMode mode_;
-  std::size_t shards_;
-  ShardMap map_;
-  std::vector<IncrementalEvaluator> evals_;
-  std::vector<AdvanceStats> shard_stats_;
-
-  bool evaluated_ = false;
-  util::TimePoint last_now_ = 0;
-  std::size_t shards_advanced_ = 0;
-  double seconds_ = 0.0;
-
-  // Global views maintained only for S > 1 (S = 1 forwards instead).
-  std::vector<UserActiveness> users_;  // dense by user id
-  std::vector<UserGroup> groups_;      // dense by user id
-  ScanPlan plan_;
-
-  // Per-advance scratch.
-  std::vector<std::uint8_t> wake_;
-  std::vector<std::size_t> woken_;
-  std::vector<std::size_t> cursors_;
+  ShardedEvaluator(const ActivityCatalog& catalog, EvaluationParams base_params,
+                   EvalMode mode, std::size_t /*shards, ignored*/)
+      : IncrementalEvaluator(catalog, base_params, mode) {}
 };
 
 }  // namespace adr::activeness

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "activeness/incremental.hpp"
-#include "activeness/sharded.hpp"
+#include "activeness/incremental.hpp"
 #include "activeness/rank_store.hpp"
 #include "cli/flags.hpp"
 #include "cli/serve_commands.hpp"
@@ -45,7 +45,7 @@ commands:
   evaluate  --users F --jobs F [--pubs F] --now YYYY-MM-DD
             [--period-days D] [--out ranks.csv]
             [--op-activities F1,F2,...] [--oc-activities F1,F2,...]
-            [--eval-mode auto|full|incremental] [--shards N]
+            [--eval-mode auto|full|incremental]
             Evaluate every user's activeness (Eqs. 1-6) and print the
             classification; optionally save the rank store. Extra activity
             CSVs (header: user,timestamp,impact) register one additional
@@ -60,8 +60,7 @@ commands:
             [--target FRACTION] [--exempt FILE]
             [--out-snapshot F] [--ledger F] [--dry-run] [--victims F]
             [--scan-mode auto|walk|indexed]
-            [--eval-mode auto|full|incremental] [--shards N]
-            [--check-index]
+            [--eval-mode auto|full|incremental] [--check-index]
             One retention pass over a snapshot. --target is the fraction of
             *current usage* to retain (0 disables the byte target). ActiveDR
             needs ranks: either --ranks (from `evaluate`) or --jobs/--pubs
@@ -72,32 +71,28 @@ commands:
             or the legacy namespace walk (auto chooses per policy).
             --eval-mode picks how the inline evaluation runs (see
             activeness/incremental.hpp; both modes rank identically).
-            --shards fans the evaluation out over N user-range shards
-            (0 = one per available thread; identical ranks and victims).
             --check-index cross-verifies the purge index against a full
             namespace walk after the run (exit 3 on mismatch).
 
   compare   --dir DIR --as-of YYYY-MM-DD [--lifetime D] [--target FRACTION]
-            [--eval-mode auto|full|incremental] [--shards N]
+            [--eval-mode auto|full|incremental]
             The paper's §4.4 one-shot retention comparison (Figs. 9-11) on a
             `synth` bundle: both policies chase the same target from the
             state at --as-of.
 
   replay    --dir DIR [--lifetime D] [--interval D] [--target FRACTION]
-            [--eval-mode auto|full|incremental] [--shards N]
+            [--eval-mode auto|full|incremental]
             Year-long FLT-vs-ActiveDR replay over a `synth` bundle.
             --eval-mode selects delta-aware vs full re-evaluation at each
             purge trigger (identical results; incremental is the fast path).
-            --shards N runs each evaluation sharded by user range across
-            the thread pool (activeness/sharded.hpp; same results).
 
   loadgen   [--load-rate EV_PER_SEC] [--load-duration SECONDS]
             [--trigger-interval S] [--p99-budget-ms MS]
             [--ramp-levels N] [--ramp-factor X] [--users N]
-            [--producers N] [--shards N] [--seed S] [--json FILE]
+            [--producers N] [--seed S] [--json FILE]
             Sustained-load latency harness (DESIGN.md §12): concurrent
             producers enqueue synthetic trace events into the activity
-            store's per-shard ingest queues at --load-rate while periodic
+            store's ingest queue at --load-rate while periodic
             evaluate/purge triggers are timed; the rate ramps by
             --ramp-factor per level until trigger p99 breaches the budget.
             Prints per-level p50/p99/p999 and the max sustainable rate;
@@ -117,7 +112,7 @@ commands:
             violated invariant; the failure replays from --seed.
 
   serve     --wal DIR --state DIR --users F [--snapshot F] [--lifetime D]
-            [--eval-mode auto|full|incremental] [--shards N]
+            [--eval-mode auto|full|incremental]
             [--scan-mode auto|walk|indexed] [--checkpoint-every N]
             [--poll-ms MS] [--max-ticks N] [--metrics-interval TICKS]
             [--exempt FILE] [--no-seal-on-stop]
@@ -134,7 +129,7 @@ commands:
             --metrics-interval ticks while the daemon runs. --snapshot seeds
             the scratch state on a cold start (no checkpoint yet).
             Overload protection (DESIGN.md §14): --ingest-queue-cap bounds
-            the per-shard ingest queues (--backpressure picks what a full
+            the whole ingest queue (--backpressure picks what a full
             queue does: block producers, shed up to --shed-budget counted
             events, or spill to a WAL-backed segment replayed when pressure
             clears); --trigger-deadline-ms arms the trigger watchdog — on
@@ -335,9 +330,8 @@ int cmd_evaluate(const util::Config& config, std::ostream& out) {
   activeness::EvaluationParams params;
   params.period_length_days =
       static_cast<int>(config.get_int("period-days", 90));
-  activeness::ShardedEvaluator pipeline(catalog, params,
-                                        eval_mode_flag(config),
-                                        eval_shards_flag(config));
+  activeness::IncrementalEvaluator pipeline(catalog, params,
+                                            eval_mode_flag(config));
   pipeline.advance(store, now);
   activeness::RankStore ranks(pipeline.users());
 
@@ -388,7 +382,6 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
   // Validated up front (even for FLT, which never evaluates) so a typo
   // fails fast instead of being silently ignored.
   const activeness::EvalMode eval_mode = eval_mode_flag(config);
-  const std::size_t eval_shards = eval_shards_flag(config);
 
   retention::PurgeReport report;
   if (policy_name == "flt") {
@@ -439,9 +432,8 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
             trace::PublicationLog::load_csv(*pubs_path, ingest.opts);
         activeness::ingest_publications(store, 1, 1.0, pubs);
       }
-      activeness::ShardedEvaluator pipeline(
-          catalog, activeness::EvaluationParams{lifetime}, eval_mode,
-          eval_shards);
+      activeness::IncrementalEvaluator pipeline(
+          catalog, activeness::EvaluationParams{lifetime}, eval_mode);
       pipeline.advance(store, now);
       ranks = activeness::RankStore(pipeline.users());
       have_ranks = true;
@@ -523,7 +515,6 @@ int cmd_replay(const util::Config& config, std::ostream& out) {
       static_cast<int>(config.get_int("interval", 7));
   experiment.purge_target_utilization = config.get_double("target", 0.5);
   experiment.eval_mode = eval_mode_flag(config);
-  experiment.eval_shards = eval_shards_flag(config);
 
   out << "Replaying " << util::format_date(scenario.sim_begin) << " .. "
       << util::format_date(scenario.sim_end) << " (" << scenario.replay.size()
@@ -606,7 +597,6 @@ int cmd_compare(const util::Config& config, std::ostream& out) {
   experiment.lifetime_days = static_cast<int>(config.get_int("lifetime", 90));
   experiment.purge_target_utilization = config.get_double("target", 0.5);
   experiment.eval_mode = eval_mode_flag(config);
-  experiment.eval_shards = eval_shards_flag(config);
 
   out << "One-shot retention comparison at " << util::format_date(as_of)
       << " (lifetime " << experiment.lifetime_days << "d, retain "
@@ -703,7 +693,6 @@ int cmd_loadgen(const util::Config& config, std::ostream& out) {
       config.get_int("seed", static_cast<std::int64_t>(c.seed)));
   c.producers = static_cast<std::size_t>(
       config.get_int("producers", static_cast<std::int64_t>(c.producers)));
-  c.shards = static_cast<std::size_t>(config.get_int("shards", 0));
   c.events_per_sec = config.get_double("load-rate", c.events_per_sec);
   c.duration_seconds = config.get_double("load-duration", c.duration_seconds);
   c.trigger_interval_seconds =
@@ -715,8 +704,8 @@ int cmd_loadgen(const util::Config& config, std::ostream& out) {
 
   const sim::LoadResult result = sim::run_load(c);
 
-  util::Table table("Sustained load ramp (" + std::to_string(result.shards) +
-                    " shards)");
+  util::Table table("Sustained load ramp (" + std::to_string(c.producers) +
+                    " producers)");
   table.set_headers({"Target ev/s", "Achieved", "Triggers", "p50 ms", "p99 ms",
                      "p999 ms", "Identical", "Sustainable"});
   char buf[64];
@@ -739,8 +728,8 @@ int cmd_loadgen(const util::Config& config, std::ostream& out) {
 
   if (const auto json_path = config.get("json")) {
     std::ofstream json(*json_path);
-    json << "{\n  \"bench\": \"load_harness\",\n  \"shards\": "
-         << result.shards << ",\n  \"levels\": [\n";
+    json << "{\n  \"bench\": \"load_harness\",\n  \"producers\": "
+         << c.producers << ",\n  \"levels\": [\n";
     for (std::size_t i = 0; i < result.levels.size(); ++i) {
       const sim::LoadLevelResult& level = result.levels[i];
       json << "    {\"target_rate\": " << level.target_rate

@@ -42,14 +42,6 @@ inline activeness::EvalMode eval_mode_flag(const util::Config& config) {
   return mode;
 }
 
-inline std::size_t eval_shards_flag(const util::Config& config) {
-  const auto shards = config.get_int("shards", 0);
-  if (shards < 0) {
-    throw std::runtime_error("--shards must be >= 0 (0 = auto)");
-  }
-  return static_cast<std::size_t>(shards);
-}
-
 inline activeness::BackpressurePolicy backpressure_flag(
     const util::Config& config) {
   const std::string name = config.get_string("backpressure", "block");

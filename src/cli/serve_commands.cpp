@@ -43,7 +43,6 @@ int cmd_serve(const util::Config& config, std::ostream& out) {
   opts.service.lifetime_days =
       static_cast<int>(config.get_int("lifetime", 90));
   opts.service.eval_mode = eval_mode_flag(config);
-  opts.service.eval_shards = eval_shards_flag(config);
   opts.service.scan_mode = scan_mode_flag(config);
   opts.checkpoint_every_events = static_cast<std::uint64_t>(config.get_int(
       "checkpoint-every",

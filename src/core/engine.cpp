@@ -12,7 +12,6 @@ ServiceConfig Engine::to_service_config(const Options& options) {
   config.scheme = options.scheme;
   config.max_periods = options.max_periods;
   config.eval_mode = options.eval_mode;
-  config.eval_shards = options.eval_shards;
   return config;
 }
 

@@ -50,10 +50,6 @@ class Engine {
     /// kFull pins the re-evaluate-everyone baseline (see
     /// activeness/incremental.hpp).
     activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
-    /// User-range shards the evaluation fans out over (see
-    /// activeness/sharded.hpp). 0 = one per available thread (max 16);
-    /// 1 pins the single-pipeline path.
-    std::size_t eval_shards = 0;
   };
 
   Engine(trace::UserRegistry registry, Options options);

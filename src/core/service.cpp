@@ -31,16 +31,20 @@ std::string format_double(double v) {
   return buf;
 }
 
+activeness::EvaluationParams evaluation_params(const ServiceConfig& config) {
+  activeness::EvaluationParams params;
+  params.period_length_days = config.lifetime_days;
+  params.scheme = config.scheme;
+  params.max_periods = config.max_periods;
+  return params;
+}
+
 }  // namespace
 
 Service::Service(trace::UserRegistry registry, ServiceConfig config)
-    : registry_(std::move(registry)), config_(config) {
-  activeness::EvaluationParams params;
-  params.period_length_days = config_.lifetime_days;
-  params.scheme = config_.scheme;
-  params.max_periods = config_.max_periods;
-  pipeline_.emplace(catalog_, params, config_.eval_mode, config_.eval_shards);
-}
+    : registry_(std::move(registry)),
+      config_(config),
+      pipeline_(catalog_, evaluation_params(config_), config_.eval_mode) {}
 
 activeness::ActivityStore& Service::ensure_store() {
   if (!store_) {
@@ -151,10 +155,6 @@ bool Service::apply(const trace::Event& event) {
   return true;
 }
 
-void Service::prepare_ingest() {
-  ensure_store().set_dirty_shards(pipeline_->shard_count());
-}
-
 void Service::load_snapshot(const trace::Snapshot& snapshot) {
   vfs_.import_snapshot(snapshot);
 }
@@ -162,7 +162,7 @@ void Service::load_snapshot(const trace::Snapshot& snapshot) {
 void Service::set_degraded(bool degraded) {
   if (degraded_ == degraded) return;
   degraded_ = degraded;
-  pipeline_->set_mode(degraded ? activeness::EvalMode::kIncremental
+  pipeline_.set_mode(degraded ? activeness::EvalMode::kIncremental
                                : config_.eval_mode);
   obs::MetricsRegistry::global().counter("service.degrade_transitions").add();
 }
@@ -177,8 +177,8 @@ const activeness::RankStore& Service::evaluate(util::TimePoint now) {
     return ranks_;
   }
   util::FaultInjector::global().crash_point("service.evaluate");
-  pipeline_->advance(store, now);
-  ranks_ = activeness::RankStore(pipeline_->users());
+  pipeline_.advance(store, now);
+  ranks_ = activeness::RankStore(pipeline_.users());
   last_eval_time_ = now;
   return ranks_;
 }
@@ -226,7 +226,7 @@ retention::PurgeReport Service::purge(util::TimePoint now,
     for (const auto& p : exemptions_.reserved_paths()) copy.reserve(p);
     policy.set_exemptions(std::move(copy));
   }
-  return policy.run(vfs_, now, target_bytes, pipeline_->plan());
+  return policy.run(vfs_, now, target_bytes, pipeline_.plan());
 }
 
 retention::PurgeReport Service::purge_flt(util::TimePoint now) {

@@ -6,8 +6,8 @@
 // by hand: Engine (the library entry point), cli/commands.cpp (one-shot
 // `evaluate`/`purge`), and sim/loadgen.cpp (the sustained-load harness).
 // Service owns that wiring once — registry, activity catalog + store,
-// ShardedEvaluator pipeline, Vfs, exemptions — and everything above it is a
-// thin adapter: Engine forwards its public API here, the CLI builds a
+// IncrementalEvaluator pipeline, Vfs, exemptions — and everything above it
+// is a thin adapter: Engine forwards its public API here, the CLI builds a
 // Service per invocation, and `activedr serve` keeps one resident and feeds
 // it from the WAL.
 //
@@ -27,8 +27,8 @@
 //    a stable sort_all() keeps equal-timestamp arrival order, so streams,
 //    ranks, scan plans, and victims all match.
 //  * an evaluate() cache guard that also checks pending ingest, so a
-//    repeated-`now` trigger with events still queued in the per-shard
-//    ingest queues is never skipped.
+//    repeated-`now` trigger with events still on the ingest queue is never
+//    skipped.
 
 #include <array>
 #include <cstdint>
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "activeness/rank_store.hpp"
-#include "activeness/sharded.hpp"
+#include "activeness/incremental.hpp"
 #include "fs/vfs.hpp"
 #include "retention/activedr_policy.hpp"
 #include "retention/flt.hpp"
@@ -49,7 +49,7 @@ namespace adr::core {
 
 /// Everything a deployment configures once. The first block mirrors
 /// Engine::Options (Eq. 7 knobs, retrospective policy, purge target, eval
-/// fan-out); the second block carries the execution knobs the CLI used to
+/// mode); the second block carries the execution knobs the CLI used to
 /// thread by hand into each policy run.
 struct ServiceConfig {
   int lifetime_days = 90;
@@ -62,7 +62,6 @@ struct ServiceConfig {
       activeness::ExponentScheme::kPaperExponent;
   int max_periods = 0;
   activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
-  std::size_t eval_shards = 0;
 
   retention::ScanMode scan_mode = retention::ScanMode::kAuto;
   bool dry_run = false;
@@ -112,10 +111,9 @@ class Service {
   bool apply(const trace::Event& event);
   std::uint64_t last_applied_seq() const { return last_applied_seq_; }
 
-  /// Size the store's ingest/dirty sharding to the evaluator fan-out so
-  /// producer threads can enqueue() concurrently with per-shard drains.
-  /// Call before starting producers; idempotent.
-  void prepare_ingest();
+  /// Create the activity store before producer threads start, so their
+  /// concurrent store() calls cannot race its lazy creation. Idempotent.
+  void prepare_ingest() { ensure_store(); }
 
   // -- scratch state ------------------------------------------------------
   fs::Vfs& vfs() { return vfs_; }
@@ -180,7 +178,9 @@ class Service {
 
   // -- introspection -------------------------------------------------------
   activeness::ActivityStore& store() { return ensure_store(); }
-  const activeness::ShardedEvaluator& pipeline() const { return *pipeline_; }
+  const activeness::IncrementalEvaluator& pipeline() const {
+    return pipeline_;
+  }
   const trace::UserRegistry& registry() const { return registry_; }
   const activeness::ActivityCatalog& catalog() const { return catalog_; }
   const ServiceConfig& config() const { return config_; }
@@ -192,7 +192,7 @@ class Service {
   ServiceConfig config_;
   activeness::ActivityCatalog catalog_;
   std::optional<activeness::ActivityStore> store_;
-  std::optional<activeness::ShardedEvaluator> pipeline_;
+  activeness::IncrementalEvaluator pipeline_;
 
   fs::Vfs vfs_;
   retention::ExemptionList exemptions_;

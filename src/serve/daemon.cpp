@@ -355,12 +355,6 @@ void Daemon::handle_command(const std::string& cmd_path) {
       put("wal_segments", std::to_string(count_wal_segments(options_.wal_dir)));
       const activeness::ActivityStore& store = service_.store();
       put("ingest_pending", std::to_string(store.pending_ingest()));
-      std::string depths;
-      for (std::size_t s = 0; s < store.dirty_shard_map().shards(); ++s) {
-        if (!depths.empty()) depths += ",";
-        depths += std::to_string(store.pending_ingest(s));
-      }
-      put("ingest_pending_per_shard", depths);
       put("ingest_depth_high_water",
           std::to_string(store.ingest_depth_high_water()));
       put("shed_events", std::to_string(store.shed_count()));

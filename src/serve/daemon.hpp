@@ -94,11 +94,12 @@ struct DaemonOptions {
   /// feeders have quiesced — the log is single-writer).
   bool seal_wal_on_stop = true;
 
-  /// Bounded per-shard ingest admission for in-process producers feeding
-  /// the service store (DESIGN.md §14.1). 0 = unbounded (historical
-  /// behaviour). Applied to the store after recovery in start().
+  /// Bounded ingest admission for in-process producers feeding the service
+  /// store (DESIGN.md §14.1): the most events the whole ingest queue
+  /// holds. 0 = unbounded (historical behaviour). Applied to the store
+  /// after recovery in start().
   std::size_t ingest_queue_cap = 0;
-  /// What enqueue() does at a full shard queue: block the producer, shed
+  /// What enqueue() does at a full queue: block the producer, shed
   /// (counted, bounded by shed_budget), or spill to a WAL-backed overflow
   /// segment replayed by tick() when pressure clears.
   activeness::BackpressurePolicy backpressure =

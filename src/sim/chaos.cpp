@@ -78,7 +78,6 @@ struct ChaosWorld {
   core::ServiceConfig service_config() const {
     core::ServiceConfig sc;
     sc.lifetime_days = 30;
-    sc.eval_shards = 1;
     sc.dry_run = true;  // triggers select victims but never mutate -> the
                         // cold reference stays valid across every epoch
     sc.record_victims = true;
@@ -360,7 +359,7 @@ ChaosReport run_chaos(const ChaosConfig& config, std::ostream& out) {
     } else if (cls == "flood") {
       daemon.start();
       daemon.tick();
-      // Producers flood far past the 8-deep shard queues; the shed budget
+      // Producers flood far past the 8-deep ingest queue; the shed budget
       // absorbs the overflow with exact accounting.
       const std::size_t flood_n = config.events_per_epoch * 2;
       std::vector<FloodEvent> produced;

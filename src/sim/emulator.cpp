@@ -12,22 +12,22 @@ namespace adr::sim {
 ActivenessTimeline::ActivenessTimeline(
     const activeness::ActivityCatalog& catalog,
     activeness::ActivityStore store, activeness::EvaluationParams base_params,
-    activeness::EvalMode mode, std::size_t shards)
+    activeness::EvalMode mode)
     : catalog_(&catalog),
       store_(std::move(store)),
-      pipeline_(catalog, base_params, mode, shards) {
+      pipeline_(catalog, base_params, mode) {
   store_.sort_all();
 }
 
 ActivenessTimeline ActivenessTimeline::for_scenario(
     const synth::TitanScenario& scenario, activeness::EvaluationParams params,
-    activeness::EvalMode mode, std::size_t shards) {
+    activeness::EvalMode mode) {
   static const activeness::ActivityCatalog catalog =
       activeness::ActivityCatalog::paper_default();
   activeness::ActivityStore store(scenario.registry.size(), catalog.size());
   activeness::ingest_jobs(store, 0, 1.0, scenario.jobs);
   activeness::ingest_publications(store, 1, 1.0, scenario.pubs);
-  return ActivenessTimeline(catalog, std::move(store), params, mode, shards);
+  return ActivenessTimeline(catalog, std::move(store), params, mode);
 }
 
 const activeness::ScanPlan& ActivenessTimeline::plan_at(util::TimePoint t) {

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "activeness/classifier.hpp"
-#include "activeness/sharded.hpp"
+#include "activeness/incremental.hpp"
 #include "obs/metrics.hpp"
 #include "fs/archive.hpp"
 #include "retention/activedr_policy.hpp"
@@ -41,14 +41,10 @@ namespace adr::sim {
 /// trigger count, and never retains old plans.
 class ActivenessTimeline {
  public:
-  /// `shards`: user-range shards the per-trigger evaluation fans out over
-  /// (activeness/sharded.hpp; 0 = one per available thread, 1 = the
-  /// single-pipeline path). Plans/ranks are identical for every value.
   ActivenessTimeline(const activeness::ActivityCatalog& catalog,
                      activeness::ActivityStore store,
                      activeness::EvaluationParams base_params,
-                     activeness::EvalMode mode = activeness::EvalMode::kAuto,
-                     std::size_t shards = 0);
+                     activeness::EvalMode mode = activeness::EvalMode::kAuto);
 
   /// Scan plan evaluated at `t`. The returned reference stays valid until
   /// the next plan_at call with a different `t` (which advances the
@@ -72,7 +68,6 @@ class ActivenessTimeline {
   double eval_seconds() const { return pipeline_.seconds(); }
 
   activeness::EvalMode eval_mode() const { return pipeline_.mode(); }
-  std::size_t eval_shards() const { return pipeline_.shard_count(); }
   /// Distinct group tables retained for historical attribution — the
   /// timeline's memory bound (evaluations whose classification matched the
   /// previous one are deduplicated away, and plans are never retained).
@@ -87,13 +82,12 @@ class ActivenessTimeline {
   static ActivenessTimeline for_scenario(
       const synth::TitanScenario& scenario,
       activeness::EvaluationParams params,
-      activeness::EvalMode mode = activeness::EvalMode::kAuto,
-      std::size_t shards = 0);
+      activeness::EvalMode mode = activeness::EvalMode::kAuto);
 
  private:
   const activeness::ActivityCatalog* catalog_;
   activeness::ActivityStore store_;
-  activeness::ShardedEvaluator pipeline_;
+  activeness::IncrementalEvaluator pipeline_;
   /// Group tables by evaluation instant; consecutive identical tables
   /// collapse into the earliest entry (lookups still resolve correctly —
   /// the collapsed entry has the same contents).
@@ -186,11 +180,6 @@ struct EmulatorConfig {
   /// Vfs's purge index against its file table (Vfs::verify_purge_index).
   /// O(files) per trigger — for tests and debugging, not production runs.
   bool audit_purge_index = false;
-  /// User-range shards for the trigger evaluations (activeness/sharded.hpp):
-  /// 0 = one per available thread (max 16), 1 = single pipeline. Forwarded
-  /// into the ActivenessTimeline by the experiment runners; identical
-  /// plans and victims for every value.
-  std::size_t eval_shards = 0;
 };
 
 /// Per-group aggregates over a whole emulation (the Fig. 9–11 numbers).

@@ -26,7 +26,6 @@ EmulatorConfig emulator_config(const ExperimentConfig& config) {
   EmulatorConfig emu;
   emu.purge_interval_days = config.purge_interval_days;
   emu.purge_target_utilization = config.purge_target_utilization;
-  emu.eval_shards = config.eval_shards;
   return emu;
 }
 
@@ -42,7 +41,7 @@ ComparisonResult run_comparison(const synth::TitanScenario& scenario,
                                 const ExperimentConfig& config) {
   ActivenessTimeline timeline =
       ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode, config.eval_shards);
+                                       config.eval_mode);
   Emulator emulator(scenario, emulator_config(config), timeline);
 
   ComparisonResult result;
@@ -67,7 +66,7 @@ EmulationResult run_flt_strict(const synth::TitanScenario& scenario,
                                const ExperimentConfig& config) {
   ActivenessTimeline timeline =
       ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode, config.eval_shards);
+                                       config.eval_mode);
   EmulatorConfig emu = emulator_config(config);
   emu.purge_target_utilization = 0.0;  // strict: purge every expired file
   Emulator emulator(scenario, emu, timeline);
@@ -132,7 +131,7 @@ SnapshotRetentionResult run_snapshot_retention(
 
   ActivenessTimeline timeline =
       ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode, config.eval_shards);
+                                       config.eval_mode);
   const activeness::ScanPlan& plan = timeline.plan_at(as_of);
 
   SnapshotRetentionResult result;
@@ -169,7 +168,7 @@ EmulationResult run_activedr(const synth::TitanScenario& scenario,
                              const ExperimentConfig& config) {
   ActivenessTimeline timeline =
       ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode, config.eval_shards);
+                                       config.eval_mode);
   Emulator emulator(scenario, emulator_config(config), timeline);
   ActiveDrDriver adr(activedr_config(config), scenario.registry, timeline);
   adr.set_exemptions(build_exemptions(config));

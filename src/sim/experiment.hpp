@@ -35,9 +35,6 @@ struct ExperimentConfig {
   /// kFull pins the re-rank-everyone baseline). Full and incremental are
   /// result-identical — this is a performance knob.
   activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
-  /// User-range shards for the trigger evaluations (0 = one per available
-  /// thread, 1 = single pipeline; identical results either way).
-  std::size_t eval_shards = 0;
 
   /// Optional reserved paths (purge exemption) applied to ActiveDR runs.
   std::vector<std::string> exempt_paths;

@@ -9,7 +9,7 @@
 
 #include "activeness/activity.hpp"
 #include "activeness/evaluator.hpp"
-#include "activeness/sharded.hpp"
+#include "activeness/incremental.hpp"
 #include "core/service.hpp"
 #include "fs/vfs.hpp"
 #include "obs/metrics.hpp"
@@ -87,8 +87,8 @@ bool same_activeness(const activeness::UserActiveness& a,
 // the store in a different order concurrently than serially, but every rank
 // input (per-period impact sums, gaps, last activity) is order-invariant
 // within a timestamp, so byte-identity is the contract, not an approximation.
-bool same_outputs(const activeness::ShardedEvaluator& a,
-                  const activeness::ShardedEvaluator& b) {
+bool same_outputs(const activeness::IncrementalEvaluator& a,
+                  const activeness::IncrementalEvaluator& b) {
   const auto& ua = a.users();
   const auto& ub = b.users();
   if (ua.size() != ub.size()) return false;
@@ -118,7 +118,6 @@ LoadLevelResult run_load_level(const LoadGenConfig& config, double rate) {
   core::ServiceConfig service_config;
   service_config.lifetime_days = config.period_length_days;
   service_config.eval_mode = config.eval_mode;
-  service_config.eval_shards = config.shards;
   service_config.scan_mode = retention::ScanMode::kIndexed;
   service_config.dry_run = true;
   core::Service service(trace::UserRegistry::with_synthetic_users(config.users),
@@ -130,9 +129,8 @@ LoadLevelResult run_load_level(const LoadGenConfig& config, double rate) {
 
   const std::vector<LoadEvent> events = make_events(config, rate);
 
-  // Warm start before any producer exists: sizes the ingest/dirty sharding
-  // and lets ensure_shards() run set_dirty_shards() while single-threaded —
-  // shard re-bucketing must never race an enqueue.
+  // Warm start before any producer exists: the store is created
+  // single-threaded, never by a racing producer's store() call.
   service.prepare_ingest();
   service.evaluate(config.sim_begin);
   activeness::ActivityStore& store = service.store();
@@ -234,7 +232,7 @@ LoadLevelResult run_load_level(const LoadGenConfig& config, double rate) {
 
   if (config.check_identity) {
     // Serial replay: same events in generation order through plain
-    // append(), one full single-shard evaluation at the same final
+    // append(), one full evaluation at the same final
     // instant. Concurrent and serial runs must agree rank for rank.
     const activeness::ActivityCatalog catalog =
         activeness::ActivityCatalog::paper_default();
@@ -244,8 +242,8 @@ LoadLevelResult run_load_level(const LoadGenConfig& config, double rate) {
     for (const LoadEvent& e : events) {
       serial.append(e.user, e.type, e.activity);
     }
-    activeness::ShardedEvaluator reference(catalog, params,
-                                           activeness::EvalMode::kFull, 1);
+    activeness::IncrementalEvaluator reference(catalog, params,
+                                               activeness::EvalMode::kFull);
     reference.advance(serial, sim_final);
     result.ranks_identical = same_outputs(service.pipeline(), reference);
   }
@@ -260,17 +258,11 @@ LoadLevelResult run_load_level(const LoadGenConfig& config, double rate) {
 }
 
 LoadResult run_load(const LoadGenConfig& config) {
-  LoadGenConfig level_config = config;
-  level_config.shards =
-      config.shards == 0 ? activeness::ShardedEvaluator::default_shard_count()
-                         : config.shards;
-
   LoadResult out;
-  out.shards = level_config.shards;
   const std::size_t levels = std::max<std::size_t>(1, config.ramp_levels);
   double rate = std::max(1.0, config.events_per_sec);
   for (std::size_t level = 0; level < levels; ++level) {
-    const LoadLevelResult r = run_load_level(level_config, rate);
+    const LoadLevelResult r = run_load_level(config, rate);
     out.levels.push_back(r);
     out.ranks_identical = out.ranks_identical && r.ranks_identical;
     if (!r.sustainable) break;

@@ -4,9 +4,9 @@
 // act-style characterization: storage-policy engines are described by the
 // event rate they can *sustain* while periodic work stays inside a latency
 // budget, not by one-shot wall time. A load run drives concurrent
-// trace-event ingestion into an ActivityStore (producer threads ->
-// per-shard ingest queues) at a configured events/sec while the calling
-// thread fires evaluate/purge triggers (ShardedEvaluator advance + dry-run
+// trace-event ingestion into an ActivityStore (producer threads -> the
+// ingest queue) at a configured events/sec while the calling thread fires
+// evaluate/purge triggers (IncrementalEvaluator advance + dry-run
 // indexed ActiveDR purge) at a fixed cadence, recording each trigger's wall
 // time into an obs::Histogram. A ramp raises the rate level by level until
 // the trigger p99 breaches the budget (or ingestion itself falls behind);
@@ -33,9 +33,6 @@ struct LoadGenConfig {
   std::size_t files_per_user = 20;  ///< synthetic purge population per user
   std::uint64_t seed = 42;
   std::size_t producers = 2;  ///< concurrent ingest threads
-  /// Evaluation shards (activeness/sharded.hpp): 0 = default_shard_count(),
-  /// 1 = single pipeline.
-  std::size_t shards = 0;
   activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
   int period_length_days = 30;
 
@@ -78,7 +75,6 @@ struct LoadResult {
   double max_sustainable_rate = 0.0;
   /// AND over every level's serial-replay comparison.
   bool ranks_identical = true;
-  std::size_t shards = 1;  ///< resolved shard count the run used
 };
 
 /// One fixed-rate level: producers + trigger loop + final evaluation +

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <string>
 
-#include "activeness/sharded.hpp"
 #include "core/service.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -37,7 +36,6 @@ ScaleResult drive(const ScaleConfig& config, NextFn&& next_event) {
 
   core::ServiceConfig service_config;
   service_config.lifetime_days = config.lifetime_days;
-  service_config.eval_shards = config.shards;
   service_config.scan_mode = retention::ScanMode::kIndexed;
   service_config.dry_run = config.dry_run;
   service_config.record_victims = config.record_victims;
@@ -49,7 +47,6 @@ ScaleResult drive(const ScaleConfig& config, NextFn&& next_event) {
   const synth::StreamSynthConfig synth_cfg = synth_config(config);
   service.evaluate(synth_cfg.sim_begin);
   activeness::ActivityStore& store = service.store();
-  result.shards = service.pipeline().shard_count();
 
   obs::Histogram& trigger_hist =
       obs::MetricsRegistry::global().histogram("scale.trigger_seconds");

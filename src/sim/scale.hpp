@@ -3,13 +3,13 @@
 //
 // run_scale drives a core::Service from synth::StreamSynth's merged event
 // stream: job/publication activities enqueue into the ActivityStore's
-// per-shard ingest queues, file creates/accesses hit the Vfs's file table,
+// ingest queue, file creates/accesses hit the Vfs's file table,
 // and ActiveDR purge triggers fire at a fixed simulated cadence. Nothing is
 // materialized up front — peak RSS measures the retention structures, not
 // the workload generator.
 //
 // Correctness anchor: check_scale_identity runs the same configuration
-// twice — streamed ingest into the per-shard queues, then the materialized
+// twice — streamed ingest into the ingest queue, then the materialized
 // event vector appended directly — and demands byte-identical event
 // sequences, final ranks, and per-trigger purge victims. The scale
 // path is only trusted because the small tier proves it exact.
@@ -26,7 +26,6 @@ namespace adr::sim {
 struct ScaleConfig {
   std::size_t users = 10'000;
   std::uint64_t seed = 42;
-  std::size_t shards = 0;  ///< evaluator fan-out (0 = default_shard_count)
 
   std::size_t initial_files_per_user = 10;
   double events_per_user_day = 2.0;
@@ -44,7 +43,6 @@ struct ScaleConfig {
 
 struct ScaleResult {
   std::size_t users = 0;
-  std::size_t shards = 1;
   std::size_t events = 0;
   std::size_t files_created = 0;
   double wall_seconds = 0.0;

@@ -45,7 +45,7 @@ std::vector<Event> make_events(std::uint64_t seed, std::size_t users,
   return events;
 }
 
-/// Finalized empty store so per-shard drains are legal immediately.
+/// Finalized empty store with nothing dirty.
 ActivityStore empty_store(std::size_t users) {
   ActivityStore store(users, 2);
   store.sort_all();
@@ -103,7 +103,7 @@ TEST(Backpressure, BlockBoundsQueueDepthUnderFlood) {
   done.store(true, std::memory_order_release);
   consumer.join();
 
-  // Block admits everything (no loss) while the per-shard depth never
+  // Block admits everything (no loss) while the queue depth never
   // exceeds the cap — the memory bound the policy exists for.
   EXPECT_EQ(store.total_activities(), kProducers * kPerProducer);
   EXPECT_EQ(store.shed_count(), 0u);
@@ -113,7 +113,7 @@ TEST(Backpressure, BlockBoundsQueueDepthUnderFlood) {
 TEST(Backpressure, ShedAccountingIsExactWithinBudget) {
   constexpr std::size_t kCap = 4;
   constexpr std::size_t kBudget = 10;
-  ActivityStore store = empty_store(1);  // one user → one shard, one queue
+  ActivityStore store = empty_store(1);
   AdmissionConfig admission;
   admission.queue_cap = kCap;
   admission.policy = BackpressurePolicy::kShed;

@@ -1,16 +1,21 @@
 // The tentpole guarantee of the incremental pipeline: full and incremental
 // evaluation are *identical* — same ranks, same classifications, same scan
 // plan order — across randomized populations, trigger cadences, streaming
-// appends, and both stale-handling policies. Plus the delta bookkeeping:
-// only users whose rank can have changed are re-evaluated.
+// appends (future-dated ones included), backwards-time jumps, and both
+// stale-handling policies — down to the purge victims a dry run names.
+// Plus the delta bookkeeping: only users whose rank can have changed are
+// re-evaluated.
 
 #include "activeness/incremental.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "retention/activedr_policy.hpp"
 #include "util/rng.hpp"
 
 namespace adr::activeness {
@@ -119,6 +124,97 @@ TEST(IncrementalEvaluator, MatchesFullAcrossRandomizedTriggerSweeps) {
         }
       }
     }
+  }
+}
+
+// The same identity across the inputs a pure forward sweep never produces:
+// 40 randomized timelines mixing streaming appends, future-dated events
+// that a later trigger has to reveal through the chronological index, and
+// backwards-time jumps that force rebuilds. kAuto and pinned kIncremental
+// must both match kFull in users, groups and plan order at every trigger,
+// and a dry-run purge to a byte target must then name the same victims in
+// the same order (the list depends on scan order, not just the victim set).
+TEST(IncrementalEvaluator, MatchesFullAcrossAppendsJumpsAndVictimLists) {
+  const ActivityCatalog catalog = ActivityCatalog::paper_default();
+  constexpr std::size_t kUsers = 80;
+  const trace::UserRegistry registry =
+      trace::UserRegistry::with_synthetic_users(kUsers);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const EvaluationParams params = params_for(
+        seed % 2 == 0 ? 30 : 90,
+        seed % 3 == 0 ? StaleHandling::kDrop : StaleHandling::kClampOldest,
+        ExponentScheme::kPaperExponent, seed % 3 == 0 ? 5 : 0);
+    ActivityStore store_full = random_store(seed, kUsers);
+    ActivityStore store_auto = random_store(seed, kUsers);
+    ActivityStore store_inc = random_store(seed, kUsers);
+    IncrementalEvaluator full(catalog, params, EvalMode::kFull);
+    IncrementalEvaluator automatic(catalog, params, EvalMode::kAuto);
+    IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
+    util::Rng rng(seed * 7919);
+    util::TimePoint t = kT0 - 200 * kDay;
+    for (int trigger = 0; trigger < 8; ++trigger) {
+      if (trigger > 0 && rng.uniform() < 0.15) {
+        t -= static_cast<util::Duration>(rng.uniform_int(5, 60)) * kDay;
+      } else {
+        t += static_cast<util::Duration>(rng.uniform_int(3, 30)) * kDay;
+      }
+      const int burst = static_cast<int>(rng.uniform_int(0, 15));
+      for (int e = 0; e < burst; ++e) {
+        const auto user =
+            static_cast<trace::UserId>(rng.uniform_int(0, kUsers - 1));
+        const ActivityTypeId type = rng.uniform() < 0.7 ? 0 : 1;
+        // Mostly at or before t; sometimes future-dated, so a later trigger
+        // reveals it through the chronological index after the dirty set
+        // that carried the append has long been drained.
+        const util::Duration off =
+            static_cast<util::Duration>(rng.uniform_int(0, 20 * kDay)) -
+            10 * kDay;
+        const Activity a{t + off, rng.uniform(0.5, 20.0)};
+        store_full.append(user, type, a);
+        store_auto.append(user, type, a);
+        store_inc.append(user, type, a);
+      }
+      full.advance(store_full, t);
+      automatic.advance(store_auto, t);
+      inc.advance(store_inc, t);
+      for (const IncrementalEvaluator* pipeline : {&automatic, &inc}) {
+        ASSERT_EQ(pipeline->users().size(), kUsers);
+        for (std::size_t u = 0; u < kUsers; ++u) {
+          expect_same_activeness(full.users()[u], pipeline->users()[u]);
+          EXPECT_EQ(full.groups()[u], pipeline->groups()[u]);
+        }
+        expect_same_plan(full.plan(), pipeline->plan());
+      }
+    }
+
+    fs::Vfs vfs_full, vfs_auto, vfs_inc;
+    util::Rng files(seed ^ 0xabc);
+    for (trace::UserId u = 0; u < kUsers; ++u) {
+      for (int f = 0; f < 2; ++f) {
+        fs::FileMeta meta;
+        meta.owner = u;
+        meta.size_bytes =
+            64 + static_cast<std::uint64_t>(files.uniform_int(0, 100));
+        meta.atime =
+            t - static_cast<util::Duration>(files.uniform_int(0, 400)) * kDay;
+        meta.ctime = meta.atime;
+        const std::string path =
+            registry.home_dir(u) + "/f" + std::to_string(f);
+        vfs_full.create(path, meta);
+        vfs_auto.create(path, meta);
+        vfs_inc.create(path, meta);
+      }
+    }
+    retention::ActiveDrConfig config;
+    config.dry_run = true;
+    const retention::ActiveDrPolicy policy(config, registry);
+    const std::uint64_t target = vfs_full.total_bytes() / 3;
+    const auto want = policy.run(vfs_full, t, target, full.plan()).victim_paths;
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(policy.run(vfs_auto, t, target, automatic.plan()).victim_paths,
+              want);
+    EXPECT_EQ(policy.run(vfs_inc, t, target, inc.plan()).victim_paths, want);
   }
 }
 

@@ -1,19 +1,20 @@
-// Per-shard ingest queues (DESIGN.md §12): producers enqueue trace events
-// concurrently with an advancing ShardedEvaluator; each shard's advance
-// drains only its own queue, so the final ranks must be byte-identical to a
-// serial replay of the same events. The suite name matches the TSan CI
-// job's "Shard|ThreadPool" filter — these tests are where the
-// producer/evaluator interleavings actually happen.
+// The ingest queue (DESIGN.md §12): producers enqueue trace events
+// concurrently with an advancing IncrementalEvaluator, whose every advance
+// drains the queue first, so the final ranks must be byte-identical to a
+// serial replay of the same events. The TSan CI job runs this suite by name
+// ("IngestQueue") — these tests are where the producer/drain interleavings
+// actually happen.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "activeness/sharded.hpp"
+#include "activeness/incremental.hpp"
 #include "util/rng.hpp"
 
 namespace adr::activeness {
@@ -92,88 +93,62 @@ EvaluationParams short_params() {
   return p;
 }
 
-TEST(ShardIngestQueues, EnqueueRoutesToOwnerShard) {
-  constexpr std::size_t kUsers = 64;
-  constexpr std::size_t kShards = 4;
-  ActivityStore store = base_store(11, kUsers);
-  store.set_dirty_shards(kShards);
-  store.take_dirty(0), store.take_dirty(1), store.take_dirty(2),
-      store.take_dirty(3);
-  const ShardMap map(kUsers, kShards);
-
-  const trace::UserId user = map.begin(2);  // definitely owned by shard 2
-  store.enqueue(user, 0, Activity{kT0 + kDay, 1.0});
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(store.has_pending_ingest(s), s == 2) << "shard " << s;
-  }
-  EXPECT_TRUE(store.has_pending_ingest());
-
-  EXPECT_EQ(store.drain_ingest(2), 1u);
-  EXPECT_FALSE(store.has_pending_ingest());
-  // The drain applied the event through append(): the owner shard is dirty
-  // again and the stream grew.
-  EXPECT_TRUE(store.has_dirty(2));
-  EXPECT_EQ(store.stream(user, 0).back().timestamp, kT0 + kDay);
-}
-
-TEST(ShardIngestQueues, EnqueueValidatesUserAndType) {
+TEST(IngestQueue, EnqueueValidatesUserAndType) {
   ActivityStore store(8, 2);
   EXPECT_THROW(store.enqueue(8, 0, Activity{kT0, 1.0}), std::out_of_range);
   EXPECT_THROW(store.enqueue(0, 2, Activity{kT0, 1.0}), std::out_of_range);
 }
 
-TEST(ShardIngestQueues, PerShardDrainRequiresFinalizedStore) {
+TEST(IngestQueue, DrainFinalizesStoreFirst) {
   ActivityStore store(8, 2);  // never sorted: not finalized
-  store.set_dirty_shards(2);
+  store.add(1, 0, Activity{kT0 - kDay, 2.0});
   store.enqueue(0, 0, Activity{kT0, 1.0});
-  EXPECT_THROW(store.drain_ingest(0), std::logic_error);
-  // The global drain finalizes first, then applies everything.
+  EXPECT_TRUE(store.has_pending_ingest());
+  // The drain sorts the pending bulk rows, then applies the queue.
   EXPECT_EQ(store.drain_ingest(), 1u);
   EXPECT_TRUE(store.finalized());
   EXPECT_FALSE(store.has_pending_ingest());
+  ASSERT_EQ(store.stream(0, 0).size(), 1u);
+  EXPECT_EQ(store.stream(0, 0).front().timestamp, kT0);
+  ASSERT_EQ(store.stream(1, 0).size(), 1u);
+  EXPECT_EQ(store.prefix(1, 0).back(), 2.0);
 }
 
-TEST(ShardIngestQueues, WakeFilterSeesPendingIngest) {
+TEST(IngestQueue, QueuedEventShowsAfterNextAdvance) {
   constexpr std::size_t kUsers = 64;
-  constexpr std::size_t kShards = 4;
   ActivityStore store = base_store(22, kUsers);
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
-  ShardedEvaluator evaluator(catalog, short_params(), EvalMode::kAuto,
-                             kShards);
+  IncrementalEvaluator evaluator(catalog, short_params(), EvalMode::kAuto);
   evaluator.advance(store, kT0);
   evaluator.advance(store, kT0 + kDay);
 
-  const ShardMap map(kUsers, kShards);
-  const trace::UserId user = map.begin(1);
+  const trace::UserId user = 17;
   const util::TimePoint ts = kT0 + 2 * kDay;
   store.enqueue(user, 0, Activity{ts, 5.0});
 
-  // The event sits only in shard 1's ingest queue — it is not in the
-  // chronological index yet, so the wake filter can only see it through
-  // has_pending_ingest. Its effect must be visible in the refreshed rank.
+  // The event sits only on the ingest queue: it is neither dirty nor in
+  // the chronological index yet. The advance must drain it first, so its
+  // effect shows in the refreshed rank.
+  EXPECT_FALSE(store.has_dirty());
   evaluator.advance(store, kT0 + 3 * kDay);
-  EXPECT_GE(evaluator.shards_advanced(), 1u);
+  EXPECT_FALSE(store.has_pending_ingest());
   EXPECT_EQ(evaluator.users()[user].last_activity, ts);
 }
 
 // N producer threads enqueue a deterministic stream round-robin while the
-// main thread keeps advancing the sharded evaluator mid-flight. After a
-// final advance past the stream's last timestamp, every rank and the full
-// scan plan must equal a single-threaded replay of the same events. Run
-// under TSan in CI (filter "Shard|ThreadPool").
-TEST(ShardIngestQueues, ConcurrentProducersMatchSerialReplay) {
+// main thread keeps advancing the evaluator mid-flight. After a final
+// advance past the stream's last timestamp, every rank and the full scan
+// plan must equal a single-threaded replay of the same events. Run under
+// TSan in CI.
+TEST(IngestQueue, ConcurrentProducersMatchSerialReplay) {
   constexpr std::size_t kUsers = 96;
-  constexpr std::size_t kShards = 4;
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kEvents = 4000;
   const std::vector<Event> events = make_events(33, kUsers, kEvents);
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
 
   ActivityStore store = base_store(44, kUsers);
-  ShardedEvaluator evaluator(catalog, short_params(), EvalMode::kAuto,
-                             kShards);
-  // Warm start before producers exist: ensure_shards() re-buckets the
-  // store single-threaded.
+  IncrementalEvaluator evaluator(catalog, short_params(), EvalMode::kAuto);
   evaluator.advance(store, kT0);
 
   std::atomic<std::size_t> enqueued{0};
@@ -199,7 +174,7 @@ TEST(ShardIngestQueues, ConcurrentProducersMatchSerialReplay) {
 
   ActivityStore serial = base_store(44, kUsers);
   for (const Event& e : events) serial.append(e.user, e.type, e.activity);
-  ShardedEvaluator reference(catalog, short_params(), EvalMode::kFull, 1);
+  IncrementalEvaluator reference(catalog, short_params(), EvalMode::kFull);
   reference.advance(serial, final_now);
 
   ASSERT_EQ(evaluator.users().size(), reference.users().size());

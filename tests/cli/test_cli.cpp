@@ -10,9 +10,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/time.hpp"
@@ -359,6 +363,46 @@ TEST_F(CliTest, MetricsOutDumpsRegistryJson) {
         "\"threadpool.parallel_for\"", "\"threadpool.queue_wait\"",
         "\"emulator.replay\""}) {
     EXPECT_NE(json.find(metric), std::string::npos) << metric;
+  }
+}
+
+/// Metric names per section of a --metrics-out dump. Sections open at
+/// indent 2 ("  \"counters\": {"), their metrics sit one per line at 4.
+std::map<std::string, std::set<std::string>> metric_names(
+    const std::string& file) {
+  std::ifstream in(file);
+  std::map<std::string, std::set<std::string>> names;
+  std::string section, line;
+  while (std::getline(in, line)) {
+    if (line.rfind("    \"", 0) == 0) {
+      names[section].insert(line.substr(5, line.find('"', 5) - 5));
+    } else if (line.rfind("  \"", 0) == 0) {
+      section = line.substr(3, line.find('"', 3) - 3);
+    }
+  }
+  return names;
+}
+
+TEST_F(CliTest, MetricSchemaIsTheSameAtOneAndFourThreads) {
+  // The registry's metric names must not depend on the thread count, so a
+  // dashboard built on one host reads every other. The global pool sizes
+  // itself once per process from ACTIVEDR_THREADS, hence one child process
+  // of the built binary per setting.
+  std::map<std::string, std::set<std::string>> schema[2];
+  const char* threads[2] = {"1", "4"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string metrics =
+        path(std::string("schema_threads") + threads[i] + ".json");
+    const std::string cmd = std::string("ACTIVEDR_THREADS=") + threads[i] +
+                            " '" ACTIVEDR_BIN "' replay --dir '" + *dir_ +
+                            "' --metrics-out '" + metrics +
+                            "' > /dev/null 2>&1";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    schema[i] = metric_names(metrics);
+  }
+  for (const char* section : {"counters", "gauges", "histograms", "spans"}) {
+    EXPECT_FALSE(schema[0][section].empty()) << section;
+    EXPECT_EQ(schema[0][section], schema[1][section]) << section;
   }
 }
 

@@ -84,17 +84,16 @@ std::vector<trace::Event> make_history() {
   return events;
 }
 
-ServiceConfig test_config(std::size_t shards) {
+ServiceConfig test_config() {
   ServiceConfig config;
   config.lifetime_days = 30;
-  config.eval_shards = shards;
   config.record_victims = true;
   return config;
 }
 
-std::unique_ptr<Service> make_service(std::size_t shards) {
+std::unique_ptr<Service> make_service() {
   auto service = std::make_unique<Service>(
-      trace::UserRegistry::with_synthetic_users(kUsers), test_config(shards));
+      trace::UserRegistry::with_synthetic_users(kUsers), test_config());
   service->register_paper_types();
   return service;
 }
@@ -126,8 +125,8 @@ class ServiceTest : public ::testing::Test {
   /// Apply the whole WAL cold and purge; returns (ranks-file bytes,
   /// victims).
   std::pair<std::string, std::vector<std::string>> cold_run(
-      std::size_t shards, const std::string& tag) {
-    auto service = make_service(shards);
+      const std::string& tag) {
+    auto service = make_service();
     for (const auto& event : all_events()) service->apply(event);
     const auto report = service->purge(now_, 0);
     const std::string ranks_path = dir_ + "/ranks_" + tag + ".csv";
@@ -137,7 +136,7 @@ class ServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServiceTest, ApplyIsSeqGuardedAndIdempotent) {
-  auto service = make_service(1);
+  auto service = make_service();
   const auto events = all_events();
   for (const auto& event : events) EXPECT_TRUE(service->apply(event));
   const std::uint64_t seq = service->last_applied_seq();
@@ -147,8 +146,8 @@ TEST_F(ServiceTest, ApplyIsSeqGuardedAndIdempotent) {
   for (const auto& event : events) EXPECT_FALSE(service->apply(event));
   EXPECT_EQ(service->last_applied_seq(), seq);
 
-  const auto once = cold_run(1, "once");
-  auto twice_service = make_service(1);
+  const auto once = cold_run("once");
+  auto twice_service = make_service();
   for (int round = 0; round < 2; ++round) {
     for (const auto& event : events) twice_service->apply(event);
   }
@@ -163,7 +162,7 @@ TEST_F(ServiceTest, WalReplayMatchesDirectRecordIngest) {
   // Feed the same history through record()/vfs calls directly (the bulk
   // path Engine users take) and through WAL apply; ranks must match
   // byte-for-byte.
-  auto direct = make_service(1);
+  auto direct = make_service();
   for (const auto& event : make_history()) {
     trace::Event copy = event;
     copy.seq = 0;  // direct events carry no WAL seq
@@ -173,13 +172,13 @@ TEST_F(ServiceTest, WalReplayMatchesDirectRecordIngest) {
   const std::string direct_ranks = dir_ + "/ranks_direct.csv";
   direct->ranks().save_csv(direct_ranks);
 
-  const auto wal = cold_run(1, "wal");
+  const auto wal = cold_run("wal");
   EXPECT_EQ(slurp(direct_ranks), wal.first);
   EXPECT_EQ(direct_report.victim_paths, wal.second);
 }
 
 TEST_F(ServiceTest, EvaluateFoldsInPendingIngestAtRepeatedNow) {
-  auto service = make_service(4);
+  auto service = make_service();
   service->prepare_ingest();
   const auto events = all_events();
   for (const auto& event : events) service->apply(event);
@@ -202,33 +201,29 @@ TEST_F(ServiceTest, EvaluateFoldsInPendingIngestAtRepeatedNow) {
 }
 
 TEST_F(ServiceTest, CheckpointPlusTailReplayMatchesColdRun) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const auto cold = cold_run(shards, "cold" + std::to_string(shards));
+  const auto cold = cold_run("cold");
 
-    // Warm path: apply half the history, checkpoint, restore into a fresh
-    // service, replay the tail.
-    const auto events = all_events();
-    const std::size_t half = events.size() / 2;
-    const std::string ckpt = dir_ + "/ckpt" + std::to_string(shards);
-    {
-      auto first = make_service(shards);
-      for (std::size_t i = 0; i < half; ++i) first->apply(events[i]);
-      first->save_checkpoint(ckpt);
-    }
-    auto second = make_service(shards);
-    const auto status = second->restore_checkpoint(ckpt);
-    ASSERT_TRUE(status.ok) << status.error;
-    EXPECT_EQ(status.applied_seq, events[half - 1].seq);
-    for (const auto& event : events) second->apply(event);  // idempotent tail
-    const auto report = second->purge(now_, 0);
-    const std::string ranks_path =
-        dir_ + "/ranks_warm" + std::to_string(shards) + ".csv";
-    second->ranks().save_csv(ranks_path);
-
-    EXPECT_EQ(slurp(ranks_path), cold.first);
-    EXPECT_EQ(report.victim_paths, cold.second);
+  // Warm path: apply half the history, checkpoint, restore into a fresh
+  // service, replay the tail.
+  const auto events = all_events();
+  const std::size_t half = events.size() / 2;
+  const std::string ckpt = dir_ + "/ckpt";
+  {
+    auto first = make_service();
+    for (std::size_t i = 0; i < half; ++i) first->apply(events[i]);
+    first->save_checkpoint(ckpt);
   }
+  auto second = make_service();
+  const auto status = second->restore_checkpoint(ckpt);
+  ASSERT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(status.applied_seq, events[half - 1].seq);
+  for (const auto& event : events) second->apply(event);  // idempotent tail
+  const auto report = second->purge(now_, 0);
+  const std::string ranks_path = dir_ + "/ranks_warm.csv";
+  second->ranks().save_csv(ranks_path);
+
+  EXPECT_EQ(slurp(ranks_path), cold.first);
+  EXPECT_EQ(report.victim_paths, cold.second);
 }
 
 TEST_F(ServiceTest, NonCanonicalPathNamesOneVictimAcrossRestore) {
@@ -244,42 +239,55 @@ TEST_F(ServiceTest, NonCanonicalPathNamesOneVictimAcrossRestore) {
   const std::string ckpt = dir_ + "/ckpt_canonical";
   std::vector<std::string> live;
   {
-    auto service = make_service(1);
+    auto service = make_service();
     service->apply(create);
     service->save_checkpoint(ckpt);
     live = service->purge(now_, 0).victim_paths;
   }
   EXPECT_EQ(live, std::vector<std::string>{"/scratch/user_00000/a"});
-  auto restored = make_service(1);
+  auto restored = make_service();
   const auto status = restored->restore_checkpoint(ckpt);
   ASSERT_TRUE(status.ok) << status.error;
   EXPECT_EQ(restored->purge(now_, 0).victim_paths, live);
 }
 
-TEST_F(ServiceTest, ShardCountsAgreeByteForByte) {
-  const auto one = cold_run(1, "s1");
-  const auto four = cold_run(4, "s4");
-  EXPECT_EQ(one.first, four.first);
-  EXPECT_EQ(one.second, four.second);
+TEST_F(ServiceTest, AdmissionCapBoundsTheWholeQueue) {
+  // queue_cap bounds the whole ingest queue, whatever ACTIVEDR_THREADS is:
+  // with a cap of 2, six events for six users queue two and shed four.
+  Service service(trace::UserRegistry::with_synthetic_users(kUsers),
+                  ServiceConfig{});
+  service.register_paper_types();
+  service.prepare_ingest();
+  activeness::AdmissionConfig admission;
+  admission.queue_cap = 2;
+  admission.policy = activeness::BackpressurePolicy::kShed;
+  admission.shed_budget = 100;
+  auto& store = service.store();
+  store.set_admission(admission);
+  for (trace::UserId user = 0; user < 6; ++user) {
+    store.enqueue(user, kJobActivityType, {kBase, 1.0});
+  }
+  EXPECT_EQ(store.pending_ingest(), 2u);
+  EXPECT_EQ(store.shed_count(), 4u);
 }
 
 TEST_F(ServiceTest, RestoreRefusesDamagedCheckpoints) {
   const auto events = all_events();
   const std::string ckpt = dir_ + "/ckpt";
   {
-    auto service = make_service(1);
+    auto service = make_service();
     for (const auto& event : events) service->apply(event);
     service->save_checkpoint(ckpt);
   }
   // Valid as written.
   {
-    auto service = make_service(1);
+    auto service = make_service();
     EXPECT_TRUE(service->restore_checkpoint(ckpt).ok);
   }
   // Unsealed (manifest gone) is refused.
   fsys::rename(ckpt + "/MANIFEST", ckpt + "/MANIFEST.hidden");
   {
-    auto service = make_service(1);
+    auto service = make_service();
     const auto status = service->restore_checkpoint(ckpt);
     EXPECT_FALSE(status.ok);
     EXPECT_NE(status.error.find("unsealed"), std::string::npos);
@@ -295,7 +303,7 @@ TEST_F(ServiceTest, RestoreRefusesDamagedCheckpoints) {
     writer.commit();
   }
   {
-    auto service = make_service(1);
+    auto service = make_service();
     const auto status = service->restore_checkpoint(ckpt);
     EXPECT_FALSE(status.ok);
     EXPECT_NE(status.error.find("activities.csv"), std::string::npos);
@@ -314,7 +322,7 @@ TEST_F(ServiceTest, CrashMidCheckpointNeverYieldsARestorableHalfBundle) {
     const std::string ckpt =
         dir_ + "/ckpt_crash_" + std::to_string(&spec - specs);
     {
-      auto service = make_service(1);
+      auto service = make_service();
       for (const auto& event : events) service->apply(event);
       util::FaultInjector::global().configure(spec);
       EXPECT_THROW(service->save_checkpoint(ckpt), util::CrashInjected);
@@ -323,7 +331,7 @@ TEST_F(ServiceTest, CrashMidCheckpointNeverYieldsARestorableHalfBundle) {
     }
     // Old-or-new at bundle granularity: the torn checkpoint refuses to
     // restore, and a cold replay of the full WAL still reproduces state.
-    auto service = make_service(1);
+    auto service = make_service();
     EXPECT_FALSE(service->restore_checkpoint(ckpt).ok);
     for (const auto& event : events) service->apply(event);
     EXPECT_EQ(service->last_applied_seq(), events.size());

@@ -81,10 +81,9 @@ std::vector<trace::Event> make_history() {
   return events;
 }
 
-core::ServiceConfig service_config(std::size_t shards) {
+core::ServiceConfig service_config() {
   core::ServiceConfig config;
   config.lifetime_days = 30;
-  config.eval_shards = shards;
   config.record_victims = true;
   return config;
 }
@@ -123,26 +122,26 @@ class DaemonTest : public ::testing::Test {
     for (const auto& event : events) writer.append(event);
   }
 
-  DaemonOptions daemon_options(const std::string& tag, std::size_t shards) {
+  DaemonOptions daemon_options(const std::string& tag) {
     DaemonOptions options;
     options.wal_dir = wal(tag);
     options.state_dir = state(tag);
-    options.service = service_config(shards);
+    options.service = service_config();
     options.checkpoint_every_events = 0;  // tests drive cadence explicitly
     options.metrics_every_ticks = 0;
     return options;
   }
 
-  Daemon make_daemon(const std::string& tag, std::size_t shards) {
+  Daemon make_daemon(const std::string& tag) {
     return Daemon(trace::UserRegistry::with_synthetic_users(kUsers),
-                  daemon_options(tag, shards));
+                  daemon_options(tag));
   }
 
   /// A cold one-shot run over the tag's full WAL with the daemon's exact
   /// trigger arithmetic — the identity reference.
-  ColdResult cold_reference(const std::string& tag, std::size_t shards) {
+  ColdResult cold_reference(const std::string& tag) {
     core::Service service(trace::UserRegistry::with_synthetic_users(kUsers),
-                          service_config(shards));
+                          service_config());
     service.register_paper_types();
     trace::EventLogReader reader(wal(tag));
     for (const auto& event : reader.read_after(0)) service.apply(event);
@@ -195,29 +194,26 @@ class DaemonTest : public ::testing::Test {
 };
 
 TEST_F(DaemonTest, WarmTriggerMatchesColdOneShot) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    const std::string tag = "warm" + std::to_string(shards);
-    SCOPED_TRACE(tag);
-    write_wal(tag, make_history());
-    const ColdResult cold = cold_reference(tag, shards);
-    ASSERT_FALSE(cold.victims.empty());
+  const std::string tag = "warm";
+  write_wal(tag, make_history());
+  const ColdResult cold = cold_reference(tag);
+  ASSERT_FALSE(cold.victims.empty());
 
-    Daemon daemon = make_daemon(tag, shards);
-    daemon.start();
-    const auto [ranks, victims, reply] = trigger(daemon, tag);
-    EXPECT_EQ(reply.get_string("ok", ""), "true");
-    EXPECT_EQ(reply.get_int("purged_bytes", 0),
-              static_cast<std::int64_t>(cold.purged_bytes));
-    EXPECT_EQ(ranks, cold.ranks);
-    EXPECT_EQ(victims, cold.victims);
-  }
+  Daemon daemon = make_daemon(tag);
+  daemon.start();
+  const auto [ranks, victims, reply] = trigger(daemon, tag);
+  EXPECT_EQ(reply.get_string("ok", ""), "true");
+  EXPECT_EQ(reply.get_int("purged_bytes", 0),
+            static_cast<std::int64_t>(cold.purged_bytes));
+  EXPECT_EQ(ranks, cold.ranks);
+  EXPECT_EQ(victims, cold.victims);
 }
 
 TEST_F(DaemonTest, EvaluateStatusAndErrorReplies) {
   const std::string tag = "ctl";
   const auto events = make_history();
   write_wal(tag, events);
-  Daemon daemon = make_daemon(tag, 2);
+  Daemon daemon = make_daemon(tag);
 
   const util::Config eval = ctl(daemon, "a_eval",
                                 {{"cmd", "evaluate"},
@@ -255,7 +251,7 @@ TEST_F(DaemonTest, CommandIsNotRerunWhenReplyAlreadyExists) {
   // purge twice. The daemon must just clear the command.
   const std::string tag = "rerun";
   write_wal(tag, make_history());
-  Daemon daemon = make_daemon(tag, 1);
+  Daemon daemon = make_daemon(tag);
   daemon.start();
 
   const std::string victims_path = dir_ + "/rerun_victims.txt";
@@ -284,7 +280,7 @@ TEST_F(DaemonTest, CleanRestartPreservesIdentity) {
   const auto events = make_history();
   write_wal(tag, events);
   {
-    Daemon first = make_daemon(tag, 4);
+    Daemon first = make_daemon(tag);
     first.start();
     first.tick();
     EXPECT_EQ(first.service().last_applied_seq(), events.size());
@@ -307,9 +303,9 @@ TEST_F(DaemonTest, CleanRestartPreservesIdentity) {
     access.path = "/scratch/user_4/f1.dat";
     writer.append(access);
   }
-  const ColdResult cold = cold_reference(tag, 4);
+  const ColdResult cold = cold_reference(tag);
 
-  Daemon second = make_daemon(tag, 4);
+  Daemon second = make_daemon(tag);
   second.start();
   // Recovery came from the checkpoint, not a rescan.
   EXPECT_EQ(second.service().last_applied_seq(), events.size());
@@ -343,7 +339,7 @@ TEST_F(DaemonTest, CrashRecoveryIsByteIdenticalAtEveryFaultPoint) {
     const std::string tag = "crash" + std::to_string(c);
     SCOPED_TRACE(std::string(cases[c].spec) + " tag=" + tag);
     write_wal(tag, {events.begin(), events.begin() + static_cast<std::ptrdiff_t>(half)});
-    DaemonOptions options = daemon_options(tag, 1);
+    DaemonOptions options = daemon_options(tag);
     options.checkpoint_every_events = 1;  // checkpoint on every applying tick
     options.keep_checkpoints = 1;
     {
@@ -369,8 +365,8 @@ TEST_F(DaemonTest, CrashRecoveryIsByteIdenticalAtEveryFaultPoint) {
       // The Daemon object goes out of scope with no shutdown — the on-disk
       // state is exactly what a kill -9 would leave.
     }
-    const ColdResult cold = cold_reference(tag, 1);
-    Daemon recovered = make_daemon(tag, 1);
+    const ColdResult cold = cold_reference(tag);
+    Daemon recovered = make_daemon(tag);
     recovered.start();
     recovered.tick();
     EXPECT_EQ(recovered.service().last_applied_seq(), events.size());
@@ -388,7 +384,7 @@ TEST_F(DaemonTest, HalfBundleCheckpointDegradesToOlderOne) {
   const auto events = make_history();
   const std::size_t half = events.size() / 2;
   write_wal(tag, {events.begin(), events.begin() + static_cast<std::ptrdiff_t>(half)});
-  DaemonOptions options = daemon_options(tag, 1);
+  DaemonOptions options = daemon_options(tag);
   options.checkpoint_every_events = 1;
   options.keep_checkpoints = 4;  // keep the older checkpoint around
   std::string checkpoints;
@@ -417,12 +413,12 @@ TEST_F(DaemonTest, HalfBundleCheckpointDegradesToOlderOne) {
   EXPECT_TRUE(util::io::verify_bundle(dirs[0]).valid());
   EXPECT_FALSE(util::io::verify_bundle(dirs[1]).valid());
 
-  Daemon recovered = make_daemon(tag, 1);
+  Daemon recovered = make_daemon(tag);
   recovered.start();
   EXPECT_EQ(recovered.service().last_applied_seq(), half);  // older checkpoint
   recovered.tick();
   EXPECT_EQ(recovered.service().last_applied_seq(), events.size());
-  const ColdResult cold = cold_reference(tag, 1);
+  const ColdResult cold = cold_reference(tag);
   const auto [ranks, victims, reply] = trigger(recovered, tag);
   EXPECT_EQ(ranks, cold.ranks);
   EXPECT_EQ(victims, cold.victims);
@@ -440,7 +436,7 @@ TEST_F(DaemonTest, TornWalTailIsSalvagedAndReappliedAfterRefeed) {
   ASSERT_FALSE(open_path.empty());
   fsys::resize_file(open_path, fsys::file_size(open_path) - 7);
 
-  Daemon daemon = make_daemon(tag, 1);
+  Daemon daemon = make_daemon(tag);
   daemon.start();
   daemon.tick();
   EXPECT_EQ(daemon.service().last_applied_seq(), events.size() - 1);
@@ -455,7 +451,7 @@ TEST_F(DaemonTest, TornWalTailIsSalvagedAndReappliedAfterRefeed) {
   daemon.tick();
   EXPECT_EQ(daemon.service().last_applied_seq(), events.size());
 
-  const ColdResult cold = cold_reference(tag, 1);
+  const ColdResult cold = cold_reference(tag);
   const auto [ranks, victims, reply] = trigger(daemon, tag);
   EXPECT_EQ(ranks, cold.ranks);
   EXPECT_EQ(victims, cold.victims);
@@ -465,7 +461,7 @@ TEST_F(DaemonTest, GracefulRunSealsWalAndCheckpoints) {
   const std::string tag = "run";
   const auto events = make_history();
   write_wal(tag, events);
-  DaemonOptions options = daemon_options(tag, 1);
+  DaemonOptions options = daemon_options(tag);
   options.max_ticks = 1;
   options.poll_interval_ms = 1;
   options.metrics_out = dir_ + "/metrics.json";
@@ -482,7 +478,7 @@ TEST_F(DaemonTest, GracefulRunSealsWalAndCheckpoints) {
   EXPECT_GE(seg_count, 1u);
 
   // A final checkpoint at the full applied seq exists and restores.
-  Daemon reopened = make_daemon(tag, 1);
+  Daemon reopened = make_daemon(tag);
   reopened.start();
   EXPECT_EQ(reopened.service().last_applied_seq(), events.size());
 
@@ -495,7 +491,7 @@ TEST_F(DaemonTest, GracefulRunSealsWalAndCheckpoints) {
 TEST_F(DaemonTest, PeriodicMetricsExport) {
   const std::string tag = "metrics";
   write_wal(tag, make_history());
-  DaemonOptions options = daemon_options(tag, 1);
+  DaemonOptions options = daemon_options(tag);
   options.metrics_out = dir_ + "/metrics_periodic.json";
   options.metrics_every_ticks = 1;
   Daemon daemon(trace::UserRegistry::with_synthetic_users(kUsers), options);

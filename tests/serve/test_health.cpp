@@ -163,7 +163,6 @@ std::vector<trace::Event> make_history() {
 core::ServiceConfig service_config() {
   core::ServiceConfig config;
   config.lifetime_days = 30;
-  config.eval_shards = 1;
   config.record_victims = true;
   return config;
 }
@@ -372,9 +371,8 @@ TEST_F(DaemonHealthTest, StatusReportsQueueDepthAndSpillReplayLandsEverything) {
   EXPECT_EQ(status.get_int("shed_events", -1), 0);
   EXPECT_GE(status.get_int("spilled_events", 0), 4);
   EXPECT_GE(status.get_int("ingest_depth_high_water", 0), 2);
-  EXPECT_FALSE(status.get_string("ingest_pending_per_shard", "").empty());
 
-  // Evaluate rounds drain the queues; tick() replays the spill segment
+  // Evaluate rounds drain the queue; tick() replays the spill segment
   // once pressure clears. A few rounds land every spilled event.
   for (int round = 0; round < 6; ++round) {
     ctl(daemon, "ev" + std::to_string(round),

@@ -25,21 +25,14 @@ ScaleConfig tier600() {
   return c;
 }
 
-class ScaleIdentityBySharding : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ScaleIdentityBySharding, StreamedMatchesMaterialized) {
-  ScaleConfig config = tier600();
-  config.shards = GetParam();
-  const ScaleIdentityResult r = check_scale_identity(config);
+TEST(Scale, StreamedMatchesMaterialized) {
+  const ScaleIdentityResult r = check_scale_identity(tier600());
   EXPECT_TRUE(r.events_identical) << "event streams diverged";
   EXPECT_TRUE(r.ranks_identical) << "activeness ranks diverged";
   EXPECT_TRUE(r.victims_identical) << "purge victims diverged";
   EXPECT_GT(r.triggers, 1u);
   EXPECT_TRUE(r.ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(Shards, ScaleIdentityBySharding,
-                         ::testing::Values(1u, 2u, 4u));
 
 TEST(Scale, StreamedRunReportsThroughputAndPurges) {
   ScaleConfig config = tier600();

@@ -14,16 +14,8 @@
 #   * full and incremental eval modes produce different ranks/plans, or
 #   * the incremental eval-phase speedup over full re-evaluation drops
 #     below MIN_EVAL_SPEEDUP (default 3.0), or
-#   * the sharded pipeline diverges from the single pipeline (plans or
-#     purge victims), or
-#   * this machine has >= 4 cores but the shard comparison ran at < 4
-#     shards (the speedup gate would be silently skipped — loud failure,
-#     not a skip), or
-#   * the run used >= 4 shards and the sharded advance's speedup over the
-#     single pipeline drops below MIN_SHARD_SPEEDUP (default 2.0; on hosts
-#     with < 4 cores the floor is skipped with an explicit note), or
 #   * bench_load's concurrent ingest diverged from the serial replay at any
-#     shard count (ranks must be byte-identical), or
+#     producer count (ranks must be byte-identical), or
 #   * bench_load's max sustainable rate drops below MIN_LOAD_RATE (default:
 #     baseline max_sustainable_rate / TOLERANCE), or
 #   * bench_scale's 600-user streamed-vs-materialized identity anchor
@@ -36,10 +28,9 @@
 #        SCALE_USERS overrides the bench_scale tier list (default 100000).
 #        The full 1M-user tier (SCALE_USERS=1000000) is wall-clock-bound on
 #        the single driver thread: budget minutes on a multi-core machine
-#        (shard fan-out soaks up the evaluate/purge side) and tens of
-#        minutes on a 1-core container — it is deliberately NOT part of the
-#        default gate. The RSS ceiling is the interesting axis; run 1M
-#        manually before a release.
+#        and tens of minutes on a 1-core container — it is deliberately NOT
+#        part of the default gate. The RSS ceiling is the interesting axis;
+#        run 1M manually before a release.
 
 set -euo pipefail
 
@@ -51,7 +42,6 @@ OUT_JSON="$BUILD_DIR/BENCH_fig12.json"
 LOAD_JSON="$BUILD_DIR/BENCH_load.json"
 MIN_SPEEDUP="${MIN_SPEEDUP:-3.0}"
 MIN_EVAL_SPEEDUP="${MIN_EVAL_SPEEDUP:-3.0}"
-MIN_SHARD_SPEEDUP="${MIN_SHARD_SPEEDUP:-2.0}"
 MIN_LOAD_RATE="${MIN_LOAD_RATE:-0}"
 TOLERANCE="${TOLERANCE:-1.5}"
 LOAD_FLAGS="${LOAD_FLAGS:---load-rate 1000 --load-duration 0.5 --ramp-levels 4}"
@@ -82,18 +72,14 @@ cmake --build "$BUILD_DIR" --target bench_fig12_performance bench_load \
     --rss-budget-gb "$SCALE_RSS_GB" --bench-json "$SCALE_JSON"
 
 python3 - "$OUT_JSON" "$BASELINE" "$MIN_SPEEDUP" "$TOLERANCE" \
-    "$MIN_EVAL_SPEEDUP" "$MIN_SHARD_SPEEDUP" "$CORES" \
-    "$LOAD_JSON" "$LOAD_BASELINE" "$MIN_LOAD_RATE" <<'PY'
+    "$MIN_EVAL_SPEEDUP" "$LOAD_JSON" "$LOAD_BASELINE" "$MIN_LOAD_RATE" <<'PY'
 import json, sys
 
 (out_path, base_path, min_speedup, tolerance, min_eval_speedup,
- min_shard_speedup, cores, load_path, load_base_path,
- min_load_rate) = sys.argv[1:11]
+ load_path, load_base_path, min_load_rate) = sys.argv[1:9]
 min_speedup, tolerance = float(min_speedup), float(tolerance)
 min_eval_speedup = float(min_eval_speedup)
-min_shard_speedup = float(min_shard_speedup)
 min_load_rate = float(min_load_rate)
-cores = int(cores)
 out = json.load(open(out_path))
 base = json.load(open(base_path))
 load = json.load(open(load_path))
@@ -112,30 +98,6 @@ if out["eval_speedup"] < min_eval_speedup:
     failures.append(
         f"incremental eval speedup {out['eval_speedup']:.2f}x below floor "
         f"{min_eval_speedup}x")
-if not out.get("shard_ranks_identical", True):
-    failures.append(
-        "sharded and single pipelines produced DIFFERENT ranks/plans")
-if not out.get("shard_victims_identical", True):
-    failures.append(
-        "sharded and single pipelines selected DIFFERENT purge victims")
-# The wall-clock floor only means something with real parallelism under it;
-# identity is enforced at every shard count above. A >= 4-core machine that
-# somehow ran < 4 shards is a broken configuration, not a skip — that is
-# exactly the state in which the floor silently stops gating anything.
-shards = out.get("shards", 1)
-if cores >= 4 and shards < 4:
-    failures.append(
-        f"shard comparison ran at {shards} shard(s) on a {cores}-core "
-        f"machine: the >= 4-shard speedup gate was silently skipped "
-        f"(check ACTIVEDR_THREADS / --shards)")
-elif shards >= 4 and out["shard_speedup"] < min_shard_speedup:
-    failures.append(
-        f"shard speedup {out['shard_speedup']:.2f}x at {shards} "
-        f"shards below floor {min_shard_speedup}x")
-elif cores < 4:
-    print(f"note: {cores} core(s) < 4 — shard speedup floor "
-          f"{min_shard_speedup}x NOT enforced on this host "
-          f"(identity still gated at {shards} shard(s))")
 
 # Sustained-load gate: identity is absolute; the sustainable-rate floor is
 # baseline-relative unless MIN_LOAD_RATE pins it.
@@ -144,7 +106,7 @@ if not load.get("ranks_identical", False):
         "bench_load: concurrent ranks diverged from serial replay")
 if not load.get("identity_all_identical", False):
     failures.append(
-        "bench_load: identity matrix (1/2/4 shards) found a divergence")
+        "bench_load: identity matrix (1/2/4 producers) found a divergence")
 load_floor = min_load_rate
 if load_floor <= 0:
     load_floor = load_base.get("max_sustainable_rate", 0.0) / tolerance
@@ -188,14 +150,10 @@ print(f"walk {out['walk_seconds']:.4f}s, indexed "
 print(f"eval full {out['eval_full_seconds']:.4f}s, incremental "
       f"{out['eval_incremental_seconds']:.4f}s, speedup "
       f"{out['eval_speedup']:.2f}x over {out['eval_triggers']} triggers")
-print(f"shards {shards}: 1-shard "
-      f"{out.get('shard_1_seconds', 0):.4f}s, n-shard "
-      f"{out.get('shard_n_seconds', 0):.4f}s, speedup "
-      f"{out.get('shard_speedup', 0):.2f}x")
 levels = load.get("levels", [])
 tail = levels[-1] if levels else {}
 print(f"load: max sustainable {load['max_sustainable_rate']:.0f} ev/s over "
-      f"{len(levels)} level(s) at {load.get('shards', 1)} shard(s), last "
+      f"{len(levels)} level(s) at {load.get('producers', 1)} producer(s), last "
       f"level p50 {tail.get('p50_ms', 0):.2f}ms p99 "
       f"{tail.get('p99_ms', 0):.2f}ms p999 {tail.get('p999_ms', 0):.2f}ms, "
       f"ranks identical: {load.get('ranks_identical', False)}")
