@@ -26,19 +26,15 @@ int main(int argc, char** argv) {
   util::Table matrix("Group shares at replay start (90-day periods)");
   matrix.set_headers({"Scheme", "G(1)", "G(2)", "G(3)", "G(4)"});
   for (const auto& [scheme, label] : schemes) {
-    activeness::EvaluationParams params;
-    params.period_length_days = options.experiment.lifetime_days;
-    params.scheme = scheme;
-    sim::ActivenessTimeline timeline =
-        sim::ActivenessTimeline::for_scenario(scenario, params);
-    const auto& plan = timeline.plan_at(scenario.sim_begin);
+    core::ServiceConfig config;
+    config.lifetime_days = options.experiment.lifetime_days;
+    config.scheme = scheme;
+    core::Service service(scenario.registry, config);
+    sim::load_scenario(service, scenario);
+    service.evaluate(scenario.sim_begin);
     std::vector<std::string> row{label};
-    for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
-      row.push_back(util::format_percent(
-          static_cast<double>(
-              plan.group(static_cast<activeness::UserGroup>(g)).size()) /
-              n,
-          1));
+    for (const std::size_t count : service.group_counts()) {
+      row.push_back(util::format_percent(static_cast<double>(count) / n, 1));
     }
     matrix.add_row(std::move(row));
   }

@@ -31,19 +31,15 @@ int main(int argc, char** argv) {
   };
   for (const auto& [rule, label] : rules) {
     for (const int d : {7, 90}) {
-      activeness::EvaluationParams params;
-      params.period_length_days = d;
-      params.stale = rule;
-      sim::ActivenessTimeline timeline =
-          sim::ActivenessTimeline::for_scenario(scenario, params);
-      const auto& plan = timeline.plan_at(scenario.sim_begin);
+      core::ServiceConfig config;
+      config.lifetime_days = d;
+      config.stale = rule;
+      core::Service service(scenario.registry, config);
+      sim::load_scenario(service, scenario);
+      service.evaluate(scenario.sim_begin);
       std::vector<std::string> row{label, std::to_string(d) + "d"};
-      for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
-        row.push_back(util::format_percent(
-            static_cast<double>(
-                plan.group(static_cast<activeness::UserGroup>(g)).size()) /
-                n,
-            1));
+      for (const std::size_t count : service.group_counts()) {
+        row.push_back(util::format_percent(static_cast<double>(count) / n, 1));
       }
       matrix.add_row(std::move(row));
     }

@@ -23,15 +23,13 @@ int main(int argc, char** argv) {
   table.set_headers({"Period length", "G(1) Both Active", "G(2) Op Only",
                      "G(3) Outcome Only", "G(4) Both Inactive"});
   for (const int d : {7, 30, 60, 90}) {
-    activeness::EvaluationParams params;
-    params.period_length_days = d;
-    sim::ActivenessTimeline timeline =
-        sim::ActivenessTimeline::for_scenario(scenario, params);
-    const activeness::ScanPlan& plan = timeline.plan_at(scenario.sim_begin);
+    core::ServiceConfig config;
+    config.lifetime_days = d;
+    core::Service service(scenario.registry, config);
+    sim::load_scenario(service, scenario);
+    service.evaluate(scenario.sim_begin);
     std::vector<std::string> row{std::to_string(d) + " days"};
-    for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
-      const std::size_t count =
-          plan.group(static_cast<activeness::UserGroup>(g)).size();
+    for (const std::size_t count : service.group_counts()) {
       row.push_back(util::fmt_int(static_cast<std::int64_t>(count)) + " (" +
                     util::format_percent(static_cast<double>(count) / n, 1) +
                     ")");

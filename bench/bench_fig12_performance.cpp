@@ -18,9 +18,9 @@
 #include <fstream>
 #include <iostream>
 
+#include "activeness/incremental.hpp"
 #include "common/scenario_cache.hpp"
 #include "obs/metrics.hpp"
-#include "sim/emulator.hpp"
 #include "util/memory.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -149,8 +149,8 @@ BENCHMARK(BM_PurgeDecision)
     ->Unit(benchmark::kMillisecond);
 
 // ---- Eval-phase regression harness: full vs incremental pipeline ----------
-// A replay year of daily evaluation triggers driven through the
-// ActivenessTimeline under both eval modes. The incremental pipeline must
+// A replay year of daily evaluation triggers driven through an
+// IncrementalEvaluator under both eval modes. The incremental pipeline must
 // produce the exact same ranks and scan-plan orderings as full
 // re-evaluation at every trigger, and its cumulative eval-phase wall time
 // must beat full mode by >= MIN_EVAL_SPEEDUP (the delta-aware pipeline only
@@ -209,30 +209,34 @@ EvalModeComparison run_eval_mode_comparison(int reps) {
   // the per-trigger plan comparison thrash both pipelines' working sets,
   // which would bias the timing of whichever mode runs second.
   {
-    sim::ActivenessTimeline full(catalog, build_store(s), params,
-                                 activeness::EvalMode::kFull);
-    sim::ActivenessTimeline inc(catalog, build_store(s), params,
-                                activeness::EvalMode::kIncremental);
+    activeness::ActivityStore full_store = build_store(s);
+    activeness::ActivityStore inc_store = build_store(s);
+    activeness::IncrementalEvaluator full(catalog, params,
+                                          activeness::EvalMode::kFull);
+    activeness::IncrementalEvaluator inc(catalog, params,
+                                         activeness::EvalMode::kIncremental);
     std::size_t triggers = 0;
     for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
          t += util::days(1)) {
-      const auto& full_plan = full.plan_at(t);
-      const auto& inc_plan = inc.plan_at(t);
+      full.advance(full_store, t);
+      inc.advance(inc_store, t);
       ++triggers;
-      if (!same_plans(full_plan, inc_plan)) cmp.ranks_identical = false;
+      if (!same_plans(full.plan(), inc.plan())) cmp.ranks_identical = false;
     }
     cmp.triggers = triggers;
   }
 
-  // Timed reps: each mode drives its own fresh timeline through the whole
+  // Timed reps: each mode drives its own fresh pipeline through the whole
   // replay year; best-of-reps per mode.
   const auto run_mode = [&](activeness::EvalMode mode) {
-    sim::ActivenessTimeline timeline(catalog, build_store(s), params, mode);
+    activeness::ActivityStore store = build_store(s);
+    activeness::IncrementalEvaluator pipeline(catalog, params, mode);
     for (util::TimePoint t = s.sim_begin; t <= s.sim_end;
          t += util::days(1)) {
-      benchmark::DoNotOptimize(timeline.plan_at(t));
+      pipeline.advance(store, t);
+      benchmark::DoNotOptimize(pipeline.plan());
     }
-    return timeline.eval_seconds();
+    return pipeline.seconds();
   };
   for (int rep = 0; rep < reps; ++rep) {
     const double full_secs = run_mode(activeness::EvalMode::kFull);

@@ -25,34 +25,22 @@ int main(int argc, char** argv) {
       options);
 
   const synth::TitanScenario& scenario = bench::shared_scenario(options.titan);
-  sim::ActivenessTimeline timeline = sim::ActivenessTimeline::for_scenario(
-      scenario, sim::evaluation_params(options.experiment));
   sim::EmulatorConfig emu;
   emu.purge_interval_days = options.experiment.purge_interval_days;
-  emu.purge_target_utilization = options.experiment.purge_target_utilization;
-  sim::Emulator emulator(scenario, emu, timeline);
-
+  // Each strategy replays on its own Service; FLT runs strict and the
+  // cache ignores byte targets, so both run without one.
+  const std::pair<core::Policy, bool> runs[] = {
+      {core::Policy::kFlt, false},
+      {core::Policy::kValue, true},
+      {core::Policy::kScratchCache, false},
+      {core::Policy::kActiveDr, true},
+  };
   std::vector<sim::EmulationResult> results;
-  {
-    sim::FltDriver flt(retention::FltConfig{options.experiment.lifetime_days},
-                       timeline);
-    results.push_back(emulator.run(flt, 0.0));  // strict, no target
-  }
-  {
-    sim::ValueDriver value(retention::ValueConfig{}, timeline);
-    results.push_back(
-        emulator.run(value, options.experiment.purge_target_utilization));
-  }
-  {
-    sim::ScratchCacheDriver cache(retention::ScratchCacheConfig{}, timeline);
-    results.push_back(emulator.run(cache, 0.0));  // cache ignores targets
-  }
-  {
-    retention::ActiveDrConfig adr_config;
-    adr_config.initial_lifetime_days = options.experiment.lifetime_days;
-    sim::ActiveDrDriver adr(adr_config, scenario.registry, timeline);
-    results.push_back(
-        emulator.run(adr, options.experiment.purge_target_utilization));
+  for (const auto& [policy, targeted] : runs) {
+    sim::ExperimentConfig config = options.experiment;
+    if (!targeted) config.purge_target_utilization = 0.0;
+    const auto service = sim::make_service(scenario, config);
+    results.push_back(sim::replay(scenario, *service, policy, emu));
   }
 
   util::Table table("Year replay, one row per strategy");

@@ -8,19 +8,19 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/engine.hpp"
+#include "core/service.hpp"
 
 using namespace adr;
 
 int main() {
   const util::TimePoint now = util::from_civil(2026, 7, 1);
 
-  core::Engine::Options options;
-  options.purge_target_utilization = 0.0;  // no byte target: purge all expired
-  core::Engine engine(trace::UserRegistry::with_synthetic_users(2, "user"),
-                      options);
-  engine.register_operation_type("job_submission");
-  engine.register_outcome_type("publication");
+  core::ServiceConfig config;
+  config.purge_target_utilization = 0.0;  // no byte target: purge all expired
+  core::Service service(trace::UserRegistry::with_synthetic_users(2, "user"),
+                        config);
+  service.register_operation_type("job_submission");
+  service.register_outcome_type("publication");
 
   // user0's scratch: three stale files (200 days old) plus a whole stale
   // "campaign" directory.
@@ -30,9 +30,9 @@ int main() {
     meta.size_bytes = mib << 20;
     meta.atime = now - util::days(200);
     meta.ctime = meta.atime;
-    engine.vfs().create(path, meta);
+    service.vfs().create(path, meta);
   };
-  const std::string home = engine.registry().home_dir(0);
+  const std::string home = service.registry().home_dir(0);
   stale(home + "/raw_input.dat", 100);
   stale(home + "/tmp_scratch.dat", 100);
   stale(home + "/campaign2025/run1/out.h5", 100);
@@ -52,18 +52,18 @@ int main() {
   for (const auto& p : reservations.reserved_paths()) {
     std::cout << "  " << p << "\n";
   }
-  for (const auto& p : reservations.reserved_paths()) engine.reserve(p);
+  for (const auto& p : reservations.reserved_paths()) service.reserve(p);
 
   // Purge with no byte target: everything beyond the 90-day lifetime goes —
   // except the reserved paths.
-  const auto report = engine.purge(now);
+  const auto report = service.purge(now);
   report.print(std::cout);
 
   std::cout << "raw_input.dat survived:        "
-            << engine.vfs().exists(home + "/raw_input.dat") << "\n";
+            << service.vfs().exists(home + "/raw_input.dat") << "\n";
   std::cout << "campaign2025/run1/out.h5 kept: "
-            << engine.vfs().exists(home + "/campaign2025/run1/out.h5") << "\n";
+            << service.vfs().exists(home + "/campaign2025/run1/out.h5") << "\n";
   std::cout << "tmp_scratch.dat purged:        "
-            << !engine.vfs().exists(home + "/tmp_scratch.dat") << "\n";
+            << !service.vfs().exists(home + "/tmp_scratch.dat") << "\n";
   return 0;
 }

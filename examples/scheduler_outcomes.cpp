@@ -1,7 +1,7 @@
 // Scheduler outcomes: Table 2 lists "successful completion of a job" as an
 // outcome-activity example. This example runs the synthetic submission
 // stream through the batch-scheduler substrate and feeds *completions* to
-// the engine as an outcome type — an activeness setup that needs nothing
+// the service as an outcome type — an activeness setup that needs nothing
 // outside the HPC system (no publication database).
 //
 // Usage: ./scheduler_outcomes [--users N]
@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/engine.hpp"
+#include "core/service.hpp"
 #include "synth/titan_model.hpp"
 #include "util/config.hpp"
 #include "util/stats.hpp"
@@ -43,22 +43,22 @@ int main(int argc, char** argv) {
       {"Utilization", util::format_percent(stats.utilization, 1)});
   sched_table.print(std::cout);
 
-  // Engine setup: submissions are operations (core-hours), *completions*
+  // Service setup: submissions are operations (core-hours), *completions*
   // are outcomes (impact = completed node-hours).
-  core::Engine engine(scenario.registry, core::Engine::Options{});
-  const auto submissions = engine.register_operation_type("job_submission");
+  core::Service service(scenario.registry, core::ServiceConfig{});
+  const auto submissions = service.register_operation_type("job_submission");
   const auto completions =
-      engine.register_outcome_type("job_completion", /*weight=*/1.0);
-  engine.ingest_jobs(scenario.jobs, submissions);
+      service.register_outcome_type("job_completion", /*weight=*/1.0);
+  service.ingest_jobs(scenario.jobs, submissions);
   for (const auto& s : scenario.schedule) {
     if (!s.completed) continue;
     const double node_hours = static_cast<double>(s.nodes) *
                               static_cast<double>(s.runtime()) / 3600.0;
-    engine.record(s.user, completions, s.end_time, node_hours);
+    service.record(s.user, completions, s.end_time, node_hours);
   }
 
-  engine.evaluate(scenario.sim_begin);
-  const auto counts = engine.group_counts();
+  service.evaluate(scenario.sim_begin);
+  const auto counts = service.group_counts();
   util::Table matrix("Activeness with job completions as the outcome");
   matrix.set_headers({"Group", "Users"});
   for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {

@@ -149,14 +149,9 @@ class Evaluator {
   UserActiveness evaluate_user(const ActivityStore& store,
                                trace::UserId user) const;
 
-  /// Evaluate users [begin, end), parallel over users via the global thread
-  /// pool; slot i holds user begin + i. Every full or ranged evaluation runs
-  /// through here, so the "evaluator.evaluate_all" span fires on every path.
-  std::vector<UserActiveness> evaluate_range(const ActivityStore& store,
-                                             trace::UserId begin,
-                                             trace::UserId end) const;
-
-  /// Evaluate every user of the store.
+  /// Evaluate every user of the store, parallel over users via the global
+  /// thread pool; slot i holds user i. Every full evaluation runs through
+  /// here, so the "evaluator.evaluate_all" span fires on every path.
   std::vector<UserActiveness> evaluate_all(const ActivityStore& store) const;
 
   const EvaluationParams& params() const { return params_; }

@@ -6,7 +6,9 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "retention/cache_policy.hpp"
 #include "retention/policy.hpp"
+#include "retention/value_policy.hpp"
 #include "trace/snapshot.hpp"
 #include "util/bundle.hpp"
 #include "util/config.hpp"
@@ -35,8 +37,30 @@ activeness::EvaluationParams evaluation_params(const ServiceConfig& config) {
   activeness::EvaluationParams params;
   params.period_length_days = config.lifetime_days;
   params.scheme = config.scheme;
+  params.stale = config.stale;
   params.max_periods = config.max_periods;
   return params;
+}
+
+retention::ActiveDrConfig activedr_config(const ServiceConfig& config) {
+  retention::ActiveDrConfig adr;
+  adr.initial_lifetime_days = config.lifetime_days;
+  adr.retrospective_passes = config.retrospective_passes;
+  adr.retrospective_decay = config.retrospective_decay;
+  adr.lifetime_mode = config.lifetime_mode;
+  adr.dry_run = config.dry_run;
+  adr.record_victims = config.record_victims;
+  adr.scan_mode = config.scan_mode;
+  return adr;
+}
+
+retention::FltConfig flt_config(const ServiceConfig& config) {
+  retention::FltConfig flt;
+  flt.lifetime_days = config.lifetime_days;
+  flt.dry_run = config.dry_run;
+  flt.record_victims = config.record_victims;
+  flt.scan_mode = config.scan_mode;
+  return flt;
 }
 
 }  // namespace
@@ -169,9 +193,9 @@ void Service::set_degraded(bool degraded) {
 
 const activeness::RankStore& Service::evaluate(util::TimePoint now) {
   activeness::ActivityStore& store = ensure_store();
-  // Unlike the pre-refactor Engine guard this also checks the ingest
-  // queues: a daemon trigger repeated at the same `now` must still fold in
-  // events producers enqueued since the last advance.
+  // The guard also checks the ingest queue: a daemon trigger repeated at
+  // the same `now` must still fold in events producers enqueued since the
+  // last advance.
   if (last_eval_time_ && *last_eval_time_ == now && !store.has_dirty() &&
       !store.has_pending_ingest()) {
     return ranks_;
@@ -199,54 +223,66 @@ util::Duration Service::effective_lifetime_of(trace::UserId user) const {
       static_cast<double>(util::days(config_.lifetime_days)) * mult);
 }
 
-retention::PurgeReport Service::purge(util::TimePoint now) {
+retention::PurgeReport Service::purge(util::TimePoint now, Policy policy) {
   const std::uint64_t target =
       config_.purge_target_utilization > 0.0
           ? retention::purge_target_bytes(vfs_,
                                           config_.purge_target_utilization)
           : 0;
-  return purge(now, target);
+  return purge(now, target, policy);
 }
 
 retention::PurgeReport Service::purge(util::TimePoint now,
-                                      std::uint64_t target_bytes) {
+                                      std::uint64_t target_bytes,
+                                      Policy policy) {
   evaluate(now);
   util::FaultInjector::global().crash_point("service.purge");
-  retention::ActiveDrConfig config;
-  config.initial_lifetime_days = config_.lifetime_days;
-  config.retrospective_passes = config_.retrospective_passes;
-  config.retrospective_decay = config_.retrospective_decay;
-  config.lifetime_mode = config_.lifetime_mode;
-  config.dry_run = config_.dry_run;
-  config.record_victims = config_.record_victims;
-  config.scan_mode = config_.scan_mode;
-  retention::ActiveDrPolicy policy(config, registry_);
+  const std::vector<activeness::UserGroup>& groups = pipeline_.groups();
+  const retention::GroupOf group_of = [&groups](trace::UserId user) {
+    return user < groups.size() ? groups[user]
+                                : activeness::UserGroup::kBothInactive;
+  };
+  switch (policy) {
+    case Policy::kFlt: {
+      retention::FltPolicy flt(flt_config(config_));
+      flt.set_group_of(group_of);
+      return flt.run(vfs_, now, target_bytes);
+    }
+    case Policy::kValue: {
+      retention::ValuePolicy value(retention::ValueConfig{});
+      value.set_group_of(group_of);
+      return value.run(vfs_, now, target_bytes);
+    }
+    case Policy::kScratchCache: {
+      retention::ScratchCachePolicy cache(retention::ScratchCacheConfig{});
+      cache.set_group_of(group_of);
+      return cache.run(vfs_, now, target_bytes);
+    }
+    case Policy::kActiveDr:
+      break;
+  }
+  retention::ActiveDrPolicy adr(activedr_config(config_), registry_);
   if (!exemptions_.empty()) {
     retention::ExemptionList copy;
     for (const auto& p : exemptions_.reserved_paths()) copy.reserve(p);
-    policy.set_exemptions(std::move(copy));
+    adr.set_exemptions(std::move(copy));
   }
-  return policy.run(vfs_, now, target_bytes, pipeline_.plan());
+  return adr.run(vfs_, now, target_bytes, pipeline_.plan());
 }
 
-retention::PurgeReport Service::purge_flt(util::TimePoint now) {
-  const std::uint64_t target =
-      config_.purge_target_utilization > 0.0
-          ? retention::purge_target_bytes(vfs_,
-                                          config_.purge_target_utilization)
-          : 0;
-  return purge_flt(now, target);
-}
-
-retention::PurgeReport Service::purge_flt(util::TimePoint now,
-                                          std::uint64_t target_bytes) {
-  retention::FltConfig config;
-  config.lifetime_days = config_.lifetime_days;
-  config.dry_run = config_.dry_run;
-  config.record_victims = config_.record_victims;
-  config.scan_mode = config_.scan_mode;
-  retention::FltPolicy policy(config);
-  return policy.run(vfs_, now, target_bytes);
+std::string Service::policy_name(Policy policy) const {
+  switch (policy) {
+    case Policy::kFlt:
+      return retention::FltPolicy(flt_config(config_)).name();
+    case Policy::kValue:
+      return retention::ValuePolicy(retention::ValueConfig{}).name();
+    case Policy::kScratchCache:
+      return retention::ScratchCachePolicy(retention::ScratchCacheConfig{})
+          .name();
+    case Policy::kActiveDr:
+      break;
+  }
+  return retention::ActiveDrPolicy(activedr_config(config_), registry_).name();
 }
 
 void Service::save_checkpoint(const std::string& dir) {

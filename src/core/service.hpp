@@ -2,18 +2,17 @@
 // core::Service — the shared trigger/evaluate/purge orchestration layer
 // (DESIGN.md §13).
 //
-// Before this layer existed, three call sites each rebuilt the same wiring
-// by hand: Engine (the library entry point), cli/commands.cpp (one-shot
-// `evaluate`/`purge`), and sim/loadgen.cpp (the sustained-load harness).
-// Service owns that wiring once — registry, activity catalog + store,
-// IncrementalEvaluator pipeline, Vfs, exemptions — and everything above it
-// is a thin adapter: Engine forwards its public API here, the CLI builds a
-// Service per invocation, and `activedr serve` keeps one resident and feeds
-// it from the WAL.
+// Service owns the wiring once — registry, activity catalog + store,
+// IncrementalEvaluator pipeline, Vfs, exemptions. The paper emulator
+// replays each policy run on its own Service (sim/emulator.hpp), loadgen,
+// the scale harness and the chaos soak feed one, and `activedr serve`
+// keeps one resident and feeds it from the WAL. The CLI reaches it through those harnesses (`replay`,
+// `compare`, `loadgen`, `chaos`, `serve`); its one-shot `evaluate` and
+// `purge` commands still wire their own evaluator and policy (`purge
+// --ranks` reads a rank file, which Service has no entry point for).
 //
-// Three capabilities are new at this layer (the daemon needs them, the
-// one-shot paths get them for free):
-//
+// Three capabilities exist for the daemon (the other callers get them for
+// free):
 //  * apply(Event): a WAL record mutates exactly the state the bulk loaders
 //    would have built — kJob/kPublication stream into the ActivityStore
 //    (same type ids and impacts as ingest_jobs/ingest_publications),
@@ -47,12 +46,14 @@
 
 namespace adr::core {
 
-/// Everything a deployment configures once. The first block mirrors
-/// Engine::Options (Eq. 7 knobs, retrospective policy, purge target, eval
-/// mode); the second block carries the execution knobs the CLI used to
-/// thread by hand into each policy run.
+/// Everything a deployment configures once. The first block holds the
+/// paper's knobs (file lifetime = activeness period length d, purge
+/// target, Eq. 7 and the retrospective policy, Eqs. 1–5, eval mode); the
+/// second block carries the execution knobs of each policy run.
 struct ServiceConfig {
   int lifetime_days = 90;
+  /// Utilization a purge drives the scratch space down to (fraction of
+  /// capacity). <= 0: no target — purge everything expired.
   double purge_target_utilization = 0.5;
   int retrospective_passes = 5;
   double retrospective_decay = 0.20;
@@ -60,6 +61,7 @@ struct ServiceConfig {
       activeness::LifetimeMode::kActiveCategoriesOnly;
   activeness::ExponentScheme scheme =
       activeness::ExponentScheme::kPaperExponent;
+  activeness::StaleHandling stale = activeness::StaleHandling::kClampOldest;
   int max_periods = 0;
   activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
 
@@ -67,6 +69,13 @@ struct ServiceConfig {
   bool dry_run = false;
   bool record_victims = false;
 };
+
+/// The retention policy one purge trigger runs. ActiveDR scans the latest
+/// evaluation's plan; the other three purge on their own criteria and
+/// attribute their reports to the same evaluation's groups. kValue and
+/// kScratchCache run at their default configs (retention/value_policy.hpp,
+/// retention/cache_policy.hpp).
+enum class Policy { kActiveDr, kFlt, kValue, kScratchCache };
 
 /// WAL events carry no catalog ids, only kinds; these are the fixed type
 /// ids kJob/kPublication map to — the paper_default() registration order
@@ -78,6 +87,12 @@ inline constexpr activeness::ActivityTypeId kPublicationActivityType = 1;
 class Service {
  public:
   Service(trace::UserRegistry registry, ServiceConfig config);
+  // The pipeline keeps a pointer to catalog_, so a copied or moved Service
+  // would evaluate against its source's (possibly destroyed) catalog.
+  Service(const Service&) = delete;
+  Service& operator=(const Service&) = delete;
+  Service(Service&&) = delete;
+  Service& operator=(Service&&) = delete;
 
   // -- one-time configuration -------------------------------------------
   activeness::ActivityTypeId register_operation_type(const std::string& name,
@@ -133,19 +148,20 @@ class Service {
   const activeness::RankStore& ranks() const { return ranks_; }
 
   // -- retention ----------------------------------------------------------
-  /// One ActiveDR purge trigger at `now` (evaluates first if needed). The
+  /// One purge trigger at `now` under `policy`: evaluates at `now` (cached
+  /// if nothing changed), then runs the policy against the Vfs. The
   /// no-target overload derives the byte target from
   /// config().purge_target_utilization and the Vfs capacity; the explicit
   /// overload takes the target in bytes (0 = no target, purge all expired)
   /// — the daemon computes cmd_purge-compatible retain-fraction targets
   /// through it.
-  retention::PurgeReport purge(util::TimePoint now);
   retention::PurgeReport purge(util::TimePoint now,
-                               std::uint64_t target_bytes);
-  /// The FLT baseline on the same state (mutates the vfs just like purge).
-  retention::PurgeReport purge_flt(util::TimePoint now);
-  retention::PurgeReport purge_flt(util::TimePoint now,
-                                   std::uint64_t target_bytes);
+                               Policy policy = Policy::kActiveDr);
+  retention::PurgeReport purge(util::TimePoint now,
+                               std::uint64_t target_bytes,
+                               Policy policy = Policy::kActiveDr);
+  /// The name `policy`'s reports carry (e.g. "FLT-90d").
+  std::string policy_name(Policy policy) const;
 
   // -- checkpointing ------------------------------------------------------
   /// Write a recovery checkpoint into `dir` (created if needed) and seal it

@@ -304,9 +304,9 @@ void Daemon::handle_command(const std::string& cmd_path) {
         if (policy != "activedr" && policy != "flt") {
           throw std::runtime_error("unknown policy \"" + policy + "\"");
         }
-        const retention::PurgeReport report =
-            policy == "flt" ? service_.purge_flt(now, target)
-                            : service_.purge(now, target);
+        const retention::PurgeReport report = service_.purge(
+            now, target,
+            policy == "flt" ? core::Policy::kFlt : core::Policy::kActiveDr);
         put("ok", "true");
         put("policy", report.policy);
         put("purged_files", std::to_string(report.purged_files));

@@ -1,169 +1,35 @@
 #pragma once
 // The trace-replay emulator (§4.1.3).
 //
-// A run seeds a Vfs from the scenario's initial snapshot, replays the replay
-// year's application log day by day (accesses bump atimes; absent paths are
-// *file misses*; creates add files), and fires the retention driver at every
-// purge-trigger interval. Both policies are driven through the same loop so
-// their miss series are directly comparable.
+// A run replays the scenario's application log day by day on one
+// core::Service — the same orchestration layer the daemon keeps resident —
+// whose Vfs starts from the scenario's initial snapshot: accesses bump
+// atimes (absent paths are *file misses*), creates add files, and every
+// purge-trigger interval fires Service::purge under the run's policy.
+// Every policy is driven through the same loop so their miss series are
+// directly comparable.
 //
-// ActivenessTimeline centralizes user evaluation during replay: each purge
-// trigger advances an incremental evaluation pipeline to that instant (see
-// activeness/incremental.hpp — only users whose rank can have changed are
-// re-ranked). ActiveDR consumes the scan plan; both policies' metrics
-// attribute users to the same classification, so the per-group figures line
-// up the way the paper's do.
+// The Service evaluates user activeness at every trigger instant, before
+// the "already below target" skip, and each access and the end-of-year
+// aggregates are attributed to its latest evaluation. Triggers and
+// accesses replay in time order, so an access at t sees the evaluation of
+// the last trigger at or before t whichever policy runs — the per-group
+// figures of two runs line up the way the paper's do.
 
-#include <map>
-#include <memory>
+#include <array>
 #include <string>
 #include <vector>
 
-#include "activeness/classifier.hpp"
-#include "activeness/incremental.hpp"
-#include "obs/metrics.hpp"
+#include "core/service.hpp"
 #include "fs/archive.hpp"
-#include "retention/activedr_policy.hpp"
-#include "retention/cache_policy.hpp"
-#include "retention/flt.hpp"
-#include "retention/value_policy.hpp"
+#include "retention/report.hpp"
 #include "sim/metrics.hpp"
 #include "synth/titan_model.hpp"
 
 namespace adr::sim {
 
-/// Re-evaluation of user activeness at successive replay instants, advanced
-/// in place by an IncrementalEvaluator. Only the *latest* scan plan is held
-/// (repeated plan_at with the same t returns the same object); group
-/// attribution history is a compact per-trigger group table, deduplicated
-/// across triggers whose classification did not change — the timeline's
-/// memory is bounded by the number of *distinct* classifications, not by
-/// trigger count, and never retains old plans.
-class ActivenessTimeline {
- public:
-  ActivenessTimeline(const activeness::ActivityCatalog& catalog,
-                     activeness::ActivityStore store,
-                     activeness::EvaluationParams base_params,
-                     activeness::EvalMode mode = activeness::EvalMode::kAuto);
-
-  /// Scan plan evaluated at `t`. The returned reference stays valid until
-  /// the next plan_at call with a different `t` (which advances the
-  /// pipeline in place).
-  const activeness::ScanPlan& plan_at(util::TimePoint t);
-
-  /// Group of `user` per the latest evaluation at or before `t`
-  /// (Both-Inactive before any evaluation exists).
-  activeness::UserGroup group_at(trace::UserId user, util::TimePoint t) const;
-
-  /// Dense user -> group table of the latest evaluation at or before `t`,
-  /// or nullptr before any evaluation. Callers attributing *many* users at
-  /// one instant (end-of-year aggregation) fetch this once instead of
-  /// paying the timeline map lookup per user.
-  const std::vector<activeness::UserGroup>* group_lookup_at(
-      util::TimePoint t) const;
-
-  std::size_t user_count() const { return store_.user_count(); }
-  /// Wall time this timeline spent evaluating (Fig. 12b probe). Per
-  /// instance: two concurrent timelines each report only their own work.
-  double eval_seconds() const { return pipeline_.seconds(); }
-
-  activeness::EvalMode eval_mode() const { return pipeline_.mode(); }
-  /// Distinct group tables retained for historical attribution — the
-  /// timeline's memory bound (evaluations whose classification matched the
-  /// previous one are deduplicated away, and plans are never retained).
-  std::size_t group_history_size() const { return group_history_.size(); }
-  /// What the most recent plan_at advance did (delta sizes, skip counts).
-  const activeness::AdvanceStats& last_advance() const {
-    return last_advance_;
-  }
-
-  /// Build a timeline for a Titan scenario with the paper's two activity
-  /// types (job submissions as operations, publications as outcomes).
-  static ActivenessTimeline for_scenario(
-      const synth::TitanScenario& scenario,
-      activeness::EvaluationParams params,
-      activeness::EvalMode mode = activeness::EvalMode::kAuto);
-
- private:
-  const activeness::ActivityCatalog* catalog_;
-  activeness::ActivityStore store_;
-  activeness::IncrementalEvaluator pipeline_;
-  /// Group tables by evaluation instant; consecutive identical tables
-  /// collapse into the earliest entry (lookups still resolve correctly —
-  /// the collapsed entry has the same contents).
-  std::map<util::TimePoint, std::vector<activeness::UserGroup>> group_history_;
-  activeness::AdvanceStats last_advance_;
-};
-
-/// Policy adapter the replay loop drives.
-class RetentionDriver {
- public:
-  virtual ~RetentionDriver() = default;
-  virtual std::string name() const = 0;
-  virtual retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                         std::uint64_t target_bytes) = 0;
-};
-
-class FltDriver final : public RetentionDriver {
- public:
-  FltDriver(retention::FltConfig config, ActivenessTimeline& timeline);
-  std::string name() const override;
-  retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                 std::uint64_t target_bytes) override;
-
- private:
-  retention::FltPolicy policy_;
-  ActivenessTimeline* timeline_;
-};
-
-class ActiveDrDriver final : public RetentionDriver {
- public:
-  ActiveDrDriver(retention::ActiveDrConfig config,
-                 const trace::UserRegistry& registry,
-                 ActivenessTimeline& timeline);
-  void set_exemptions(retention::ExemptionList exemptions);
-  std::string name() const override;
-  retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                 std::uint64_t target_bytes) override;
-
- private:
-  retention::ActiveDrPolicy policy_;
-  ActivenessTimeline* timeline_;
-};
-
-/// Value-based retention (§2's second family) through the replay loop.
-class ValueDriver final : public RetentionDriver {
- public:
-  ValueDriver(retention::ValueConfig config, ActivenessTimeline& timeline);
-  std::string name() const override;
-  retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                 std::uint64_t target_bytes) override;
-
- private:
-  retention::ValuePolicy policy_;
-  ActivenessTimeline* timeline_;
-};
-
-/// Scratch-as-a-cache (§2, Monti et al.) through the replay loop.
-class ScratchCacheDriver final : public RetentionDriver {
- public:
-  ScratchCacheDriver(retention::ScratchCacheConfig config,
-                     ActivenessTimeline& timeline);
-  std::string name() const override;
-  retention::PurgeReport trigger(fs::Vfs& vfs, util::TimePoint now,
-                                 std::uint64_t target_bytes) override;
-
- private:
-  retention::ScratchCachePolicy policy_;
-  ActivenessTimeline* timeline_;
-};
-
 struct EmulatorConfig {
   int purge_interval_days = 7;
-  /// Purge target: utilization to reach, as a fraction of capacity
-  /// (the paper uses 0.5). <= 0 disables the target — every trigger purges
-  /// all expired files (strict FLT mode, Fig. 1).
-  double purge_target_utilization = 0.5;
   /// Model the paper's "expensive re-transmission": after a miss the user
   /// restores the file from the archive tier, so later accesses hit again
   /// (each purge therefore costs one counted miss per revisited file, not
@@ -203,34 +69,27 @@ struct EmulationResult {
   std::uint64_t final_bytes = 0;
   std::size_t final_files = 0;
 
-  /// Wall-time attribution, derived from metrics-registry span snapshots
-  /// taken around the run ("emulator.replay" / "emulator.purge_trigger").
-  double replay_seconds = 0.0;  ///< access replay wall time
-  double purge_seconds = 0.0;   ///< retention (trigger) wall time
-
   /// Archive-tier accounting: what the year's purges displaced and what
   /// the misses cost to restore (bytes moved, modeled hours waited) — the
   /// §1/§2 re-transmission cost, quantified.
   fs::ArchiveStats archive;
 };
 
-class Emulator {
- public:
-  Emulator(const synth::TitanScenario& scenario, EmulatorConfig config,
-           ActivenessTimeline& timeline);
+/// Load a Titan scenario into a fresh Service: register the paper's two
+/// activity types (job submissions as operations, publications as
+/// outcomes), ingest the job and publication logs, load the initial
+/// snapshot and set the scratch capacity.
+void load_scenario(core::Service& service,
+                   const synth::TitanScenario& scenario);
 
-  /// Replay the scenario's year under the given policy driver.
-  /// `target_utilization_override`, when >= 0, replaces the config's purge
-  /// target for this run — the paper's comparison pits the facility's
-  /// *strict* FLT (no target: every expired file goes) against ActiveDR
-  /// purging to the 50% target and stopping there.
-  EmulationResult run(RetentionDriver& driver,
-                      double target_utilization_override = -1.0);
-
- private:
-  const synth::TitanScenario* scenario_;
-  EmulatorConfig config_;
-  ActivenessTimeline* timeline_;
-};
+/// Replay the scenario's year on `service` (loaded by load_scenario) under
+/// `policy`, purging toward the service's own
+/// config().purge_target_utilization at every trigger: <= 0 is strict mode
+/// (every trigger purges all expired files, Fig. 1); above 0 a trigger
+/// whose utilization already sits at or below the target purges nothing.
+/// The replay mutates the service's Vfs.
+EmulationResult replay(const synth::TitanScenario& scenario,
+                       core::Service& service, core::Policy policy,
+                       const EmulatorConfig& config);
 
 }  // namespace adr::sim

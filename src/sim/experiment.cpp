@@ -2,59 +2,54 @@
 
 namespace adr::sim {
 
-activeness::EvaluationParams evaluation_params(const ExperimentConfig& config) {
-  activeness::EvaluationParams params;
-  params.period_length_days = config.lifetime_days;
-  params.scheme = config.scheme;
-  params.stale = config.stale;
-  params.max_periods = config.max_periods;
-  return params;
-}
-
 namespace {
 
-retention::ActiveDrConfig activedr_config(const ExperimentConfig& config) {
-  retention::ActiveDrConfig adr;
-  adr.initial_lifetime_days = config.lifetime_days;
-  adr.retrospective_passes = config.retrospective_passes;
-  adr.retrospective_decay = config.retrospective_decay;
-  adr.lifetime_mode = config.lifetime_mode;
-  return adr;
+core::ServiceConfig service_config(const ExperimentConfig& config) {
+  core::ServiceConfig service;
+  service.lifetime_days = config.lifetime_days;
+  service.purge_target_utilization = config.purge_target_utilization;
+  service.retrospective_passes = config.retrospective_passes;
+  service.retrospective_decay = config.retrospective_decay;
+  service.lifetime_mode = config.lifetime_mode;
+  service.scheme = config.scheme;
+  service.max_periods = config.max_periods;
+  service.eval_mode = config.eval_mode;
+  return service;
 }
 
-EmulatorConfig emulator_config(const ExperimentConfig& config) {
-  EmulatorConfig emu;
-  emu.purge_interval_days = config.purge_interval_days;
-  emu.purge_target_utilization = config.purge_target_utilization;
-  return emu;
+/// `config` without a purge target: strict FLT.
+ExperimentConfig strict(ExperimentConfig config) {
+  config.purge_target_utilization = 0.0;
+  return config;
 }
 
-retention::ExemptionList build_exemptions(const ExperimentConfig& config) {
-  retention::ExemptionList list;
-  for (const auto& p : config.exempt_paths) list.reserve(p);
-  return list;
+/// Replay the year under `policy` on a fresh Service built for `config`.
+EmulationResult run(const synth::TitanScenario& scenario,
+                    const ExperimentConfig& config, core::Policy policy) {
+  const std::unique_ptr<core::Service> service =
+      make_service(scenario, config);
+  EmulatorConfig emulator;
+  emulator.purge_interval_days = config.purge_interval_days;
+  return replay(scenario, *service, policy, emulator);
 }
 
 }  // namespace
 
+std::unique_ptr<core::Service> make_service(
+    const synth::TitanScenario& scenario, const ExperimentConfig& config) {
+  auto service = std::make_unique<core::Service>(scenario.registry,
+                                                 service_config(config));
+  load_scenario(*service, scenario);
+  for (const auto& path : config.exempt_paths) service->reserve(path);
+  return service;
+}
+
 ComparisonResult run_comparison(const synth::TitanScenario& scenario,
                                 const ExperimentConfig& config) {
-  ActivenessTimeline timeline =
-      ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode);
-  Emulator emulator(scenario, emulator_config(config), timeline);
-
   ComparisonResult result;
-  {
-    FltDriver flt(retention::FltConfig{config.lifetime_days}, timeline);
-    result.flt = emulator.run(
-        flt, config.flt_strict ? 0.0 : config.purge_target_utilization);
-  }
-  {
-    ActiveDrDriver adr(activedr_config(config), scenario.registry, timeline);
-    adr.set_exemptions(build_exemptions(config));
-    result.activedr = emulator.run(adr);
-  }
+  result.flt = run(scenario, config.flt_strict ? strict(config) : config,
+                   core::Policy::kFlt);
+  result.activedr = run(scenario, config, core::Policy::kActiveDr);
   // Group populations at the final evaluation (identical for both runs).
   for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
     result.final_group_counts[g] = result.activedr.groups[g].users_in_group;
@@ -64,14 +59,7 @@ ComparisonResult run_comparison(const synth::TitanScenario& scenario,
 
 EmulationResult run_flt_strict(const synth::TitanScenario& scenario,
                                const ExperimentConfig& config) {
-  ActivenessTimeline timeline =
-      ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode);
-  EmulatorConfig emu = emulator_config(config);
-  emu.purge_target_utilization = 0.0;  // strict: purge every expired file
-  Emulator emulator(scenario, emu, timeline);
-  FltDriver flt(retention::FltConfig{config.lifetime_days}, timeline);
-  return emulator.run(flt);
+  return run(scenario, strict(config), core::Policy::kFlt);
 }
 
 fs::Vfs build_state_at(const synth::TitanScenario& scenario,
@@ -128,20 +116,12 @@ SnapshotRetentionResult run_snapshot_retention(
     const synth::TitanScenario& scenario, const ExperimentConfig& config,
     util::TimePoint as_of) {
   const fs::Vfs state = build_state_at(scenario, as_of);
-
-  ActivenessTimeline timeline =
-      ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode);
-  const activeness::ScanPlan& plan = timeline.plan_at(as_of);
+  const std::unique_ptr<core::Service> service =
+      make_service(scenario, config);
+  service->evaluate(as_of);
 
   SnapshotRetentionResult result;
-  for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
-    result.group_counts[g] =
-        plan.group(static_cast<activeness::UserGroup>(g)).size();
-  }
-  const retention::GroupOf group_of = [&](trace::UserId user) {
-    return timeline.group_at(user, as_of);
-  };
+  result.group_counts = service->group_counts();
 
   // Both policies chase the same byte target from identical states. The
   // paper defines this experiment's "total capacity" as the synthesized
@@ -150,29 +130,16 @@ SnapshotRetentionResult run_snapshot_retention(
   const std::uint64_t target = static_cast<std::uint64_t>(
       static_cast<double>(state.total_bytes()) *
       (1.0 - config.purge_target_utilization));
-  {
-    fs::Vfs vfs = clone_state(state);
-    retention::FltPolicy flt(retention::FltConfig{config.lifetime_days});
-    flt.set_group_of(group_of);
-    result.flt = flt.run(vfs, as_of, target);
-  }
-  {
-    fs::Vfs vfs = clone_state(state);
-    retention::ActiveDrPolicy adr(activedr_config(config), scenario.registry);
-    result.activedr = adr.run(vfs, as_of, target, plan);
-  }
+  service->vfs() = clone_state(state);
+  result.flt = service->purge(as_of, target, core::Policy::kFlt);
+  service->vfs() = clone_state(state);
+  result.activedr = service->purge(as_of, target, core::Policy::kActiveDr);
   return result;
 }
 
 EmulationResult run_activedr(const synth::TitanScenario& scenario,
                              const ExperimentConfig& config) {
-  ActivenessTimeline timeline =
-      ActivenessTimeline::for_scenario(scenario, evaluation_params(config),
-                                       config.eval_mode);
-  Emulator emulator(scenario, emulator_config(config), timeline);
-  ActiveDrDriver adr(activedr_config(config), scenario.registry, timeline);
-  adr.set_exemptions(build_exemptions(config));
-  return emulator.run(adr);
+  return run(scenario, config, core::Policy::kActiveDr);
 }
 
 }  // namespace adr::sim

@@ -1,7 +1,9 @@
 #pragma once
-// Paper-experiment runner: wires a Titan scenario, an activeness timeline,
-// and the two policies into the §4 evaluation procedure, so every bench
-// binary is a thin printer over one of these runs.
+// Paper-experiment runner: wires a Titan scenario, one core::Service per
+// policy run, and the replay loop into the §4 evaluation procedure, so
+// every bench binary is a thin printer over one of these runs.
+
+#include <memory>
 
 #include "sim/emulator.hpp"
 
@@ -12,8 +14,8 @@ struct ExperimentConfig {
   /// for both: 7 / 30 / 60 / 90).
   int lifetime_days = 90;
   int purge_interval_days = 7;
-  /// Utilization ActiveDR's purge must reach (fraction of capacity); <= 0
-  /// disables the target.
+  /// Utilization each run's purge must reach (fraction of capacity); <= 0
+  /// disables the target. Strict FLT runs always run without one.
   double purge_target_utilization = 0.5;
 
   /// The FLT side of run_comparison: true (default, the paper's setup) runs
@@ -29,22 +31,26 @@ struct ExperimentConfig {
       activeness::LifetimeMode::kActiveCategoriesOnly;
   activeness::ExponentScheme scheme =
       activeness::ExponentScheme::kPaperExponent;
-  activeness::StaleHandling stale = activeness::StaleHandling::kClampOldest;
   int max_periods = 0;
-  /// How the timeline re-evaluates at each trigger (delta-aware by default;
-  /// kFull pins the re-rank-everyone baseline). Full and incremental are
-  /// result-identical — this is a performance knob.
+  /// How each run's Service re-evaluates at a trigger (delta-aware by
+  /// default; kFull pins the re-rank-everyone baseline). Full and
+  /// incremental are result-identical — this is a performance knob.
   activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
 
   /// Optional reserved paths (purge exemption) applied to ActiveDR runs.
   std::vector<std::string> exempt_paths;
 };
 
-activeness::EvaluationParams evaluation_params(const ExperimentConfig& config);
+/// The Service one experiment run drives, built in place: `config` mapped
+/// onto a ServiceConfig (purge target = config.purge_target_utilization),
+/// the scenario loaded (load_scenario) and config.exempt_paths reserved.
+std::unique_ptr<core::Service> make_service(
+    const synth::TitanScenario& scenario, const ExperimentConfig& config);
 
-/// A full FLT-vs-ActiveDR comparison on one scenario (both replays share one
-/// activeness timeline, so classifications — and thus per-group metrics —
-/// are identical across the two runs).
+/// A full FLT-vs-ActiveDR comparison on one scenario. Each replay runs on
+/// its own Service, and both evaluate the same activity traces at the same
+/// trigger instants, so classifications — and thus per-group metrics — are
+/// identical across the two runs.
 struct ComparisonResult {
   EmulationResult flt;
   EmulationResult activedr;
@@ -64,7 +70,7 @@ EmulationResult run_flt_strict(const synth::TitanScenario& scenario,
 /// 2016-08-23), run ONE retention pass per policy — both driven to the same
 /// purge target — and compare what each retains/purges per group. FLT
 /// purges expired files in system scan order until the target; ActiveDR
-/// runs its full prioritized procedure.
+/// runs its full prioritized procedure, honouring config.exempt_paths.
 struct SnapshotRetentionResult {
   retention::PurgeReport flt;
   retention::PurgeReport activedr;
@@ -82,7 +88,8 @@ fs::Vfs build_state_at(const synth::TitanScenario& scenario,
                        util::TimePoint as_of, int facility_lifetime_days = 90,
                        int purge_interval_days = 7);
 
-/// ActiveDR alone (e.g. for ablation sweeps).
+/// ActiveDR alone (e.g. for ablation sweeps); equals run_comparison's
+/// ActiveDR side.
 EmulationResult run_activedr(const synth::TitanScenario& scenario,
                              const ExperimentConfig& config);
 

@@ -8,8 +8,10 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "trace/event_log.hpp"
 #include "util/bundle.hpp"
 #include "util/fault.hpp"
@@ -21,8 +23,35 @@ namespace {
 
 namespace fsys = std::filesystem;
 
+// The evaluation pipeline keeps a pointer to the Service's own catalog, so
+// a moved Service would evaluate against its source's catalog, which
+// dangles once the source is destroyed.
+static_assert(!std::is_move_constructible_v<Service>);
+
 constexpr util::TimePoint kBase = 1'600'000'000;
 constexpr std::size_t kUsers = 8;
+/// Evaluation instant of the single-service API cases.
+constexpr util::TimePoint kNow = kBase;
+
+fs::FileMeta meta(trace::UserId owner, std::uint64_t size, double age_days) {
+  fs::FileMeta m;
+  m.owner = owner;
+  m.size_bytes = size;
+  m.atime = kNow - static_cast<util::Duration>(age_days * 86400);
+  m.ctime = m.atime;
+  return m;
+}
+
+/// user0 rises across three periods: impacts 300/300/600 (old -> new),
+/// ratios (0.75, 0.75, 1.5) -> Phi = 0.75 * 0.75^2 * 1.5^3 = 1.42 (active).
+void record_rising_user0(Service& service, activeness::ActivityTypeId op) {
+  for (int p = 0; p < 3; ++p) {
+    for (int k = 0; k < 3; ++k) {
+      service.record(0, op, kNow - util::days(90 * p + 10 + k * 20),
+                     p == 0 ? 200.0 : 100.0);
+    }
+  }
+}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -100,6 +129,15 @@ std::unique_ptr<Service> make_service() {
 
 class ServiceTest : public ::testing::Test {
  protected:
+  ServiceTest() { service_.register_paper_types(); }
+
+  /// The API cases drive one 4-user Service at the default config, with
+  /// the paper's two activity types registered.
+  Service service_{trace::UserRegistry::with_synthetic_users(4),
+                   ServiceConfig{}};
+  const activeness::ActivityTypeId op_ = kJobActivityType;
+  const activeness::ActivityTypeId oc_ = kPublicationActivityType;
+
   std::string dir_ = ::testing::TempDir() + "/adr_service_test_" +
                      std::to_string(::getpid());
   std::string wal_ = dir_ + "/wal";
@@ -160,7 +198,7 @@ TEST_F(ServiceTest, ApplyIsSeqGuardedAndIdempotent) {
 
 TEST_F(ServiceTest, WalReplayMatchesDirectRecordIngest) {
   // Feed the same history through record()/vfs calls directly (the bulk
-  // path Engine users take) and through WAL apply; ranks must match
+  // path the examples take) and through WAL apply; ranks must match
   // byte-for-byte.
   auto direct = make_service();
   for (const auto& event : make_history()) {
@@ -335,6 +373,192 @@ TEST_F(ServiceTest, CrashMidCheckpointNeverYieldsARestorableHalfBundle) {
     EXPECT_FALSE(service->restore_checkpoint(ckpt).ok);
     for (const auto& event : events) service->apply(event);
     EXPECT_EQ(service->last_applied_seq(), events.size());
+  }
+}
+
+TEST_F(ServiceTest, RecordAndEvaluate) {
+  // user0: dense recent ops -> active; user1: nothing -> fresh/inactive.
+  for (int p = 0; p < 4; ++p) {
+    for (int k = 0; k < 3; ++k) {
+      service_.record(0, op_,
+                      kNow - util::days(90 * p + 10 + k * 20), 100.0);
+    }
+  }
+  const auto& ranks = service_.evaluate(kNow);
+  EXPECT_TRUE(ranks.get(0).op.has_data);
+  EXPECT_TRUE(ranks.get(1).fresh());
+  const auto counts = service_.group_counts();
+  EXPECT_EQ(counts[0] + counts[1] + counts[2] + counts[3], 4u);
+}
+
+TEST_F(ServiceTest, RecordUnregisteredTypeThrows) {
+  EXPECT_THROW(service_.record(0, 99, kNow, 1.0), std::out_of_range);
+}
+
+TEST_F(ServiceTest, WeightsScaleImpacts) {
+  const auto heavy = service_.register_operation_type("transfer", 10.0);
+  service_.record(0, heavy, kNow - util::days(1), 2.0);
+  const auto& ranks = service_.evaluate(kNow);
+  // Single activity: rank 1.0 regardless of weight, but data present.
+  EXPECT_TRUE(ranks.get(0).op.active());
+}
+
+TEST_F(ServiceTest, PurgeUsesActiveness) {
+  // user0 active (dense rising ops), user1 silent.
+  record_rising_user0(service_, op_);
+  service_.vfs().create("/scratch/user_00000/stale", meta(0, 100, 120));
+  service_.vfs().create("/scratch/user_00001/stale", meta(1, 100, 120));
+  service_.vfs().set_capacity_bytes(200);
+
+  const auto report = service_.purge(kNow);
+  EXPECT_EQ(report.policy, "ActiveDR-90d");
+  // Target: reach 50% of 200 = 100 bytes -> purge 100 bytes, starting from
+  // the inactive user.
+  EXPECT_TRUE(report.target_reached);
+  EXPECT_FALSE(service_.vfs().exists("/scratch/user_00001/stale"));
+  EXPECT_TRUE(service_.vfs().exists("/scratch/user_00000/stale"));
+}
+
+TEST_F(ServiceTest, ReserveProtectsFiles) {
+  // The reserved file is the only purge candidate: it must survive even
+  // though that leaves the 50% target unmet.
+  service_.vfs().create("/scratch/user_00001/keep.dat", meta(1, 100, 500));
+  service_.reserve("/scratch/user_00001/keep.dat");
+  service_.vfs().set_capacity_bytes(100);
+  const auto report = service_.purge(kNow);
+  EXPECT_TRUE(service_.vfs().exists("/scratch/user_00001/keep.dat"));
+  EXPECT_FALSE(report.target_reached);
+  EXPECT_GT(report.exempted_files, 0u);
+}
+
+TEST_F(ServiceTest, IngestLogsMatchesRecord) {
+  trace::JobLog jobs;
+  trace::JobRecord j;
+  j.user = 2;
+  j.submit_time = kNow - util::days(5);
+  j.duration_seconds = 3600;
+  j.cores = 10;
+  jobs.add(j);
+  service_.ingest_jobs(jobs, op_);
+
+  trace::PublicationLog pubs;
+  trace::PublicationRecord p;
+  p.published = kNow - util::days(10);
+  p.citations = 3;
+  p.authors = {3};
+  pubs.add(p);
+  service_.ingest_publications(pubs, oc_);
+
+  const auto& ranks = service_.evaluate(kNow);
+  EXPECT_TRUE(ranks.get(2).op.active());   // single activity -> rank 1
+  EXPECT_TRUE(ranks.get(3).oc.active());
+  EXPECT_EQ(service_.group_counts()[1], 1u);  // op-active-only
+  EXPECT_EQ(service_.group_counts()[2], 1u);  // oc-active-only
+}
+
+TEST_F(ServiceTest, PurgeFltBaseline) {
+  record_rising_user0(service_, op_);
+  service_.vfs().create("/scratch/user_00000/old", meta(0, 100, 120));
+  service_.vfs().create("/scratch/user_00000/new", meta(0, 100, 5));
+  service_.vfs().set_capacity_bytes(200);
+  const auto report = service_.purge(kNow, Policy::kFlt);
+  EXPECT_EQ(report.policy, "FLT-90d");
+  EXPECT_FALSE(service_.vfs().exists("/scratch/user_00000/old"));
+  EXPECT_TRUE(service_.vfs().exists("/scratch/user_00000/new"));
+  // FLT picks victims by age alone but attributes them to the evaluation
+  // at `now`: the active user's purged bytes land in that user's group.
+  const auto group = static_cast<std::size_t>(
+      activeness::classify(service_.activeness_of(0)));
+  EXPECT_NE(group,
+            static_cast<std::size_t>(activeness::UserGroup::kBothInactive));
+  EXPECT_EQ(report.by_group[group].purged_bytes, 100u);
+}
+
+TEST_F(ServiceTest, SnapshotLoading) {
+  trace::Snapshot snap;
+  trace::SnapshotEntry e;
+  e.path = "/scratch/user_00002/data.h5";
+  e.owner = 2;
+  e.size_bytes = 42;
+  e.atime = kNow - util::days(1);
+  snap.add(e);
+  service_.load_snapshot(snap);
+  EXPECT_EQ(service_.vfs().total_bytes(), 42u);
+  EXPECT_TRUE(service_.vfs().exists("/scratch/user_00002/data.h5"));
+}
+
+TEST_F(ServiceTest, EffectiveLifetimeQueries) {
+  // user0 active (the calibrated rising pattern: Phi = 1.42), user1 silent.
+  record_rising_user0(service_, op_);
+  service_.evaluate(kNow);
+
+  const auto active = service_.activeness_of(0);
+  EXPECT_TRUE(active.op.active());
+  EXPECT_GT(service_.effective_lifetime_of(0), util::days(90));
+  EXPECT_NEAR(static_cast<double>(service_.effective_lifetime_of(0)),
+              static_cast<double>(util::days(90)) * active.op.value(), 1e6);
+
+  // Silent users enjoy exactly the initial lifetime.
+  EXPECT_TRUE(service_.activeness_of(1).fresh());
+  EXPECT_EQ(service_.effective_lifetime_of(1), util::days(90));
+}
+
+TEST_F(ServiceTest, EvaluationCachedUntilNewActivity) {
+  service_.record(0, op_, kNow - util::days(1), 1.0);
+  const auto& r1 = service_.evaluate(kNow);
+  const auto& r2 = service_.evaluate(kNow);
+  EXPECT_EQ(&r1, &r2);
+  service_.record(0, op_, kNow - util::days(2), 1.0);
+  const auto& r3 = service_.evaluate(kNow);
+  EXPECT_TRUE(r3.get(0).op.has_data);
+}
+
+TEST_F(ServiceTest, IncrementalEvaluationTouchesOnlyTheDirtyUser) {
+  // user0: stale history whose rank is provably pinned at zero (empty
+  // newest periods, pigeonhole); users 1-3 fresh.
+  service_.record(0, op_, kNow - util::days(600), 5.0);
+  service_.record(0, op_, kNow - util::days(580), 5.0);
+  service_.evaluate(kNow);
+
+  const auto before = obs::MetricsRegistry::global().snapshot();
+  service_.record(2, oc_, kNow + util::days(1), 3.0);
+  service_.evaluate(kNow + util::days(2));
+  const auto after = obs::MetricsRegistry::global().snapshot();
+
+  // Exactly one user re-ranked — the evaluator never even looked at the
+  // other three (their streams were untouched and their cached evaluation
+  // is provably unchanged).
+  EXPECT_EQ(after.counters.at("incremental.users_reevaluated") -
+                before.counters.at("incremental.users_reevaluated"),
+            1u);
+  EXPECT_EQ(after.counters.at("evaluator.users_evaluated") -
+                before.counters.at("evaluator.users_evaluated"),
+            1u);
+  EXPECT_EQ(after.counters.at("incremental.users_skipped") -
+                before.counters.at("incremental.users_skipped"),
+            3u);
+  EXPECT_TRUE(service_.activeness_of(2).oc.has_data);
+}
+
+TEST_F(ServiceTest, FullEvalModeMatchesIncremental) {
+  ServiceConfig full_config;
+  full_config.eval_mode = activeness::EvalMode::kFull;
+  Service full_service(trace::UserRegistry::with_synthetic_users(4),
+                       full_config);
+  const auto fop = full_service.register_operation_type("job_submission");
+
+  record_rising_user0(service_, op_);
+  record_rising_user0(full_service, fop);
+  for (const util::TimePoint t : {kNow, kNow + util::days(7)}) {
+    service_.evaluate(t);
+    full_service.evaluate(t);
+    for (trace::UserId u = 0; u < 4; ++u) {
+      const auto a = service_.activeness_of(u);
+      const auto b = full_service.activeness_of(u);
+      EXPECT_EQ(a.op.sort_key(), b.op.sort_key());
+      EXPECT_EQ(a.oc.sort_key(), b.oc.sort_key());
+      EXPECT_EQ(a.last_activity, b.last_activity);
+    }
   }
 }
 

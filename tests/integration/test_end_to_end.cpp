@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "core/engine.hpp"
+#include "core/service.hpp"
 #include "sim/experiment.hpp"
 
 namespace adr {
@@ -89,23 +89,23 @@ TEST_F(EndToEnd, PaperQualitativeClaimsAtTestScale) {
             scenario_->registry.size() * 7);
 }
 
-TEST_F(EndToEnd, EngineConsumesScenarioTraces) {
-  // Drive the public Engine API with the synthesized traces — the
+TEST_F(EndToEnd, ServiceConsumesScenarioTraces) {
+  // Drive the public Service API with the synthesized traces — the
   // quickstart path a site operator would follow.
-  core::Engine engine(scenario_->registry, core::Engine::Options{});
-  const auto op = engine.register_operation_type("job_submission");
-  const auto oc = engine.register_outcome_type("publication");
-  engine.ingest_jobs(scenario_->jobs, op);
-  engine.ingest_publications(scenario_->pubs, oc);
-  engine.load_snapshot(scenario_->snapshot);
+  core::Service service(scenario_->registry, core::ServiceConfig{});
+  const auto op = service.register_operation_type("job_submission");
+  const auto oc = service.register_outcome_type("publication");
+  service.ingest_jobs(scenario_->jobs, op);
+  service.ingest_publications(scenario_->pubs, oc);
+  service.load_snapshot(scenario_->snapshot);
 
-  const auto& ranks = engine.evaluate(scenario_->sim_begin);
+  const auto& ranks = service.evaluate(scenario_->sim_begin);
   EXPECT_EQ(ranks.size(), scenario_->registry.size());
 
-  const auto before = engine.vfs().total_bytes();
-  const auto report = engine.purge(scenario_->sim_begin);
+  const auto before = service.vfs().total_bytes();
+  const auto report = service.purge(scenario_->sim_begin);
   EXPECT_TRUE(report.target_reached);
-  EXPECT_LE(engine.vfs().total_bytes(), before / 2 + 1);
+  EXPECT_LE(service.vfs().total_bytes(), before / 2 + 1);
   // Purge order honoured: if any files were purged, inactive users bear
   // the brunt.
   const auto& groups = report.by_group;

@@ -91,7 +91,7 @@ core::ServiceConfig service_config() {
 struct ColdResult {
   std::string ranks;         // rank CSV bytes
   std::string victims;       // one path per line, as the daemon writes them
-  std::uint64_t purged_bytes = 0;
+  retention::PurgeReport report;
 };
 
 class DaemonTest : public ::testing::Test {
@@ -139,7 +139,8 @@ class DaemonTest : public ::testing::Test {
 
   /// A cold one-shot run over the tag's full WAL with the daemon's exact
   /// trigger arithmetic — the identity reference.
-  ColdResult cold_reference(const std::string& tag) {
+  ColdResult cold_reference(const std::string& tag,
+                            core::Policy policy = core::Policy::kActiveDr) {
     core::Service service(trace::UserRegistry::with_synthetic_users(kUsers),
                           service_config());
     service.register_paper_types();
@@ -147,13 +148,13 @@ class DaemonTest : public ::testing::Test {
     for (const auto& event : reader.read_after(0)) service.apply(event);
     const auto target = static_cast<std::uint64_t>(
         static_cast<double>(service.vfs().total_bytes()) * (1.0 - kRetain));
-    const auto report = service.purge(now_, target);
+    const auto report = service.purge(now_, target, policy);
     const std::string ranks_path = dir_ + "/cold_ranks_" + tag + ".csv";
     service.ranks().save_csv(ranks_path);
     ColdResult cold;
     cold.ranks = slurp(ranks_path);
     for (const auto& path : report.victim_paths) cold.victims += path + "\n";
-    cold.purged_bytes = report.purged_bytes;
+    cold.report = report;
     return cold;
   }
 
@@ -180,13 +181,15 @@ class DaemonTest : public ::testing::Test {
   /// Trigger a purge through the control interface; returns the on-disk
   /// ranks/victims bytes plus the reply.
   std::tuple<std::string, std::string, util::Config> trigger(
-      Daemon& daemon, const std::string& tag) {
+      Daemon& daemon, const std::string& tag,
+      const std::string& policy = "activedr") {
     const std::string ranks_path = dir_ + "/warm_ranks_" + tag + ".csv";
     const std::string victims_path = dir_ + "/warm_victims_" + tag + ".txt";
     util::Config reply = ctl(daemon, "trig_" + tag,
                              {{"cmd", "trigger"},
                               {"now", std::to_string(now_)},
                               {"retain", std::to_string(kRetain)},
+                              {"policy", policy},
                               {"ranks_out", ranks_path},
                               {"victims_out", victims_path}});
     return {slurp(ranks_path), slurp(victims_path), std::move(reply)};
@@ -204,7 +207,29 @@ TEST_F(DaemonTest, WarmTriggerMatchesColdOneShot) {
   const auto [ranks, victims, reply] = trigger(daemon, tag);
   EXPECT_EQ(reply.get_string("ok", ""), "true");
   EXPECT_EQ(reply.get_int("purged_bytes", 0),
-            static_cast<std::int64_t>(cold.purged_bytes));
+            static_cast<std::int64_t>(cold.report.purged_bytes));
+  EXPECT_EQ(ranks, cold.ranks);
+  EXPECT_EQ(victims, cold.victims);
+}
+
+TEST_F(DaemonTest, FltTriggerMatchesColdOneShot) {
+  const std::string tag = "flt";
+  write_wal(tag, make_history());
+  const ColdResult cold = cold_reference(tag, core::Policy::kFlt);
+  ASSERT_FALSE(cold.victims.empty());
+
+  Daemon daemon = make_daemon(tag);
+  daemon.start();
+  const auto [ranks, victims, reply] = trigger(daemon, tag, "flt");
+  EXPECT_EQ(cold.report.policy, "FLT-30d");
+  EXPECT_EQ(reply.get_string("ok", ""), "true");
+  EXPECT_EQ(reply.get_string("policy", ""), cold.report.policy);
+  EXPECT_EQ(reply.get_int("purged_files", 0),
+            static_cast<std::int64_t>(cold.report.purged_files));
+  EXPECT_EQ(reply.get_int("purged_bytes", 0),
+            static_cast<std::int64_t>(cold.report.purged_bytes));
+  EXPECT_EQ(reply.get_string("target_reached", ""),
+            cold.report.target_reached ? "true" : "false");
   EXPECT_EQ(ranks, cold.ranks);
   EXPECT_EQ(victims, cold.victims);
 }

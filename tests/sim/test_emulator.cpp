@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "sim/experiment.hpp"
 
 namespace adr::sim {
@@ -28,27 +29,6 @@ class EmulatorTest : public ::testing::Test {
 };
 
 const synth::TitanScenario* EmulatorTest::scenario_ = nullptr;
-
-TEST_F(EmulatorTest, TimelineEvaluatesAndCaches) {
-  ActivenessTimeline timeline = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, scenario_->sim_begin});
-  const auto& plan1 = timeline.plan_at(scenario_->sim_begin);
-  const auto& plan2 = timeline.plan_at(scenario_->sim_begin);
-  EXPECT_EQ(&plan1, &plan2);  // cached
-  EXPECT_EQ(plan1.total_users(), scenario_->registry.size());
-}
-
-TEST_F(EmulatorTest, TimelineGroupLookupUsesLatestEval) {
-  ActivenessTimeline timeline = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, 0});
-  // Before any evaluation: everything is Both-Inactive.
-  EXPECT_EQ(timeline.group_at(0, scenario_->sim_begin),
-            activeness::UserGroup::kBothInactive);
-  timeline.plan_at(scenario_->sim_begin);
-  // Lookups before the eval instant still fall back to Both-Inactive.
-  EXPECT_EQ(timeline.group_at(0, scenario_->sim_begin - 1),
-            activeness::UserGroup::kBothInactive);
-}
 
 TEST_F(EmulatorTest, StrictFltReplayProducesMisses) {
   ExperimentConfig config;
@@ -125,19 +105,35 @@ TEST_F(EmulatorTest, AuditModeFindsIndexConsistentAllYear) {
   // audit_purge_index cross-verifies the purge index against the file table
   // after every trigger; a year of replay with ~52 purges must log zero
   // failures.
-  ActivenessTimeline timeline = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, scenario_->sim_begin});
+  core::Service service(scenario_->registry, core::ServiceConfig{});
+  load_scenario(service, *scenario_);
   EmulatorConfig config;
   config.audit_purge_index = true;
-  Emulator emulator(*scenario_, config, timeline);
-  ActiveDrDriver driver(retention::ActiveDrConfig{}, scenario_->registry,
-                        timeline);
   obs::Counter& failures =
       obs::MetricsRegistry::global().counter("purge_index.audit_failures");
   const std::uint64_t before = failures.value();
-  const EmulationResult r = emulator.run(driver);
+  const EmulationResult r =
+      replay(*scenario_, service, core::Policy::kActiveDr, config);
   EXPECT_FALSE(r.purges.empty());
   EXPECT_EQ(failures.value(), before);
+}
+
+TEST_F(EmulatorTest, ActiveDrAttributionDoesNotDependOnTheFltRun) {
+  // This scenario skips 10 of ActiveDR's 52 triggers (usage already below
+  // the target). Every trigger instant is still evaluated, so each access
+  // lands in the same group whether ActiveDR runs alone or after FLT.
+  ExperimentConfig config;
+  const EmulationResult alone = run_activedr(*scenario_, config);
+  ASSERT_LT(alone.purges.size(), 52u) << "the case needs skipped triggers";
+  const ComparisonResult both = run_comparison(*scenario_, config);
+  ASSERT_EQ(alone.daily.size(), both.activedr.daily.size());
+  for (std::size_t d = 0; d < alone.daily.size(); ++d) {
+    SCOPED_TRACE(d);
+    EXPECT_EQ(alone.daily[d].misses_by_group,
+              both.activedr.daily[d].misses_by_group);
+    EXPECT_EQ(alone.daily[d].accesses_by_group,
+              both.activedr.daily[d].accesses_by_group);
+  }
 }
 
 void expect_same_report(const retention::PurgeReport& a,
@@ -187,40 +183,6 @@ TEST_F(EmulatorTest, EvalModesProduceIdenticalReportsForBothPolicies) {
   EXPECT_EQ(full.activedr.total_misses, inc.activedr.total_misses);
   EXPECT_EQ(full.flt.final_bytes, inc.flt.final_bytes);
   EXPECT_EQ(full.activedr.final_bytes, inc.activedr.final_bytes);
-}
-
-TEST_F(EmulatorTest, EvalSecondsAreScopedPerTimeline) {
-  // Two live timelines: work done by one must not leak into the other's
-  // Fig. 12b probe (the old implementation read a process-global span).
-  ActivenessTimeline worked = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, 0});
-  ActivenessTimeline idle = ActivenessTimeline::for_scenario(
-      *scenario_, activeness::EvaluationParams{90, 0});
-  worked.plan_at(scenario_->sim_begin);
-  worked.plan_at(scenario_->sim_begin + util::days(7));
-  EXPECT_GT(worked.eval_seconds(), 0.0);
-  EXPECT_EQ(idle.eval_seconds(), 0.0);
-}
-
-TEST_F(EmulatorTest, GroupHistoryDeduplicatesUnchangedClassifications) {
-  // All activity sits far in the past: every trigger re-evaluates to the
-  // same classification, so the attribution history must stay at one entry
-  // no matter how many triggers fire (the satellite memory bound).
-  const activeness::ActivityCatalog& catalog =
-      activeness::ActivityCatalog::paper_default();
-  activeness::ActivityStore store(20, catalog.size());
-  const util::TimePoint t0 = scenario_->sim_begin;
-  store.add(0, 0, activeness::Activity{t0 - util::days(700), 10.0});
-  store.add(0, 0, activeness::Activity{t0 - util::days(650), 10.0});
-  store.add(1, 1, activeness::Activity{t0 - util::days(500), 5.0});
-  ActivenessTimeline timeline(catalog, std::move(store),
-                              activeness::EvaluationParams{90, 0});
-  for (int week = 0; week < 10; ++week) {
-    timeline.plan_at(t0 + util::days(7 * week));
-  }
-  EXPECT_EQ(timeline.group_history_size(), 1u);
-  EXPECT_EQ(timeline.group_at(0, t0 + util::days(70)),
-            activeness::UserGroup::kBothInactive);
 }
 
 TEST_F(EmulatorTest, ActiveDrReducesMissesForActiveUsers) {

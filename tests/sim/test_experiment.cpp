@@ -47,22 +47,17 @@ TEST_F(ExperimentTest, StrictFltPurgesAtLeastAsMuchAsTargeted) {
 }
 
 TEST_F(ExperimentTest, RestoreOnMissBoundsRepeatMisses) {
-  ExperimentConfig config;
-  ActivenessTimeline t1 = ActivenessTimeline::for_scenario(
-      *scenario_, evaluation_params(config));
-  EmulatorConfig with, without;
-  with.restore_on_miss = true;
-  without.restore_on_miss = false;
-
-  FltDriver flt1(retention::FltConfig{90}, t1);
-  Emulator e1(*scenario_, with, t1);
-  const EmulationResult restored = e1.run(flt1, 0.0);
-
-  ActivenessTimeline t2 = ActivenessTimeline::for_scenario(
-      *scenario_, evaluation_params(config));
-  FltDriver flt2(retention::FltConfig{90}, t2);
-  Emulator e2(*scenario_, without, t2);
-  const EmulationResult unrestored = e2.run(flt2, 0.0);
+  const auto strict_flt = [&](bool restore_on_miss) {
+    core::ServiceConfig strict;
+    strict.purge_target_utilization = 0.0;
+    core::Service service(scenario_->registry, strict);
+    load_scenario(service, *scenario_);
+    EmulatorConfig config;
+    config.restore_on_miss = restore_on_miss;
+    return replay(*scenario_, service, core::Policy::kFlt, config);
+  };
+  const EmulationResult restored = strict_flt(true);
+  const EmulationResult unrestored = strict_flt(false);
 
   EXPECT_EQ(restored.total_accesses, unrestored.total_accesses);
   EXPECT_LT(restored.total_misses, unrestored.total_misses);
@@ -147,10 +142,10 @@ TEST_F(ExperimentTest, EvaluationParamsMirrorConfig) {
   config.lifetime_days = 30;
   config.scheme = activeness::ExponentScheme::kUniform;
   config.max_periods = 12;
-  const auto params = evaluation_params(config);
-  EXPECT_EQ(params.period_length_days, 30);
-  EXPECT_EQ(params.scheme, activeness::ExponentScheme::kUniform);
-  EXPECT_EQ(params.max_periods, 12);
+  const auto service = make_service(*scenario_, config);
+  EXPECT_EQ(service->config().lifetime_days, 30);
+  EXPECT_EQ(service->config().scheme, activeness::ExponentScheme::kUniform);
+  EXPECT_EQ(service->config().max_periods, 12);
 }
 
 TEST_F(ExperimentTest, ExemptPathsSurviveActiveDrReplay) {
@@ -164,6 +159,17 @@ TEST_F(ExperimentTest, ExemptPathsSurviveActiveDrReplay) {
   std::size_t exempted = 0;
   for (const auto& report : result.purges) exempted += report.exempted_files;
   EXPECT_GT(exempted, 0u);
+}
+
+TEST_F(ExperimentTest, SnapshotRetentionHonorsExemptPaths) {
+  // Reserving the whole scratch tree leaves ActiveDR nothing to purge.
+  ExperimentConfig config;
+  config.exempt_paths.push_back("/scratch");
+  const util::TimePoint as_of = util::from_civil(2016, 8, 23);
+  const SnapshotRetentionResult result =
+      run_snapshot_retention(*scenario_, config, as_of);
+  EXPECT_EQ(result.activedr.purged_bytes, 0u);
+  EXPECT_GT(result.activedr.exempted_files, 0u);
 }
 
 }  // namespace
