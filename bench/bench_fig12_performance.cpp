@@ -117,8 +117,7 @@ BENCHMARK(BM_ActivenessEvaluation)->Arg(7)->Arg(90)->Unit(benchmark::kMillisecon
 
 void BM_PurgeDecision(benchmark::State& state) {
   // Decision phase cost: one full ActiveDR run (no target -> single pass
-  // over every user directory) on a freshly imported snapshot. Arg 0 scans
-  // via the atime-ordered purge index, arg 1 via the legacy trie walk.
+  // over every user's purge-index entries) on a freshly imported snapshot.
   const auto& s = scenario();
   const auto store = build_store(s);
   adr::activeness::EvaluationParams params;
@@ -128,10 +127,7 @@ void BM_PurgeDecision(benchmark::State& state) {
       adr::activeness::ActivityCatalog::paper_default();
   const adr::activeness::Evaluator evaluator(catalog, params);
   const auto plan = adr::activeness::build_scan_plan(evaluator.evaluate_all(store));
-  adr::retention::ActiveDrConfig config;
-  config.scan_mode = state.range(0) == 0 ? adr::retention::ScanMode::kIndexed
-                                         : adr::retention::ScanMode::kWalk;
-  const adr::retention::ActiveDrPolicy policy(config, s.registry);
+  const adr::retention::ActiveDrPolicy policy(adr::retention::ActiveDrConfig{});
   for (auto _ : state) {
     state.PauseTiming();
     adr::fs::Vfs vfs;
@@ -142,11 +138,7 @@ void BM_PurgeDecision(benchmark::State& state) {
   }
   state.counters["files"] = static_cast<double>(s.snapshot.size());
 }
-BENCHMARK(BM_PurgeDecision)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"walk"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PurgeDecision)->Unit(benchmark::kMillisecond);
 
 // ---- Eval-phase regression harness: full vs incremental pipeline ----------
 // A replay year of daily evaluation triggers driven through an
@@ -264,57 +256,53 @@ EvalModeComparison run_eval_mode_comparison(int reps) {
   return cmp;
 }
 
-// ---- Perf regression harness: walk vs indexed purge trigger ---------------
-// A realistic purge trigger timed under both scan modes against identical
-// state: the initial snapshot plus half a replay year of accesses (so
-// atimes are mixed — recently-touched files survive, stale ones expire),
-// purging toward an aggressive utilization target that drives the policy
-// through its groups and retrospective passes. Emits machine-readable JSON
-// that tools/run_bench.sh diffs against the committed baseline; the indexed
-// mode must select the exact same victims >= 3x faster than the per-pass
-// walk.
-struct ScanModeRun {
+// ---- Perf regression harness: the purge trigger ----------------------------
+// A realistic purge trigger against the initial snapshot plus half a replay
+// year of accesses (so atimes are mixed — recently-touched files survive,
+// stale ones expire), purging toward an aggressive utilization target that
+// drives the policy through its groups and retrospective passes. Emits
+// machine-readable JSON that tools/run_bench.sh diffs against the committed
+// baseline: same victims, and no slower than the baseline's indexed time
+// beyond its tolerance.
+struct PurgeTriggerRun {
   double best_seconds = 0.0;
-  std::vector<std::string> victims;  // sorted
+  std::size_t victims = 0;
   std::uint64_t purged_bytes = 0;
 };
 
-ScanModeRun run_purge_trigger(adr::fs::Vfs& vfs,
-                              const adr::activeness::ScanPlan& plan,
-                              adr::util::TimePoint now, std::uint64_t target,
-                              adr::retention::ScanMode mode, int reps) {
+PurgeTriggerRun run_purge_trigger(adr::fs::Vfs& vfs,
+                                  const adr::activeness::ScanPlan& plan,
+                                  adr::util::TimePoint now,
+                                  std::uint64_t target, int reps) {
   using namespace adr;
-  const auto& s = scenario();
   retention::ActiveDrConfig config;
-  config.dry_run = true;  // selection cost only; both modes see equal state
-  config.scan_mode = mode;
-  const retention::ActiveDrPolicy policy(config, s.registry);
+  config.dry_run = true;  // selection cost only; every rep sees equal state
+  const retention::ActiveDrPolicy policy(config);
 
-  // Dry runs never mutate, so every rep (and both modes) share this vfs.
-  ScanModeRun run;
+  // Dry runs never mutate, so every rep shares this vfs.
+  PurgeTriggerRun run;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto report = policy.run(vfs, now, target, plan);
+    const auto report = policy.run(vfs, now, target, plan);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     if (rep == 0 || secs < run.best_seconds) run.best_seconds = secs;
     if (rep == 0) {
-      run.victims = std::move(report.victim_paths);
-      std::sort(run.victims.begin(), run.victims.end());
+      run.victims = report.victim_paths.size();
       run.purged_bytes = report.purged_bytes;
     }
   }
   return run;
 }
 
-void run_scan_mode_comparison(const std::string& json_path,
-                              const EvalModeComparison& eval_cmp) {
+void run_purge_trigger_bench(const std::string& json_path,
+                             const EvalModeComparison& eval_cmp) {
   using namespace adr;
   const auto& s = scenario();
 
-  // Shared purge-trigger state: snapshot + the first half-year of replayed
-  // accesses (no purges in between — both modes must see identical atimes).
+  // Purge-trigger state: snapshot + the first half-year of replayed
+  // accesses (no purges in between).
   const util::TimePoint mid = s.sim_begin + (s.sim_end - s.sim_begin) / 2;
   fs::Vfs vfs;
   vfs.import_snapshot(s.snapshot);
@@ -344,33 +332,17 @@ void run_scan_mode_comparison(const std::string& json_path,
   const auto plan = activeness::build_scan_plan(evaluator.evaluate_all(store));
 
   // Purge down to 25% utilization: demanding enough that the run descends
-  // into retrospective passes (where the walk re-scans and scan-once pays).
+  // into retrospective passes (where the scan-once cursor advances).
   const std::uint64_t target = retention::purge_target_bytes(vfs, 0.25);
 
-  const ScanModeRun walk =
-      run_purge_trigger(vfs, plan, mid, target, retention::ScanMode::kWalk, 3);
-  const ScanModeRun indexed = run_purge_trigger(
-      vfs, plan, mid, target, retention::ScanMode::kIndexed, 3);
-  const bool identical = walk.victims == indexed.victims &&
-                         walk.purged_bytes == indexed.purged_bytes;
-  const double speedup =
-      indexed.best_seconds > 0.0 ? walk.best_seconds / indexed.best_seconds
-                                 : 0.0;
+  const PurgeTriggerRun indexed = run_purge_trigger(vfs, plan, mid, target, 3);
 
-  util::Table table("Purge trigger: walk vs indexed scan (25% target)");
-  table.set_headers({"Mode", "Best time", "Victims", "Purged"});
-  table.add_row({"walk (per-pass re-scan)",
-                 util::format_duration_seconds(walk.best_seconds),
-                 util::fmt_int(static_cast<std::int64_t>(walk.victims.size())),
-                 util::format_bytes(static_cast<double>(walk.purged_bytes))});
-  table.add_row(
-      {"indexed (scan-once)",
-       util::format_duration_seconds(indexed.best_seconds),
-       util::fmt_int(static_cast<std::int64_t>(indexed.victims.size())),
-       util::format_bytes(static_cast<double>(indexed.purged_bytes))});
+  util::Table table("Purge trigger: indexed scan-once (25% target)");
+  table.set_headers({"Best time", "Victims", "Purged"});
+  table.add_row({util::format_duration_seconds(indexed.best_seconds),
+                 util::fmt_int(static_cast<std::int64_t>(indexed.victims)),
+                 util::format_bytes(static_cast<double>(indexed.purged_bytes))});
   table.print(std::cout);
-  std::printf("speedup: %.2fx, victim sets identical: %s\n", speedup,
-              identical ? "yes" : "NO (BUG)");
 
   std::ofstream out(json_path);
   out << "{\n"
@@ -378,13 +350,9 @@ void run_scan_mode_comparison(const std::string& json_path,
       << "  \"users\": " << s.registry.size() << ",\n"
       << "  \"seed\": " << g_options.titan.seed << ",\n"
       << "  \"files\": " << vfs.file_count() << ",\n"
-      << "  \"walk_seconds\": " << walk.best_seconds << ",\n"
       << "  \"indexed_seconds\": " << indexed.best_seconds << ",\n"
-      << "  \"speedup\": " << speedup << ",\n"
-      << "  \"victims\": " << indexed.victims.size() << ",\n"
+      << "  \"victims\": " << indexed.victims << ",\n"
       << "  \"purged_bytes\": " << indexed.purged_bytes << ",\n"
-      << "  \"victim_sets_identical\": " << (identical ? "true" : "false")
-      << ",\n"
       << "  \"eval_triggers\": " << eval_cmp.triggers << ",\n"
       << "  \"eval_full_seconds\": " << eval_cmp.full_seconds << ",\n"
       << "  \"eval_incremental_seconds\": " << eval_cmp.incremental_seconds
@@ -490,8 +458,8 @@ int main(int argc, char** argv) {
       g_options);
   print_fig12a();
   const EvalModeComparison eval_cmp = run_eval_mode_comparison(3);
-  run_scan_mode_comparison(raw.get_string("bench-json", "BENCH_fig12.json"),
-                           eval_cmp);
+  run_purge_trigger_bench(raw.get_string("bench-json", "BENCH_fig12.json"),
+                          eval_cmp);
 
   // Hand benchmark only the flags it understands.
   int bench_argc = 1;

@@ -14,6 +14,7 @@
 
 #include "retention/activedr_policy.hpp"
 #include "retention/flt.hpp"
+#include "trace/user_registry.hpp"
 #include "util/table.hpp"
 
 using namespace adr;
@@ -82,7 +83,7 @@ int main() {
   // until the 40-day-old hoard qualifies. The worker is never reached.
   fs::Vfs adr_vfs;
   fill_scratch(adr_vfs, registry, now);
-  const retention::ActiveDrPolicy adr(retention::ActiveDrConfig{}, registry);
+  const retention::ActiveDrPolicy adr(retention::ActiveDrConfig{});
   adr.run(adr_vfs, now, target, plan);
 
   util::Table table("Surviving files after one purge (10 each initially)");

@@ -12,28 +12,6 @@
 
 namespace adr::activeness {
 
-const char* to_string(EvalMode mode) {
-  switch (mode) {
-    case EvalMode::kAuto: return "auto";
-    case EvalMode::kFull: return "full";
-    case EvalMode::kIncremental: return "incremental";
-  }
-  return "?";
-}
-
-bool parse_eval_mode(const std::string& text, EvalMode& out) {
-  if (text == "auto") {
-    out = EvalMode::kAuto;
-  } else if (text == "full") {
-    out = EvalMode::kFull;
-  } else if (text == "incremental") {
-    out = EvalMode::kIncremental;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 namespace {
 
 obs::Counter& advances_counter() {
@@ -63,18 +41,6 @@ obs::Counter& users_reevaluated_counter() {
 obs::Counter& users_skipped_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("incremental.users_skipped");
-  return c;
-}
-
-obs::Counter& auto_fallbacks_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("incremental.auto_fallbacks");
-  return c;
-}
-
-obs::Counter& auto_recoveries_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("incremental.auto_recoveries");
   return c;
 }
 
@@ -232,31 +198,10 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
   // everything below sees them as ordinary dirty users.
   store.drain_ingest();
 
-  const bool resolved_full =
-      mode_ == EvalMode::kFull || (mode_ == EvalMode::kAuto && auto_full_);
-  const bool continuous = evaluated_ && now >= last_now_ &&
-                          users_.size() == store.user_count();
-  const bool delta = !resolved_full && continuous;
+  const bool delta = mode_ == EvalMode::kIncremental && evaluated_ &&
+                     now >= last_now_ && users_.size() == store.user_count();
   if (!delta) {
-    if (mode_ == EvalMode::kAuto && auto_full_ && continuous) {
-      // Running full under auto: keep measuring the delta candidate fraction
-      // (dirty set + chrono window — cheap, no skip-rule checks) so the
-      // pipeline can recover once the storm passes. The dirty set is
-      // consumed here; the rebuild below re-evaluates everyone anyway.
-      stats.users_dirty = mark_candidates(store, now);
-      if (stats.users_dirty * 4 < users_.size()) {
-        if (++calm_streak_ >= kRecoverAfter) {
-          auto_full_ = false;
-          calm_streak_ = 0;
-          hot_streak_ = 0;
-          auto_recoveries_counter().add();
-        }
-      } else {
-        calm_streak_ = 0;
-      }
-    } else {
-      store.take_dirty();  // everyone is re-evaluated: the set is stale
-    }
+    store.take_dirty();  // everyone is re-evaluated: the set is stale
     rebuild(store, now);
     stats.full_rebuild = true;
     stats.users_reevaluated = users_.size();
@@ -298,22 +243,6 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
     }
     stats.users_reevaluated = reeval_.size();
     stats.users_skipped = users_.size() - reeval_.size();
-
-    if (mode_ == EvalMode::kAuto && !users_.empty()) {
-      // Hysteresis: at/above the rebuild threshold the delta machinery buys
-      // nothing — after kFallbackAfter such triggers in a row, resolve auto
-      // to full until the candidate fraction calms down again.
-      if (reeval_.size() * 2 >= users_.size()) {
-        if (++hot_streak_ >= kFallbackAfter) {
-          auto_full_ = true;
-          hot_streak_ = 0;
-          calm_streak_ = 0;
-          auto_fallbacks_counter().add();
-        }
-      } else {
-        hot_streak_ = 0;
-      }
-    }
 
     updated_.resize(reeval_.size());
     util::global_pool().parallel_for(0, reeval_.size(), [&](std::size_t i) {
@@ -369,7 +298,6 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
 
   evaluated_ = true;
   last_now_ = now;
-  stats.auto_full = auto_full_;
 
   advances_counter().add();
   users_dirty_counter().add(stats.users_dirty);

@@ -43,7 +43,6 @@
 // holds them to it.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "activeness/classifier.hpp"
@@ -51,23 +50,17 @@
 
 namespace adr::activeness {
 
-/// How a pipeline owner evaluates at each trigger. Mirrors
-/// retention::ScanMode: auto resolves to the fast path, the explicit modes
-/// pin it for tests/benches.
+/// How a pipeline owner evaluates at each trigger. kIncremental is the one
+/// production schedule; kFull is the reference the tests, loadgen's
+/// serial-replay check and the benches compare it against.
 enum class EvalMode {
-  kAuto,         ///< incremental, falling back to full where required
-  kFull,         ///< re-evaluate every user at every advance
   kIncremental,  ///< delta-aware: dirty users + skip-rule failures only
+  kFull,         ///< re-evaluate every user at every advance
 };
-
-const char* to_string(EvalMode mode);
-/// Parses "auto" / "full" / "incremental"; returns false on anything else.
-bool parse_eval_mode(const std::string& text, EvalMode& out);
 
 /// What one advance() did — surfaced for tests and the obs counters.
 struct AdvanceStats {
   bool full_rebuild = false;      ///< first advance / backwards time / kFull
-  bool auto_full = false;         ///< kAuto currently resolved to full
   std::size_t users_dirty = 0;    ///< delta candidates (appends + window)
   std::size_t users_reevaluated = 0;
   std::size_t users_skipped = 0;  ///< cached evaluation provably unchanged
@@ -80,11 +73,11 @@ class IncrementalEvaluator {
  public:
   IncrementalEvaluator(const ActivityCatalog& catalog,
                        EvaluationParams base_params,
-                       EvalMode mode = EvalMode::kAuto);
+                       EvalMode mode = EvalMode::kIncremental);
   /// The pipeline keeps a pointer to the caller's catalog for its whole
   /// lifetime; binding a temporary would dangle by the first advance().
   IncrementalEvaluator(ActivityCatalog&&, EvaluationParams,
-                       EvalMode = EvalMode::kAuto) = delete;
+                       EvalMode = EvalMode::kIncremental) = delete;
 
   /// Advance the evaluation to t_c = `now`. Finalizes the store if bulk
   /// rows are pending, applies its ingest queue, drains its dirty set,
@@ -101,30 +94,9 @@ class IncrementalEvaluator {
 
   bool evaluated() const { return evaluated_; }
   util::TimePoint last_now() const { return last_now_; }
-  EvalMode mode() const { return mode_; }
-  /// Re-pin the evaluation mode between advances. The degradation ladder
-  /// (DESIGN.md §14.2) uses this to force kIncremental under load — delta
-  /// work is bounded by the dirty set, so no advance can decide to pay a
-  /// full-rebuild latency spike — and to restore the configured mode once
-  /// pressure clears. Output is unaffected: every mode computes identical
-  /// ranks, only the work schedule differs.
-  void set_mode(EvalMode mode) { mode_ = mode; }
 
   /// Users currently memoized as durably skippable (frozen_ bits set).
   std::size_t frozen_users() const { return frozen_count_; }
-
-  /// kAuto hysteresis (ROADMAP: auto-mode fallback). When the delta fraction
-  /// stays at or above the rebuild threshold (re-evals ≥ half the users, the
-  /// same cutoff the splice already uses) for kFallbackAfter consecutive
-  /// triggers, the per-user delta bookkeeping is pure overhead: auto resolves
-  /// to full rebuilds until the workload calms down — the candidate fraction
-  /// (still measured cheaply while running full) dropping below a quarter of
-  /// the users for kRecoverAfter consecutive triggers flips it back. The two
-  /// thresholds are deliberately far apart so a workload hovering near the
-  /// boundary cannot make the mode oscillate.
-  static constexpr int kFallbackAfter = 3;
-  static constexpr int kRecoverAfter = 3;
-  bool auto_full() const { return auto_full_; }
 
   /// Wall time spent evaluating inside this pipeline instance (advance()
   /// only) — per-instance, unlike the process-global registry spans, so two
@@ -156,9 +128,6 @@ class IncrementalEvaluator {
 
   bool evaluated_ = false;
   util::TimePoint last_now_ = 0;
-  bool auto_full_ = false;  // kAuto currently resolved to full rebuilds
-  int hot_streak_ = 0;      // consecutive triggers at/above rebuild threshold
-  int calm_streak_ = 0;     // consecutive calm triggers while auto_full_
   std::vector<UserActiveness> users_;  // dense by user id
   std::vector<UserGroup> groups_;      // dense by user id
   /// Users whose skip was established by durable (t_c-monotone)

@@ -7,13 +7,16 @@
 #include <fstream>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "activeness/incremental.hpp"
 #include "activeness/incremental.hpp"
 #include "activeness/rank_store.hpp"
 #include "cli/flags.hpp"
 #include "cli/serve_commands.hpp"
 #include "obs/metrics.hpp"
+#include "retention/activedr_policy.hpp"
+#include "retention/flt.hpp"
 #include "retention/ledger.hpp"
 #include "sim/experiment.hpp"
 #include "sim/chaos.hpp"
@@ -45,7 +48,6 @@ commands:
   evaluate  --users F --jobs F [--pubs F] --now YYYY-MM-DD
             [--period-days D] [--out ranks.csv]
             [--op-activities F1,F2,...] [--oc-activities F1,F2,...]
-            [--eval-mode auto|full|incremental]
             Evaluate every user's activeness (Eqs. 1-6) and print the
             classification; optionally save the rank store. Extra activity
             CSVs (header: user,timestamp,impact) register one additional
@@ -59,37 +61,29 @@ commands:
             [--ranks F] [--jobs F] [--pubs F] [--lifetime D]
             [--target FRACTION] [--exempt FILE]
             [--out-snapshot F] [--ledger F] [--dry-run] [--victims F]
-            [--scan-mode auto|walk|indexed]
-            [--eval-mode auto|full|incremental] [--check-index]
+            [--check-index]
             One retention pass over a snapshot. --target is the fraction of
             *current usage* to retain (0 disables the byte target). ActiveDR
             needs ranks: either --ranks (from `evaluate`) or --jobs/--pubs
             to evaluate inline at --now; FLT needs neither. --ledger appends
             the run to an audit CSV; --dry-run selects victims without
-            deleting; --victims writes the purge list (one path per line).
-            --scan-mode picks the victim scan: the maintained atime index
-            or the legacy namespace walk (auto chooses per policy).
-            --eval-mode picks how the inline evaluation runs (see
-            activeness/incremental.hpp; both modes rank identically).
-            --check-index cross-verifies the purge index against a full
-            namespace walk after the run (exit 3 on mismatch).
+            deleting; --victims writes the purge list (one path per line,
+            committed atomically). --check-index cross-verifies the purge
+            index against a full namespace walk after the run (exit 3 on
+            mismatch).
 
   compare   --dir DIR --as-of YYYY-MM-DD [--lifetime D] [--target FRACTION]
-            [--eval-mode auto|full|incremental]
             The paper's §4.4 one-shot retention comparison (Figs. 9-11) on a
             `synth` bundle: both policies chase the same target from the
             state at --as-of.
 
   replay    --dir DIR [--lifetime D] [--interval D] [--target FRACTION]
-            [--eval-mode auto|full|incremental]
             Year-long FLT-vs-ActiveDR replay over a `synth` bundle.
-            --eval-mode selects delta-aware vs full re-evaluation at each
-            purge trigger (identical results; incremental is the fast path).
 
   loadgen   [--load-rate EV_PER_SEC] [--load-duration SECONDS]
             [--trigger-interval S] [--p99-budget-ms MS]
             [--ramp-levels N] [--ramp-factor X] [--users N]
-            [--producers N] [--seed S] [--json FILE]
+            [--files-per-user N] [--producers N] [--seed S] [--json FILE]
             Sustained-load latency harness (DESIGN.md §12): concurrent
             producers enqueue synthetic trace events into the activity
             store's ingest queue at --load-rate while periodic
@@ -112,8 +106,7 @@ commands:
             violated invariant; the failure replays from --seed.
 
   serve     --wal DIR --state DIR --users F [--snapshot F] [--lifetime D]
-            [--eval-mode auto|full|incremental]
-            [--scan-mode auto|walk|indexed] [--checkpoint-every N]
+            [--checkpoint-every N]
             [--poll-ms MS] [--max-ticks N] [--metrics-interval TICKS]
             [--exempt FILE] [--no-seal-on-stop]
             [--ingest-queue-cap N] [--backpressure block|shed|spill]
@@ -133,9 +126,8 @@ commands:
             queue does: block producers, shed up to --shed-budget counted
             events, or spill to a WAL-backed segment replayed when pressure
             clears); --trigger-deadline-ms arms the trigger watchdog — on
-            breach the daemon degrades to incremental evaluation and, if
-            breaches persist, defers triggers with jittered backoff instead
-            of dying.
+            breach the daemon reports degraded and, if breaches persist,
+            defers triggers with jittered backoff instead of dying.
 
   feed      --wal DIR [--jobs F] [--pubs F] [--applog F] [--rotate N]
             [--seal]
@@ -330,8 +322,7 @@ int cmd_evaluate(const util::Config& config, std::ostream& out) {
   activeness::EvaluationParams params;
   params.period_length_days =
       static_cast<int>(config.get_int("period-days", 90));
-  activeness::IncrementalEvaluator pipeline(catalog, params,
-                                            eval_mode_flag(config));
+  activeness::IncrementalEvaluator pipeline(catalog, params);
   pipeline.advance(store, now);
   activeness::RankStore ranks(pipeline.users());
 
@@ -378,10 +369,6 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
 
   const bool dry_run = config.get_bool("dry-run", false);
   const bool want_victims = config.contains("victims");
-  const retention::ScanMode scan_mode = scan_mode_flag(config);
-  // Validated up front (even for FLT, which never evaluates) so a typo
-  // fails fast instead of being silently ignored.
-  const activeness::EvalMode eval_mode = eval_mode_flag(config);
 
   retention::PurgeReport report;
   if (policy_name == "flt") {
@@ -389,7 +376,6 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
     flt_config.lifetime_days = lifetime;
     flt_config.dry_run = dry_run;
     flt_config.record_victims = want_victims;
-    flt_config.scan_mode = scan_mode;
     const retention::FltPolicy policy(flt_config);
     report = policy.run(vfs, now, target);
   } else if (policy_name == "activedr") {
@@ -433,7 +419,7 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
         activeness::ingest_publications(store, 1, 1.0, pubs);
       }
       activeness::IncrementalEvaluator pipeline(
-          catalog, activeness::EvaluationParams{lifetime}, eval_mode);
+          catalog, activeness::EvaluationParams{lifetime});
       pipeline.advance(store, now);
       ranks = activeness::RankStore(pipeline.users());
       have_ranks = true;
@@ -446,8 +432,7 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
     adr_config.initial_lifetime_days = lifetime;
     adr_config.dry_run = dry_run;
     adr_config.record_victims = want_victims;
-    adr_config.scan_mode = scan_mode;
-    retention::ActiveDrPolicy policy(adr_config, registry);
+    retention::ActiveDrPolicy policy(adr_config);
     if (const auto exempt = config.get("exempt")) {
       policy.set_exemptions(retention::ExemptionList::load(*exempt));
     }
@@ -467,11 +452,7 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
   out << "State after purge: " << vfs.file_count() << " files, "
       << util::format_bytes(static_cast<double>(vfs.total_bytes())) << "\n";
   if (const auto victims_path = config.get("victims")) {
-    std::ofstream victims_out(*victims_path);
-    if (!victims_out) {
-      throw std::runtime_error("cannot write " + *victims_path);
-    }
-    for (const auto& path : report.victim_paths) victims_out << path << "\n";
+    report.save_victims(*victims_path);
     out << report.victim_paths.size() << " victim paths written to "
         << *victims_path << "\n";
   }
@@ -514,7 +495,6 @@ int cmd_replay(const util::Config& config, std::ostream& out) {
   experiment.purge_interval_days =
       static_cast<int>(config.get_int("interval", 7));
   experiment.purge_target_utilization = config.get_double("target", 0.5);
-  experiment.eval_mode = eval_mode_flag(config);
 
   out << "Replaying " << util::format_date(scenario.sim_begin) << " .. "
       << util::format_date(scenario.sim_end) << " (" << scenario.replay.size()
@@ -596,7 +576,6 @@ int cmd_compare(const util::Config& config, std::ostream& out) {
   sim::ExperimentConfig experiment;
   experiment.lifetime_days = static_cast<int>(config.get_int("lifetime", 90));
   experiment.purge_target_utilization = config.get_double("target", 0.5);
-  experiment.eval_mode = eval_mode_flag(config);
 
   out << "One-shot retention comparison at " << util::format_date(as_of)
       << " (lifetime " << experiment.lifetime_days << "d, retain "
@@ -801,6 +780,69 @@ void maybe_dump_metrics(const util::Config& config, std::ostream& err) {
   metrics_out << obs::MetricsRegistry::global().to_json() << "\n";
 }
 
+// Every command with the flags it reads. run_cli rejects any other flag
+// (beyond kGlobalFlags) before the command does any work, so a typo such as
+// --taget fails loudly instead of running with the default.
+struct Command {
+  std::string_view name;
+  int (*run)(const util::Config&, std::ostream&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<std::string_view> kGlobalFlags = {
+    "metrics-out", "parse-policy", "fsync", "fault-spec", "fault-seed"};
+
+const std::vector<Command> kCommands = {
+    {"synth", cmd_synth, {"out", "users", "seed"}},
+    {"evaluate",
+     cmd_evaluate,
+     {"users", "jobs", "pubs", "now", "period-days", "out", "op-activities",
+      "oc-activities"}},
+    {"classify", cmd_classify, {"ranks"}},
+    {"purge",
+     cmd_purge,
+     {"snapshot", "users", "now", "policy", "ranks", "jobs", "pubs",
+      "lifetime", "target", "exempt", "out-snapshot", "ledger", "dry-run",
+      "victims", "check-index"}},
+    {"replay", cmd_replay, {"dir", "lifetime", "interval", "target"}},
+    {"compare", cmd_compare, {"dir", "as-of", "lifetime", "target"}},
+    {"info", cmd_info, {"snapshot"}},
+    {"loadgen",
+     cmd_loadgen,
+     {"load-rate", "load-duration", "trigger-interval", "p99-budget-ms",
+      "ramp-levels", "ramp-factor", "users", "files-per-user", "producers",
+      "seed", "json"}},
+    {"chaos",
+     cmd_chaos,
+     {"dir", "seed", "epochs", "duration", "users", "events-per-epoch",
+      "classes"}},
+    {"serve",
+     cmd_serve,
+     {"wal", "state", "users", "snapshot", "lifetime", "checkpoint-every",
+      "poll-ms", "max-ticks", "metrics-interval", "exempt",
+      "no-seal-on-stop", "ingest-queue-cap", "backpressure", "shed-budget",
+      "spill-dir", "trigger-deadline-ms"}},
+    {"feed", cmd_feed, {"wal", "jobs", "pubs", "applog", "rotate", "seal"}},
+    {"ctl",
+     cmd_ctl,
+     {"state", "cmd", "now", "now-unix", "retain", "policy", "ranks-out",
+      "victims-out", "timeout-ms"}},
+};
+
+/// The first flag in `config` that neither `command` nor the global options
+/// read, or nullptr when every flag is known.
+const std::string* unknown_flag(const Command& command,
+                                const util::Config& config) {
+  const auto known = [](const std::vector<std::string_view>& flags,
+                        const std::string& key) {
+    return std::find(flags.begin(), flags.end(), key) != flags.end();
+  };
+  for (const auto& [key, value] : config.entries()) {
+    if (!known(command.flags, key) && !known(kGlobalFlags, key)) return &key;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int run_cli(int argc, const char* const* argv, std::ostream& out,
@@ -810,7 +852,23 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     return 64;  // EX_USAGE
   }
   const std::string command = argv[1];
+  if (command == "help" || command == "--help" || command == "-h") {
+    out << kUsage;
+    return 0;
+  }
+  const auto entry =
+      std::find_if(kCommands.begin(), kCommands.end(),
+                   [&](const Command& c) { return c.name == command; });
+  if (entry == kCommands.end()) {
+    err << "unknown command: " << command << "\n\n" << kUsage;
+    return 64;
+  }
   const util::Config config = util::Config::from_args(argc - 1, argv + 1);
+  if (const std::string* flag = unknown_flag(*entry, config)) {
+    err << "activedr " << command << ": unknown flag --" << *flag
+        << " (run `activedr help` for the usage)\n";
+    return 64;
+  }
 
   // Global durability/testing knobs, applied before any command IO. Both are
   // process-wide state, restored on exit so in-process callers (tests) don't
@@ -829,27 +887,9 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
   const bool prior_fsync = util::io::default_fsync();
   if (config.get_bool("fsync", false)) util::io::set_default_fsync(true);
 
-  int rc = 64;
+  int rc;
   try {
-    if (command == "synth") rc = cmd_synth(config, out);
-    else if (command == "evaluate") rc = cmd_evaluate(config, out);
-    else if (command == "classify") rc = cmd_classify(config, out);
-    else if (command == "purge") rc = cmd_purge(config, out);
-    else if (command == "replay") rc = cmd_replay(config, out);
-    else if (command == "compare") rc = cmd_compare(config, out);
-    else if (command == "info") rc = cmd_info(config, out);
-    else if (command == "loadgen") rc = cmd_loadgen(config, out);
-    else if (command == "chaos") rc = cmd_chaos(config, out);
-    else if (command == "serve") rc = cmd_serve(config, out);
-    else if (command == "feed") rc = cmd_feed(config, out);
-    else if (command == "ctl") rc = cmd_ctl(config, out);
-    else if (command == "help" || command == "--help" || command == "-h") {
-      out << kUsage;
-      rc = 0;
-    } else {
-      err << "unknown command: " << command << "\n\n" << kUsage;
-      rc = 64;
-    }
+    rc = entry->run(config, out);
   } catch (const util::CrashInjected& e) {
     // Simulated hard crash: report and stop *without* cleanup, leaving the
     // filesystem exactly as the crash left it for recovery testing.

@@ -7,8 +7,6 @@
 #include <string>
 
 #include "activeness/activity.hpp"
-#include "activeness/incremental.hpp"
-#include "retention/flt.hpp"
 #include "util/config.hpp"
 #include "util/time.hpp"
 
@@ -32,16 +30,6 @@ inline util::TimePoint require_date(const util::Config& config,
   return tp;
 }
 
-inline activeness::EvalMode eval_mode_flag(const util::Config& config) {
-  const std::string name = config.get_string("eval-mode", "auto");
-  activeness::EvalMode mode = activeness::EvalMode::kAuto;
-  if (!activeness::parse_eval_mode(name, mode)) {
-    throw std::runtime_error("unknown --eval-mode: " + name +
-                             " (expected auto, full, or incremental)");
-  }
-  return mode;
-}
-
 inline activeness::BackpressurePolicy backpressure_flag(
     const util::Config& config) {
   const std::string name = config.get_string("backpressure", "block");
@@ -50,17 +38,6 @@ inline activeness::BackpressurePolicy backpressure_flag(
   if (name == "spill") return activeness::BackpressurePolicy::kSpill;
   throw std::runtime_error("unknown --backpressure: " + name +
                            " (expected block, shed, or spill)");
-}
-
-inline retention::ScanMode scan_mode_flag(const util::Config& config) {
-  const std::string name = config.get_string("scan-mode", "auto");
-  if (name == "walk") return retention::ScanMode::kWalk;
-  if (name == "indexed") return retention::ScanMode::kIndexed;
-  if (name != "auto") {
-    throw std::runtime_error("unknown --scan-mode: " + name +
-                             " (expected auto, walk, or indexed)");
-  }
-  return retention::ScanMode::kAuto;
 }
 
 }  // namespace adr::cli

@@ -42,8 +42,6 @@ int cmd_serve(const util::Config& config, std::ostream& out) {
   opts.state_dir = require_str(config, "state");
   opts.service.lifetime_days =
       static_cast<int>(config.get_int("lifetime", 90));
-  opts.service.eval_mode = eval_mode_flag(config);
-  opts.service.scan_mode = scan_mode_flag(config);
   opts.checkpoint_every_events = static_cast<std::uint64_t>(config.get_int(
       "checkpoint-every",
       static_cast<std::int64_t>(opts.checkpoint_every_events)));

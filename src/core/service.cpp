@@ -50,7 +50,6 @@ retention::ActiveDrConfig activedr_config(const ServiceConfig& config) {
   adr.lifetime_mode = config.lifetime_mode;
   adr.dry_run = config.dry_run;
   adr.record_victims = config.record_victims;
-  adr.scan_mode = config.scan_mode;
   return adr;
 }
 
@@ -59,7 +58,6 @@ retention::FltConfig flt_config(const ServiceConfig& config) {
   flt.lifetime_days = config.lifetime_days;
   flt.dry_run = config.dry_run;
   flt.record_victims = config.record_victims;
-  flt.scan_mode = config.scan_mode;
   return flt;
 }
 
@@ -68,7 +66,7 @@ retention::FltConfig flt_config(const ServiceConfig& config) {
 Service::Service(trace::UserRegistry registry, ServiceConfig config)
     : registry_(std::move(registry)),
       config_(config),
-      pipeline_(catalog_, evaluation_params(config_), config_.eval_mode) {}
+      pipeline_(catalog_, evaluation_params(config_)) {}
 
 activeness::ActivityStore& Service::ensure_store() {
   if (!store_) {
@@ -183,14 +181,6 @@ void Service::load_snapshot(const trace::Snapshot& snapshot) {
   vfs_.import_snapshot(snapshot);
 }
 
-void Service::set_degraded(bool degraded) {
-  if (degraded_ == degraded) return;
-  degraded_ = degraded;
-  pipeline_.set_mode(degraded ? activeness::EvalMode::kIncremental
-                               : config_.eval_mode);
-  obs::MetricsRegistry::global().counter("service.degrade_transitions").add();
-}
-
 const activeness::RankStore& Service::evaluate(util::TimePoint now) {
   activeness::ActivityStore& store = ensure_store();
   // The guard also checks the ingest queue: a daemon trigger repeated at
@@ -261,7 +251,7 @@ retention::PurgeReport Service::purge(util::TimePoint now,
     case Policy::kActiveDr:
       break;
   }
-  retention::ActiveDrPolicy adr(activedr_config(config_), registry_);
+  retention::ActiveDrPolicy adr(activedr_config(config_));
   if (!exemptions_.empty()) {
     retention::ExemptionList copy;
     for (const auto& p : exemptions_.reserved_paths()) copy.reserve(p);
@@ -282,7 +272,7 @@ std::string Service::policy_name(Policy policy) const {
     case Policy::kActiveDr:
       break;
   }
-  return retention::ActiveDrPolicy(activedr_config(config_), registry_).name();
+  return retention::ActiveDrPolicy(activedr_config(config_)).name();
 }
 
 void Service::save_checkpoint(const std::string& dir) {

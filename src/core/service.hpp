@@ -48,8 +48,10 @@ namespace adr::core {
 
 /// Everything a deployment configures once. The first block holds the
 /// paper's knobs (file lifetime = activeness period length d, purge
-/// target, Eq. 7 and the retrospective policy, Eqs. 1–5, eval mode); the
-/// second block carries the execution knobs of each policy run.
+/// target, Eq. 7 and the retrospective policy, Eqs. 1–5); the second block
+/// carries the execution knobs of each policy run. Evaluation always runs
+/// the delta pipeline (activeness/incremental.hpp), and ActiveDR always
+/// scans the Vfs's purge index.
 struct ServiceConfig {
   int lifetime_days = 90;
   /// Utilization a purge drives the scratch space down to (fraction of
@@ -63,9 +65,7 @@ struct ServiceConfig {
       activeness::ExponentScheme::kPaperExponent;
   activeness::StaleHandling stale = activeness::StaleHandling::kClampOldest;
   int max_periods = 0;
-  activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
 
-  retention::ScanMode scan_mode = retention::ScanMode::kAuto;
   bool dry_run = false;
   bool record_victims = false;
 };
@@ -183,15 +183,6 @@ class Service {
   /// checkpoint's applied seq; replay the WAL tail after it.
   RestoreStatus restore_checkpoint(const std::string& dir);
 
-  // -- degradation (DESIGN.md §14.2) --------------------------------------
-  /// Pin the evaluator pipeline to kIncremental (true) or restore the
-  /// configured eval mode (false). Degraded evaluation bounds per-trigger
-  /// work by the dirty set — no advance can decide to pay a full-rebuild
-  /// latency spike — while computing byte-identical ranks, so a degraded
-  /// daemon still answers triggers exactly. Idempotent.
-  void set_degraded(bool degraded);
-  bool degraded() const { return degraded_; }
-
   // -- introspection -------------------------------------------------------
   activeness::ActivityStore& store() { return ensure_store(); }
   const activeness::IncrementalEvaluator& pipeline() const {
@@ -216,7 +207,6 @@ class Service {
   std::uint64_t last_applied_seq_ = 0;
   std::optional<util::TimePoint> last_eval_time_;
   activeness::RankStore ranks_;
-  bool degraded_ = false;
 };
 
 }  // namespace adr::core

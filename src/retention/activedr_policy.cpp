@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -47,12 +46,6 @@ obs::Counter& indexed_scans() {
   return c;
 }
 
-obs::Counter& walk_scans() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::global().counter("policy.scan.walk");
-  return c;
-}
-
 obs::Counter& index_candidates() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("policy.index_candidates");
@@ -61,9 +54,7 @@ obs::Counter& index_candidates() {
 
 }  // namespace
 
-ActiveDrPolicy::ActiveDrPolicy(ActiveDrConfig config,
-                               const trace::UserRegistry& registry)
-    : config_(config), registry_(&registry) {}
+ActiveDrPolicy::ActiveDrPolicy(ActiveDrConfig config) : config_(config) {}
 
 void ActiveDrPolicy::set_exemptions(ExemptionList exemptions) {
   exemptions_ = std::move(exemptions);
@@ -112,14 +103,8 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
 
   report.dry_run = config_.dry_run;
   const bool record = config_.dry_run || config_.record_victims;
-  const bool indexed = config_.scan_mode != ScanMode::kWalk;
-  (indexed ? indexed_scans() : walk_scans()).add();
+  indexed_scans().add();
   const fs::PurgeIndex& index = vfs.purge_index();
-
-  // Walk-mode dry runs cannot mutate the vfs, so later passes would
-  // re-select earlier victims; dedupe by interned path id. (The indexed
-  // path needs no dedup: its cursor visits each candidate exactly once.)
-  std::unordered_set<fs::PathId> claimed;
 
   std::uint64_t remaining = target_purge_bytes;
   const bool no_target = target_purge_bytes == 0;
@@ -133,9 +118,6 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
     util::TimePoint atime;
     std::uint64_t size;
   };
-  const auto victim_order = [](const Victim& a, const Victim& b) {
-    return a.atime != b.atime ? a.atime < b.atime : a.id < b.id;
-  };
 
   obs::TimerSpan run_span("policy.run");
   bool done = false;
@@ -147,17 +129,16 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
 
     const int max_pass = no_target ? 0 : config_.retrospective_passes;
 
-    // Indexed scan-once: materialize each user's candidates one time, at
-    // the *widest* cutoff this group can ever reach (the fully decayed
-    // lifetime of the last retrospective pass). The 20%-per-pass decay only
-    // widens the victim window, so every pass's victims are a prefix of
-    // this list; passes then advance a cursor instead of re-walking.
-    std::vector<std::vector<Victim>> candidates;
-    std::vector<std::size_t> cursor;
-    if (indexed) {
+    // Scan-once: materialize each user's candidates one time, at the
+    // *widest* cutoff this group can ever reach (the fully decayed lifetime
+    // of the last retrospective pass). The 20%-per-pass decay only widens
+    // the victim window, so every pass's victims are a prefix of this list
+    // (the index yields them oldest first); passes then advance a cursor
+    // instead of re-walking, and each candidate is visited exactly once.
+    std::vector<std::vector<Victim>> candidates(users.size());
+    std::vector<std::size_t> cursor(users.size(), 0);
+    {
       obs::TimerSpan scan_span("policy.scan");
-      candidates.resize(users.size());
-      cursor.assign(users.size(), 0);
       util::global_pool().parallel_for(0, users.size(), [&](std::size_t ui) {
         const auto& ua = users[ui];
         const util::TimePoint widest_cutoff =
@@ -187,67 +168,25 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
         retrospective_passes().add();
       }
 
-      // Walk-mode decision phase: parallel over disjoint user directories,
-      // re-walked every pass (the seed behaviour the bench baselines).
-      std::vector<std::vector<Victim>> victims;
-      if (!indexed) {
-        victims.resize(users.size());
-        obs::TimerSpan scan_span("policy.scan");
-        util::global_pool().parallel_for(0, users.size(), [&](std::size_t ui) {
-          const auto& ua = users[ui];
-          const util::Duration lifetime = effective_lifetime(ua, pass);
-          // Exemption accounting must match the indexed scan: an exempt
-          // file counts once per scanned group, and only if it is expired
-          // at the group's *widest* (fully decayed) cutoff — the same
-          // population the indexed scan materializes. Counting on every
-          // re-walked pass, or counting unexpired exempt files, made
-          // exempted_files diverge between the two modes.
-          const util::Duration widest_lifetime = effective_lifetime(ua, max_pass);
-          const std::string home = registry_->home_dir(ua.user);
-          auto& mine = victims[ui];
-          vfs.for_each_under(home, [&](const std::string& path,
-                                       const fs::FileMeta& meta) {
-            if (exemptions_.is_exempt(path)) {
-              if (pass == 0 && now - meta.atime > widest_lifetime) {
-                exempted.fetch_add(1, std::memory_order_relaxed);
-              }
-              return;
-            }
-            if (now - meta.atime > lifetime) {
-              mine.push_back({meta.path_id, meta.atime, meta.size_bytes});
-            }
-          });
-          // Oldest first, matching the index order, so both modes select
-          // identical victims when a byte target stops mid-user.
-          std::sort(mine.begin(), mine.end(), victim_order);
-        });
-        report.phases.scan_seconds += scan_span.stop();
-        std::size_t considered = 0;
-        for (const auto& mine : victims) considered += mine.size();
-        victims_considered().add(considered);
-      }
-
       // Apply phase: sequential, ascending activeness order; stop exactly
       // at the target.
       obs::TimerSpan apply_span("policy.apply");
       bool purged_any = false;
       for (std::size_t ui = 0; ui < users.size() && !done; ++ui) {
         const trace::UserId user = users[ui].user;
-        const auto apply = [&](const Victim& v) {
+        // This pass's victims: the candidate prefix under the decayed
+        // cutoff, starting where the previous pass left off.
+        const util::TimePoint cutoff =
+            now - effective_lifetime(users[ui], pass);
+        const auto& mine = candidates[ui];
+        for (std::size_t& cur = cursor[ui];
+             !done && cur < mine.size() && mine[cur].atime < cutoff; ++cur) {
+          const Victim& v = mine[cur];
           const std::string& path = index.path(v.id);
-          if (config_.dry_run) {
-            if (indexed) {
-              // Cursor semantics already guarantee single selection.
-            } else if (!claimed.insert(v.id).second) {
-              return;  // earlier pass
-            }
-            if (record) report.victim_paths.push_back(path);
-          } else {
-            if (record) report.victim_paths.push_back(path);
-            if (!vfs.remove(path)) {
-              if (record) report.victim_paths.pop_back();
-              return;  // purged in an earlier pass
-            }
+          if (record) report.victim_paths.push_back(path);
+          if (!config_.dry_run && !vfs.remove(path)) {
+            if (record) report.victim_paths.pop_back();
+            continue;  // already gone
           }
           purged_any = true;
           victims_purged().add();
@@ -268,24 +207,6 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
           if (!no_target) {
             remaining -= std::min(remaining, v.size);
             if (remaining == 0) done = true;
-          }
-        };
-
-        if (indexed) {
-          // This pass's victims: the candidate prefix under the decayed
-          // cutoff, starting where the previous pass left off.
-          const util::TimePoint cutoff =
-              now - effective_lifetime(users[ui], pass);
-          const auto& mine = candidates[ui];
-          std::size_t& cur = cursor[ui];
-          while (!done && cur < mine.size() && mine[cur].atime < cutoff) {
-            apply(mine[cur]);
-            ++cur;
-          }
-        } else {
-          for (const auto& v : victims[ui]) {
-            apply(v);
-            if (done) break;
           }
         }
       }

@@ -23,15 +23,14 @@
 // implementation: ranks scan disjoint user shards concurrently (Fig. 12b–d)
 // while the purge-target guarantee stays exact.
 //
-// Scan modes (ScanMode, DESIGN.md "Purge index"): the default indexed mode
-// answers the Eq. 7 victim query as an atime range over the Vfs's purge
-// index, and makes the retrospective passes *scan-once* — a group's
-// candidates are materialized a single time at the fully-decayed cutoff
-// (decay only widens the victim window, so each pass's victims are a prefix)
-// and passes 1..5 just advance a per-user cursor. kWalk preserves the
-// original per-pass directory re-walks as the measurable baseline. Within a
-// user, both modes purge oldest-first (atime, then path id), so they select
-// identical victims.
+// The scan (DESIGN.md §8 "Purge index") answers the Eq. 7 victim query as
+// an atime range over the Vfs's purge index, and makes the retrospective
+// passes *scan-once*: a group's candidates are materialized a single time at
+// the fully-decayed cutoff (decay only widens the victim window, so each
+// pass's victims are a prefix) and passes 1..5 just advance a per-user
+// cursor. Within a user, victims go oldest first (atime, then path id). An
+// exempt file counts toward exempted_files once per scanned group, when it
+// is expired at that group's widest cutoff.
 
 #include <cstdint>
 #include <string>
@@ -39,7 +38,6 @@
 #include "activeness/classifier.hpp"
 #include "retention/exemption.hpp"
 #include "retention/policy.hpp"
-#include "trace/user_registry.hpp"
 
 namespace adr::retention {
 
@@ -67,20 +65,11 @@ struct ActiveDrConfig {
   /// Record every victim path into PurgeReport::victim_paths.
   bool record_victims = false;
 
-  /// kAuto/kIndexed: scan the Vfs's atime-ordered purge index — candidates
-  /// materialize once per group and retrospective passes advance a cursor
-  /// (no re-walks). kWalk: the seed's per-pass walk of each home
-  /// directory. Both modes produce identical PurgeReports: the same victims
-  /// (per user, ascending atime with path-id tie-break) and the same
-  /// exempted_files count (an exempt file counts once per scanned group,
-  /// and only when expired at the group's widest fully-decayed cutoff — the
-  /// candidate population the index materializes).
-  ScanMode scan_mode = ScanMode::kAuto;
 };
 
 class ActiveDrPolicy {
  public:
-  ActiveDrPolicy(ActiveDrConfig config, const trace::UserRegistry& registry);
+  explicit ActiveDrPolicy(ActiveDrConfig config);
 
   /// Install the administrator's reservation list (optional).
   void set_exemptions(ExemptionList exemptions);
@@ -103,7 +92,6 @@ class ActiveDrPolicy {
 
  private:
   ActiveDrConfig config_;
-  const trace::UserRegistry* registry_;
   ExemptionList exemptions_;
 };
 

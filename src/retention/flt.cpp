@@ -32,14 +32,6 @@ PurgeReport FltPolicy::run(fs::Vfs& vfs, util::TimePoint now,
 
   const util::Duration lifetime = util::days(config_.lifetime_days);
   const bool no_target = target_purge_bytes == 0;
-  // Strict runs purge the whole expired set, so its order is unobservable
-  // and the index is always safe; purge-to-target runs keep the documented
-  // component-order "system scan order" unless the caller opts into the
-  // index (whose order is oldest-first).
-  const bool indexed =
-      config_.scan_mode == ScanMode::kIndexed ||
-      (config_.scan_mode == ScanMode::kAuto && no_target);
-
   struct Victim {
     fs::PathId id;
     trace::UserId owner;
@@ -48,7 +40,10 @@ PurgeReport FltPolicy::run(fs::Vfs& vfs, util::TimePoint now,
   std::vector<Victim> victims;
   {
     obs::TimerSpan scan_span("policy.scan");
-    if (indexed) {
+    // Strict runs purge the whole expired set, so its order is unobservable
+    // and the index answers it; purge-to-target runs purge in the
+    // documented component-order "system scan order".
+    if (no_target) {
       for (const auto& oe :
            vfs.purge_index().collect_expired_all(now - lifetime)) {
         victims.push_back({oe.entry.id, oe.owner, oe.entry.size_bytes});

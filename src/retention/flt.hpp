@@ -3,13 +3,14 @@
 // last access exceeds a fixed lifetime. This is the policy deployed at the
 // facilities of Table 1, and the baseline all paper figures compare against.
 //
-// Two modes:
+// Two modes, each with its own scan:
 //  * strict (target = 0): purge *all* expired files — the classic cron
-//    behaviour behind Fig. 1;
-//  * purge-to-target: purge expired files in system scan order (the Vfs's
-//    component path order) until the byte target is met — the "same purge
-//    target" comparison mode of §4. FLT has no recourse beyond expired
-//    files: if they don't cover the target the run reports
+//    behaviour behind Fig. 1. The victim set is order-independent, so it is
+//    read straight off the Vfs's atime-ordered purge index;
+//  * purge-to-target: purge expired files in system scan order (a walk of
+//    the Vfs in component path order) until the byte target is met — the
+//    "same purge target" comparison mode of §4. FLT has no recourse beyond
+//    expired files: if they don't cover the target the run reports
 //    target_reached = false.
 
 #include <cstdint>
@@ -25,14 +26,6 @@ struct FltConfig {
   bool dry_run = false;
   /// Record every victim path into PurgeReport::victim_paths.
   bool record_victims = false;
-
-  /// kIndexed: read expired files straight off the Vfs's atime-ordered
-  /// purge index, oldest first, instead of walking the file table. kWalk
-  /// keeps the legacy component path order. kAuto picks indexed for strict
-  /// (no-target) runs — where the victim *set* is order-independent — and
-  /// the walk for purge-to-target runs, whose documented semantics purge in
-  /// system scan order.
-  ScanMode scan_mode = ScanMode::kAuto;
 
   /// Facility presets from Table 1.
   static FltConfig ncar() { return {120}; }

@@ -14,23 +14,6 @@
 
 namespace adr::retention {
 
-/// How a policy run finds expired files.
-enum class ScanMode {
-  /// Policy-specific default: ActiveDR always takes the indexed path (its
-  /// victim selection is identical in both modes by construction); FLT
-  /// takes it only for strict (no-target) runs, where victim *order* is
-  /// unobservable, and keeps the legacy path-order walk when a byte target
-  /// makes the order part of its documented semantics.
-  kAuto,
-  /// Path-order walk of the file table per pass (the seed behaviour; the
-  /// bench baseline).
-  kWalk,
-  /// Range queries against the Vfs's atime-ordered purge index; ActiveDR's
-  /// retrospective passes become cursor advances over candidates
-  /// materialized once per group (scan-once).
-  kIndexed,
-};
-
 /// Bytes a purge run must free so that used space drops to
 /// `target_utilization` x capacity. Zero when already below target.
 std::uint64_t purge_target_bytes(const fs::Vfs& vfs, double target_utilization);

@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "util/io.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -53,6 +54,13 @@ void PurgeReport::print(std::ostream& out) const {
         << util::format_duration_seconds(phases.apply_seconds);
   }
   out << '\n';
+}
+
+void PurgeReport::save_victims(const std::string& path) const {
+  util::io::AtomicWriter writer(
+      path, {.fsync = util::io::default_fsync(), .footer = false});
+  for (const auto& victim : victim_paths) writer.write_line(victim);
+  writer.commit();
 }
 
 }  // namespace adr::retention

@@ -9,6 +9,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "activeness/classifier.hpp"
 #include "trace/types.hpp"
@@ -86,6 +87,12 @@ struct PurgeReport {
 
   /// Human-readable table for operators.
   void print(std::ostream& out) const;
+
+  /// Write victim_paths to `path`, one per line and no footer: the purge
+  /// list of `purge --victims` and the daemon's victims_out. Committed via
+  /// util::io::AtomicWriter (fsync per util::io::default_fsync()), so a
+  /// crash leaves the old list or the whole new one, never a torn one.
+  void save_victims(const std::string& path) const;
 };
 
 }  // namespace adr::retention

@@ -194,20 +194,15 @@ void Daemon::observe_phase(const char* phase,
 }
 
 void Daemon::apply_health() {
-  const HealthState state = health_.state();
-  // Degradation ladder rung 1: degraded (and worse) pins the evaluator to
-  // incremental mode — bounded delta work, identical output.
-  service_.set_degraded(state == HealthState::kDegraded ||
-                        state == HealthState::kOverloaded);
-  // Rung 2: overloaded defers new triggers with jittered exponential
-  // backoff (the .cmd file stays in place; status/stop keep working).
-  if (state == HealthState::kOverloaded) {
-    defer_until_ = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<
-                       std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double, std::milli>(
-                           health_.defer_delay_ms()));
-  }
+  // Overloaded defers new triggers with jittered exponential backoff (the
+  // .cmd file stays in place; status/stop keep working). Degraded is a
+  // reported rung only: the evaluator has one schedule, so there is nothing
+  // to pin.
+  if (health_.state() != HealthState::kOverloaded) return;
+  defer_until_ = std::chrono::steady_clock::now() +
+                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double, std::milli>(
+                         health_.defer_delay_ms()));
 }
 
 bool Daemon::defer_trigger() const {
@@ -312,16 +307,8 @@ void Daemon::handle_command(const std::string& cmd_path) {
         put("purged_files", std::to_string(report.purged_files));
         put("purged_bytes", std::to_string(report.purged_bytes));
         put("target_reached", report.target_reached ? "true" : "false");
-        const auto victims_out = cmd.get("victims_out");
-        if (victims_out) {
-          // Same bytes as one-shot `purge --victims`: one path per line,
-          // no footer (but committed atomically).
-          util::io::AtomicWriter victims(*victims_out,
-                                         {.fsync = false, .footer = false});
-          for (const auto& path : report.victim_paths) {
-            victims.write_line(path);
-          }
-          victims.commit();
+        if (const auto victims_out = cmd.get("victims_out")) {
+          report.save_victims(*victims_out);
         }
       } else {
         service_.evaluate(now);

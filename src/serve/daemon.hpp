@@ -111,8 +111,8 @@ struct DaemonOptions {
 
   /// Trigger watchdog + degradation ladder (DESIGN.md §14.2):
   /// watchdog.trigger_deadline_ms = 0 disables it. On breach the daemon
-  /// degrades (pins incremental evaluation) and, if breaches persist,
-  /// defers new triggers with jittered backoff — it never dies.
+  /// reports degraded and, if breaches persist, defers new triggers with
+  /// jittered backoff — it never dies.
   WatchdogConfig watchdog;
 
   /// Retry budget for the daemon's own artifact writes — checkpoint
@@ -166,8 +166,7 @@ class Daemon {
   void prune_checkpoints();
   void export_metrics();
   /// Feed a completed watched phase to the HealthMonitor and apply the
-  /// resulting state: degraded/overloaded pins incremental evaluation,
-  /// overloaded additionally arms the trigger-deferral window.
+  /// resulting state: overloaded arms the trigger-deferral window.
   void observe_phase(const char* phase,
                      std::chrono::steady_clock::time_point begin);
   void apply_health();

@@ -11,10 +11,9 @@
 //                                    ▼
 //                                draining            (terminal)
 //
-//  * degraded — the owner pins the evaluator pipeline to kIncremental
-//    (Service::set_degraded): delta work is bounded by the dirty set, so no
-//    advance can decide to pay a full-rebuild latency spike. Output is
-//    unchanged — every eval mode computes identical ranks.
+//  * degraded — reported only (gauge, status reply): a first breach is a
+//    warning. The evaluator has a single delta schedule whose work is
+//    bounded by the dirty set, so there is no cheaper mode to pin.
 //  * overloaded — new trigger commands are deferred with jittered
 //    exponential backoff (the .cmd file stays in place; status/stop keep
 //    working). Recovery needs `recover_after_ok` consecutive in-deadline

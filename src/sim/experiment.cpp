@@ -13,7 +13,6 @@ core::ServiceConfig service_config(const ExperimentConfig& config) {
   service.lifetime_mode = config.lifetime_mode;
   service.scheme = config.scheme;
   service.max_periods = config.max_periods;
-  service.eval_mode = config.eval_mode;
   return service;
 }
 

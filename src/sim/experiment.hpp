@@ -32,10 +32,6 @@ struct ExperimentConfig {
   activeness::ExponentScheme scheme =
       activeness::ExponentScheme::kPaperExponent;
   int max_periods = 0;
-  /// How each run's Service re-evaluates at a trigger (delta-aware by
-  /// default; kFull pins the re-rank-everyone baseline). Full and
-  /// incremental are result-identical — this is a performance knob.
-  activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
 
   /// Optional reserved paths (purge exemption) applied to ActiveDR runs.
   std::vector<std::string> exempt_paths;

@@ -117,8 +117,6 @@ LoadLevelResult run_load_level(const LoadGenConfig& config, double rate) {
   // exact warm-trigger path `activedr serve` answers from.
   core::ServiceConfig service_config;
   service_config.lifetime_days = config.period_length_days;
-  service_config.eval_mode = config.eval_mode;
-  service_config.scan_mode = retention::ScanMode::kIndexed;
   service_config.dry_run = true;
   core::Service service(trace::UserRegistry::with_synthetic_users(config.users),
                         service_config);

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "activeness/incremental.hpp"
 #include "util/time.hpp"
 
 namespace adr::sim {
@@ -33,7 +32,6 @@ struct LoadGenConfig {
   std::size_t files_per_user = 20;  ///< synthetic purge population per user
   std::uint64_t seed = 42;
   std::size_t producers = 2;  ///< concurrent ingest threads
-  activeness::EvalMode eval_mode = activeness::EvalMode::kAuto;
   int period_length_days = 30;
 
   double events_per_sec = 4000.0;  ///< first ramp level's target rate

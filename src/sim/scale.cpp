@@ -36,7 +36,6 @@ ScaleResult drive(const ScaleConfig& config, NextFn&& next_event) {
 
   core::ServiceConfig service_config;
   service_config.lifetime_days = config.lifetime_days;
-  service_config.scan_mode = retention::ScanMode::kIndexed;
   service_config.dry_run = config.dry_run;
   service_config.record_victims = config.record_victims;
   core::Service service(

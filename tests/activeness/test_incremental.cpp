@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "retention/activedr_policy.hpp"
+#include "trace/user_registry.hpp"
 #include "util/rng.hpp"
 
 namespace adr::activeness {
@@ -80,20 +81,6 @@ EvaluationParams params_for(int period_days, StaleHandling stale,
   return p;
 }
 
-TEST(EvalMode, ParseAndFormat) {
-  EvalMode mode = EvalMode::kFull;
-  EXPECT_TRUE(parse_eval_mode("auto", mode));
-  EXPECT_EQ(mode, EvalMode::kAuto);
-  EXPECT_TRUE(parse_eval_mode("full", mode));
-  EXPECT_EQ(mode, EvalMode::kFull);
-  EXPECT_TRUE(parse_eval_mode("incremental", mode));
-  EXPECT_EQ(mode, EvalMode::kIncremental);
-  EXPECT_FALSE(parse_eval_mode("turbo", mode));
-  EXPECT_STREQ(to_string(EvalMode::kAuto), "auto");
-  EXPECT_STREQ(to_string(EvalMode::kFull), "full");
-  EXPECT_STREQ(to_string(EvalMode::kIncremental), "incremental");
-}
-
 TEST(IncrementalEvaluator, MatchesFullAcrossRandomizedTriggerSweeps) {
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
   for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
@@ -130,8 +117,8 @@ TEST(IncrementalEvaluator, MatchesFullAcrossRandomizedTriggerSweeps) {
 // The same identity across the inputs a pure forward sweep never produces:
 // 40 randomized timelines mixing streaming appends, future-dated events
 // that a later trigger has to reveal through the chronological index, and
-// backwards-time jumps that force rebuilds. kAuto and pinned kIncremental
-// must both match kFull in users, groups and plan order at every trigger,
+// backwards-time jumps that force rebuilds. kIncremental must match kFull
+// in users, groups and plan order at every trigger,
 // and a dry-run purge to a byte target must then name the same victims in
 // the same order (the list depends on scan order, not just the victim set).
 TEST(IncrementalEvaluator, MatchesFullAcrossAppendsJumpsAndVictimLists) {
@@ -146,10 +133,8 @@ TEST(IncrementalEvaluator, MatchesFullAcrossAppendsJumpsAndVictimLists) {
         seed % 3 == 0 ? StaleHandling::kDrop : StaleHandling::kClampOldest,
         ExponentScheme::kPaperExponent, seed % 3 == 0 ? 5 : 0);
     ActivityStore store_full = random_store(seed, kUsers);
-    ActivityStore store_auto = random_store(seed, kUsers);
     ActivityStore store_inc = random_store(seed, kUsers);
     IncrementalEvaluator full(catalog, params, EvalMode::kFull);
-    IncrementalEvaluator automatic(catalog, params, EvalMode::kAuto);
     IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
     util::Rng rng(seed * 7919);
     util::TimePoint t = kT0 - 200 * kDay;
@@ -172,23 +157,19 @@ TEST(IncrementalEvaluator, MatchesFullAcrossAppendsJumpsAndVictimLists) {
             10 * kDay;
         const Activity a{t + off, rng.uniform(0.5, 20.0)};
         store_full.append(user, type, a);
-        store_auto.append(user, type, a);
         store_inc.append(user, type, a);
       }
       full.advance(store_full, t);
-      automatic.advance(store_auto, t);
       inc.advance(store_inc, t);
-      for (const IncrementalEvaluator* pipeline : {&automatic, &inc}) {
-        ASSERT_EQ(pipeline->users().size(), kUsers);
-        for (std::size_t u = 0; u < kUsers; ++u) {
-          expect_same_activeness(full.users()[u], pipeline->users()[u]);
-          EXPECT_EQ(full.groups()[u], pipeline->groups()[u]);
-        }
-        expect_same_plan(full.plan(), pipeline->plan());
+      ASSERT_EQ(inc.users().size(), kUsers);
+      for (std::size_t u = 0; u < kUsers; ++u) {
+        expect_same_activeness(full.users()[u], inc.users()[u]);
+        EXPECT_EQ(full.groups()[u], inc.groups()[u]);
       }
+      expect_same_plan(full.plan(), inc.plan());
     }
 
-    fs::Vfs vfs_full, vfs_auto, vfs_inc;
+    fs::Vfs vfs_full, vfs_inc;
     util::Rng files(seed ^ 0xabc);
     for (trace::UserId u = 0; u < kUsers; ++u) {
       for (int f = 0; f < 2; ++f) {
@@ -202,18 +183,15 @@ TEST(IncrementalEvaluator, MatchesFullAcrossAppendsJumpsAndVictimLists) {
         const std::string path =
             registry.home_dir(u) + "/f" + std::to_string(f);
         vfs_full.create(path, meta);
-        vfs_auto.create(path, meta);
         vfs_inc.create(path, meta);
       }
     }
     retention::ActiveDrConfig config;
     config.dry_run = true;
-    const retention::ActiveDrPolicy policy(config, registry);
+    const retention::ActiveDrPolicy policy(config);
     const std::uint64_t target = vfs_full.total_bytes() / 3;
     const auto want = policy.run(vfs_full, t, target, full.plan()).victim_paths;
     EXPECT_FALSE(want.empty());
-    EXPECT_EQ(policy.run(vfs_auto, t, target, automatic.plan()).victim_paths,
-              want);
     EXPECT_EQ(policy.run(vfs_inc, t, target, inc.plan()).victim_paths, want);
   }
 }
@@ -352,13 +330,12 @@ TEST(IncrementalEvaluator, PlanPatchingMovesUsersAcrossGroups) {
   expect_same_plan(full.plan(), inc.plan());
 }
 
-TEST(IncrementalEvaluator, AutoModeBehavesIncrementally) {
+TEST(IncrementalEvaluator, DefaultModeAdvancesIncrementally) {
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
   const EvaluationParams params = params_for(
       90, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
   ActivityStore store = random_store(3, 40);
-  IncrementalEvaluator pipeline(catalog, params);  // default: kAuto
-  EXPECT_EQ(pipeline.mode(), EvalMode::kAuto);
+  IncrementalEvaluator pipeline(catalog, params);  // default: kIncremental
   const AdvanceStats first = pipeline.advance(store, kT0);
   EXPECT_TRUE(first.full_rebuild);
   const AdvanceStats second = pipeline.advance(store, kT0 + 7 * kDay);
@@ -366,52 +343,45 @@ TEST(IncrementalEvaluator, AutoModeBehavesIncrementally) {
   EXPECT_GT(second.users_skipped, 0u);
 }
 
-TEST(IncrementalEvaluator, AutoModeFallsBackUnderSustainedChurnThenRecovers) {
+TEST(IncrementalEvaluator, SustainedChurnStaysOnTheDeltaPathAndMatchesFull) {
+  // A storm holding the delta set at the rebuild threshold (6 of 8 users
+  // dirty) trigger after trigger: the default pipeline never falls back to
+  // full rebuilds, and still ranks and plans exactly like kFull.
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
   const EvaluationParams params = params_for(
       90, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent);
   constexpr std::size_t kUsers = 8;
   ActivityStore store(kUsers, 2);
+  ActivityStore mirror(kUsers, 2);
   for (trace::UserId u = 0; u < kUsers; ++u) {
     store.add(u, 0, Activity{kT0 - 30 * kDay, 5.0});
+    mirror.add(u, 0, Activity{kT0 - 30 * kDay, 5.0});
   }
   store.sort_all();
+  mirror.sort_all();
 
-  IncrementalEvaluator pipeline(catalog, params);  // default: kAuto
+  IncrementalEvaluator pipeline(catalog, params);  // default: kIncremental
+  IncrementalEvaluator full(catalog, params, EvalMode::kFull);
   util::TimePoint t = kT0;
-  AdvanceStats stats = pipeline.advance(store, t);
-  EXPECT_TRUE(stats.full_rebuild);
-  EXPECT_FALSE(stats.auto_full);
+  EXPECT_TRUE(pipeline.advance(store, t).full_rebuild);
+  full.advance(mirror, t);
 
-  // Storm: touch 6 of 8 users every trigger, holding the delta set at the
-  // rebuild threshold for kFallbackAfter consecutive advances.
-  for (int i = 0; i < IncrementalEvaluator::kFallbackAfter; ++i) {
+  for (int i = 0; i < 6; ++i) {
     t += 7 * kDay;
     for (trace::UserId u = 0; u < 6; ++u) {
       store.append(u, 0, Activity{t - kDay, 3.0});
+      mirror.append(u, 0, Activity{t - kDay, 3.0});
     }
-    stats = pipeline.advance(store, t);
-    EXPECT_FALSE(stats.full_rebuild) << "delta path during hot streak " << i;
+    const AdvanceStats stats = pipeline.advance(store, t);
+    full.advance(mirror, t);
+    EXPECT_FALSE(stats.full_rebuild) << "storm advance " << i;
+    EXPECT_EQ(stats.users_dirty, 6u) << "storm advance " << i;
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      expect_same_activeness(full.users()[u], pipeline.users()[u]);
+      EXPECT_EQ(full.groups()[u], pipeline.groups()[u]);
+    }
+    expect_same_plan(full.plan(), pipeline.plan());
   }
-  EXPECT_TRUE(stats.auto_full) << "hysteresis should have tripped";
-  EXPECT_TRUE(pipeline.auto_full());
-
-  // Resolved to full: advances rebuild while the storm lasts, and a calm
-  // streak (1 of 8 dirty, under the quarter threshold) flips it back.
-  for (int i = 0; i < IncrementalEvaluator::kRecoverAfter; ++i) {
-    t += 7 * kDay;
-    store.append(0, 0, Activity{t - kDay, 1.0});
-    stats = pipeline.advance(store, t);
-    EXPECT_TRUE(stats.full_rebuild) << "resolved full during calm streak " << i;
-    EXPECT_EQ(stats.users_dirty, 1u);
-  }
-  EXPECT_FALSE(stats.auto_full) << "calm streak should have recovered";
-  EXPECT_FALSE(pipeline.auto_full());
-
-  // Next trigger is back on the delta path.
-  t += 7 * kDay;
-  stats = pipeline.advance(store, t);
-  EXPECT_FALSE(stats.full_rebuild);
 }
 
 TEST(IncrementalEvaluator, CappedWindowStaticGapFreezesUser) {

@@ -118,7 +118,7 @@ TEST(IngestQueue, QueuedEventShowsAfterNextAdvance) {
   constexpr std::size_t kUsers = 64;
   ActivityStore store = base_store(22, kUsers);
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
-  IncrementalEvaluator evaluator(catalog, short_params(), EvalMode::kAuto);
+  IncrementalEvaluator evaluator(catalog, short_params(), EvalMode::kIncremental);
   evaluator.advance(store, kT0);
   evaluator.advance(store, kT0 + kDay);
 
@@ -148,7 +148,7 @@ TEST(IngestQueue, ConcurrentProducersMatchSerialReplay) {
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
 
   ActivityStore store = base_store(44, kUsers);
-  IncrementalEvaluator evaluator(catalog, short_params(), EvalMode::kAuto);
+  IncrementalEvaluator evaluator(catalog, short_params(), EvalMode::kIncremental);
   evaluator.advance(store, kT0);
 
   std::atomic<std::size_t> enqueued{0};

@@ -153,68 +153,65 @@ TEST_F(CliTest, PurgeCheckIndexVerifiesConsistency) {
   EXPECT_NE(r.out.find("Purge index verified"), std::string::npos);
 }
 
-TEST_F(CliTest, PurgeScanModesSelectIdenticalVictims) {
-  // The same FLT purge under --scan-mode walk and indexed must write the
-  // same victim list (modulo order; strict runs purge the full expired set).
-  std::vector<std::string> victims[2];
-  int i = 0;
-  for (const char* mode : {"walk", "indexed"}) {
-    const std::string list = path(std::string("victims_") + mode + ".txt");
-    const CliResult r =
-        run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
-             path("users.csv").c_str(), "--now", "2016-06-01", "--policy",
-             "flt", "--lifetime", "30", "--target", "0", "--dry-run",
-             "--scan-mode", mode, "--victims", list.c_str()});
-    ASSERT_EQ(r.code, 0) << r.err;
-    std::ifstream in(list);
-    for (std::string line; std::getline(in, line);) {
-      victims[i].push_back(line);
-    }
-    std::sort(victims[i].begin(), victims[i].end());
-    ++i;
-  }
-  EXPECT_FALSE(victims[0].empty());
-  EXPECT_EQ(victims[0], victims[1]);
-}
-
-TEST_F(CliTest, PurgeRejectsUnknownScanMode) {
+TEST_F(CliTest, PurgeRejectsUnknownFlag) {
+  // A misspelt --target used to run silently with the default target.
+  const std::string victims = path("victims_typo.txt");
   const CliResult r =
       run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
            path("users.csv").c_str(), "--now", "2016-06-01", "--policy",
-           "flt", "--scan-mode", "psychic"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("unknown --scan-mode"), std::string::npos);
+           "flt", "--dry-run", "--taget", "0.9", "--victims",
+           victims.c_str()});
+  EXPECT_EQ(r.code, 64);
+  EXPECT_NE(r.err.find("--taget"), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("purge"), std::string::npos) << r.err;
+  EXPECT_FALSE(fsys::exists(victims));
 }
 
-TEST_F(CliTest, PurgeRejectsUnknownEvalMode) {
+TEST_F(CliTest, RemovedModeFlagsAreRejected) {
+  // The evaluation schedule and the ActiveDR scan are fixed; their old
+  // selectors (and the long-ignored --shards) are unknown flags now.
+  const std::string snapshot = path("snapshot.csv");
+  const std::string users = path("users.csv");
+  const std::string jobs = path("jobs.csv");
+  const std::string wal = path("rejected_wal");
+  const std::string state = path("rejected_state");
+  const std::vector<std::vector<const char*>> runs = {
+      {"purge", "--snapshot", snapshot.c_str(), "--users", users.c_str(),
+       "--now", "2016-06-01", "--policy", "flt", "--scan-mode", "indexed"},
+      {"purge", "--snapshot", snapshot.c_str(), "--users", users.c_str(),
+       "--now", "2016-06-01", "--policy", "flt", "--eval-mode", "full"},
+      {"evaluate", "--users", users.c_str(), "--jobs", jobs.c_str(), "--now",
+       "2016-01-01", "--eval-mode", "incremental"},
+      {"replay", "--dir", dir_->c_str(), "--shards", "2"},
+      // --max-ticks bounds the daemon should the flag ever be accepted.
+      {"serve", "--wal", wal.c_str(), "--state", state.c_str(), "--users",
+       users.c_str(), "--max-ticks", "1", "--scan-mode", "walk"},
+  };
+  for (const auto& args : runs) {
+    std::vector<const char*> argv{"activedr"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    std::ostringstream out, err;
+    const int code =
+        run_cli(static_cast<int>(argv.size()), argv.data(), out, err);
+    EXPECT_EQ(code, 64) << args[0];
+    const std::string flag = args[args.size() - 2];
+    EXPECT_NE(err.str().find("unknown flag " + flag), std::string::npos)
+        << err.str();
+  }
+}
+
+TEST_F(CliTest, PurgeVictimsListIsAtomic) {
+  // The purge list is an artifact like any other: a crash before its
+  // commit leaves no (partial) list behind.
+  const std::string victims = path("victims_atomic.txt");
   const CliResult r =
       run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
            path("users.csv").c_str(), "--now", "2016-06-01", "--policy",
-           "flt", "--eval-mode", "psychic"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("unknown --eval-mode"), std::string::npos);
-}
-
-TEST_F(CliTest, EvaluateModesProduceIdenticalRanks) {
-  // The same evaluation under --eval-mode full and incremental must write
-  // byte-identical rank stores.
-  std::string contents[2];
-  int i = 0;
-  for (const char* mode : {"full", "incremental"}) {
-    const std::string ranks = path(std::string("ranks_") + mode + ".csv");
-    const CliResult r =
-        run({"evaluate", "--users", path("users.csv").c_str(), "--jobs",
-             path("jobs.csv").c_str(), "--pubs", path("pubs.csv").c_str(),
-             "--now", "2016-01-01", "--eval-mode", mode, "--out",
-             ranks.c_str()});
-    ASSERT_EQ(r.code, 0) << r.err;
-    std::ifstream in(ranks);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    contents[i++] = buffer.str();
-  }
-  EXPECT_FALSE(contents[0].empty());
-  EXPECT_EQ(contents[0], contents[1]);
+           "flt", "--lifetime", "30", "--target", "0", "--dry-run",
+           "--victims", victims.c_str(), "--fault-spec",
+           "io.atomic.pre_rename:crash"});
+  EXPECT_EQ(r.code, 9) << r.err;
+  EXPECT_FALSE(fsys::exists(victims));
 }
 
 TEST_F(CliTest, PurgeActiveDrEvaluatesInlineFromLogs) {
@@ -224,7 +221,7 @@ TEST_F(CliTest, PurgeActiveDrEvaluatesInlineFromLogs) {
       run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
            path("users.csv").c_str(), "--jobs", path("jobs.csv").c_str(),
            "--pubs", path("pubs.csv").c_str(), "--now", "2016-01-01",
-           "--eval-mode", "incremental", "--target", "0.5", "--dry-run"});
+           "--target", "0.5", "--dry-run"});
   EXPECT_TRUE(r.code == 0 || r.code == 2) << r.err;
   EXPECT_NE(r.out.find("Purge report"), std::string::npos);
 }

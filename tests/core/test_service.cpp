@@ -541,23 +541,29 @@ TEST_F(ServiceTest, IncrementalEvaluationTouchesOnlyTheDirtyUser) {
 }
 
 TEST_F(ServiceTest, FullEvalModeMatchesIncremental) {
-  ServiceConfig full_config;
-  full_config.eval_mode = activeness::EvalMode::kFull;
-  Service full_service(trace::UserRegistry::with_synthetic_users(4),
-                       full_config);
-  const auto fop = full_service.register_operation_type("job_submission");
+  // The service's delta pipeline against the reference schedule: a kFull
+  // evaluator advanced over the service's own store at the same instants.
+  const ServiceConfig& config = service_.config();
+  activeness::EvaluationParams params;
+  params.period_length_days = config.lifetime_days;
+  params.scheme = config.scheme;
+  params.stale = config.stale;
+  params.max_periods = config.max_periods;
+  activeness::IncrementalEvaluator full(service_.catalog(), params,
+                                        activeness::EvalMode::kFull);
 
   record_rising_user0(service_, op_);
-  record_rising_user0(full_service, fop);
   for (const util::TimePoint t : {kNow, kNow + util::days(7)}) {
     service_.evaluate(t);
-    full_service.evaluate(t);
-    for (trace::UserId u = 0; u < 4; ++u) {
-      const auto a = service_.activeness_of(u);
-      const auto b = full_service.activeness_of(u);
-      EXPECT_EQ(a.op.sort_key(), b.op.sort_key());
-      EXPECT_EQ(a.oc.sort_key(), b.oc.sort_key());
-      EXPECT_EQ(a.last_activity, b.last_activity);
+    full.advance(service_.store(), t);
+    const auto& want = full.users();
+    const auto& got = service_.pipeline().users();
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t u = 0; u < want.size(); ++u) {
+      EXPECT_EQ(got[u].user, want[u].user);
+      EXPECT_EQ(got[u].op.sort_key(), want[u].op.sort_key());
+      EXPECT_EQ(got[u].oc.sort_key(), want[u].oc.sort_key());
+      EXPECT_EQ(got[u].last_activity, want[u].last_activity);
     }
   }
 }

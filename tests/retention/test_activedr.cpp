@@ -4,6 +4,7 @@
 
 #include "retention/flt.hpp"
 #include "retention/policy.hpp"
+#include "trace/user_registry.hpp"
 
 namespace adr::retention {
 namespace {
@@ -59,7 +60,7 @@ TEST_F(ActiveDrTest, NoTargetPurgesExpiredPerAdjustedLifetime) {
 
   ActiveDrConfig config;
   config.initial_lifetime_days = 90;
-  const ActiveDrPolicy policy(config, registry_);
+  const ActiveDrPolicy policy(config);
   const PurgeReport report = policy.run(
       vfs_, kNow, 0, plan({ua(0, 2.0, 1.0), ua(3, 0.0, 0.0)}));
 
@@ -76,7 +77,7 @@ TEST_F(ActiveDrTest, ScansInactiveUsersFirst) {
   // inactive user's file must be the casualty.
   vfs_.create(file(0, "f"), meta(0, 100, 120));  // both-active
   vfs_.create(file(3, "f"), meta(3, 100, 120));  // both-inactive
-  const ActiveDrPolicy policy(ActiveDrConfig{}, registry_);
+  const ActiveDrPolicy policy(ActiveDrConfig{});
   const PurgeReport report =
       policy.run(vfs_, kNow, 100, plan({ua(0, 5.0, 5.0), ua(3, 0.0, 0.0)}));
   EXPECT_TRUE(report.target_reached);
@@ -90,7 +91,7 @@ TEST_F(ActiveDrTest, AscendingRankWithinGroup) {
   // Two inactive users; the lower-ranked one is scanned (and purged) first.
   vfs_.create(file(2, "f"), meta(2, 100, 120));
   vfs_.create(file(3, "f"), meta(3, 100, 120));
-  const ActiveDrPolicy policy(ActiveDrConfig{}, registry_);
+  const ActiveDrPolicy policy(ActiveDrConfig{});
   // user3 rank 0 < user2 rank 0.5 -> user3 purged first.
   const PurgeReport report = policy.run(
       vfs_, kNow, 100, plan({ua(2, 0.5, 0.5), ua(3, 0.0, 0.0)}));
@@ -103,7 +104,7 @@ TEST_F(ActiveDrTest, RetrospectivePassesDecayLifetimes) {
   // Inactive user's file at 50 days: survives the normal 90d pass; decayed
   // passes (90 * 0.8^k) cross below 50d at k=3 (46.08d).
   vfs_.create(file(3, "f"), meta(3, 100, 50));
-  const ActiveDrPolicy policy(ActiveDrConfig{}, registry_);
+  const ActiveDrPolicy policy(ActiveDrConfig{});
   const PurgeReport report =
       policy.run(vfs_, kNow, 100, plan({ua(3, 0.0, 0.0)}));
   EXPECT_TRUE(report.target_reached);
@@ -124,7 +125,7 @@ TEST_F(ActiveDrTest, RetrospectiveDecayContinuesPastBottomedOutUsers) {
   config.initial_lifetime_days = 100;
   config.lifetime_mode = activeness::LifetimeMode::kLiteralEq7;
   config.min_multiplier = 0.0;
-  const ActiveDrPolicy policy(config, registry_);
+  const ActiveDrPolicy policy(config);
   UserActiveness weak;  // op 0.6, oc no-data (neutral) -> multiplier 0.6
   weak.user = 2;
   weak.op = Rank::from_value(0.6);
@@ -137,7 +138,7 @@ TEST_F(ActiveDrTest, RetrospectiveDecayContinuesPastBottomedOutUsers) {
 
 TEST_F(ActiveDrTest, PhaseTimingsAccumulatePerPass) {
   vfs_.create(file(3, "old"), meta(3, 100, 200));
-  const ActiveDrPolicy policy(ActiveDrConfig{}, registry_);
+  const ActiveDrPolicy policy(ActiveDrConfig{});
   const PurgeReport report =
       policy.run(vfs_, kNow, 0, plan({ua(3, 0.0, 0.0)}));
   EXPECT_EQ(report.purged_files, 1u);
@@ -151,7 +152,7 @@ TEST_F(ActiveDrTest, TargetUnreachableReported) {
   // A single very fresh file: even 5 decayed passes (min 90*0.33 = 29.5d)
   // cannot free it.
   vfs_.create(file(3, "f"), meta(3, 100, 10));
-  const ActiveDrPolicy policy(ActiveDrConfig{}, registry_);
+  const ActiveDrPolicy policy(ActiveDrConfig{});
   const PurgeReport report =
       policy.run(vfs_, kNow, 100, plan({ua(3, 0.0, 0.0)}));
   EXPECT_FALSE(report.target_reached);
@@ -163,7 +164,7 @@ TEST_F(ActiveDrTest, EffectiveLifetimeFormula) {
   ActiveDrConfig config;
   config.initial_lifetime_days = 100;
   config.retrospective_decay = 0.2;
-  const ActiveDrPolicy policy(config, registry_);
+  const ActiveDrPolicy policy(config);
   const UserActiveness active = ua(0, 3.0, 2.0);
   // Eq. 7: 100d * 3 * 2 = 600d.
   EXPECT_EQ(policy.effective_lifetime(active, 0), util::days(600));
@@ -177,7 +178,7 @@ TEST_F(ActiveDrTest, EffectiveLifetimeFormula) {
 TEST_F(ActiveDrTest, LiteralEq7ModeShrinksInactiveLifetimes) {
   ActiveDrConfig config;
   config.lifetime_mode = activeness::LifetimeMode::kLiteralEq7;
-  const ActiveDrPolicy policy(config, registry_);
+  const ActiveDrPolicy policy(config);
   // op = 0.5 with outcome no-data (neutral 1.0): eps = 90 * 0.5 = 45 days.
   UserActiveness half;
   half.user = 3;
@@ -189,7 +190,7 @@ TEST_F(ActiveDrTest, ExemptFilesAreNeverPurged) {
   vfs_.create(file(3, "keep/precious.dat"), meta(3, 100, 500));
   vfs_.create(file(3, "junk.dat"), meta(3, 100, 500));
   ActiveDrConfig config;
-  ActiveDrPolicy policy(config, registry_);
+  ActiveDrPolicy policy(config);
   ExemptionList exemptions;
   exemptions.reserve(file(3, "keep"));
   policy.set_exemptions(std::move(exemptions));
@@ -204,7 +205,7 @@ TEST_F(ActiveDrTest, StopsExactlyAtTargetAcrossUsers) {
   for (int i = 0; i < 5; ++i) {
     vfs_.create(file(3, "f" + std::to_string(i)), meta(3, 100, 200));
   }
-  const ActiveDrPolicy policy(ActiveDrConfig{}, registry_);
+  const ActiveDrPolicy policy(ActiveDrConfig{});
   const PurgeReport report =
       policy.run(vfs_, kNow, 250, plan({ua(3, 0.0, 0.0)}));
   EXPECT_TRUE(report.target_reached);
@@ -228,7 +229,7 @@ TEST_F(ActiveDrTest, ActiveUserRewardedOverFlt) {
   // FLT scans in path order: user_00000 comes first and is purged.
   EXPECT_FALSE(flt_vfs.exists(file(0, "stale_120d")));
 
-  const ActiveDrPolicy adr(ActiveDrConfig{}, registry_);
+  const ActiveDrPolicy adr(ActiveDrConfig{});
   adr.run(adr_vfs, kNow, 100, plan({ua(0, 4.0, 4.0), ua(3, 0.0, 0.0)}));
   EXPECT_TRUE(adr_vfs.exists(file(0, "stale_120d")));
   EXPECT_FALSE(adr_vfs.exists(file(3, "stale_120d")));
@@ -238,7 +239,7 @@ TEST_F(ActiveDrTest, ReportAccounting) {
   vfs_.create(file(1, "a"), meta(1, 10, 200));
   vfs_.create(file(1, "b"), meta(1, 30, 200));
   vfs_.create(file(2, "c"), meta(2, 50, 10));
-  const ActiveDrPolicy policy(ActiveDrConfig{}, registry_);
+  const ActiveDrPolicy policy(ActiveDrConfig{});
   const PurgeReport report = policy.run(
       vfs_, kNow, 0, plan({ua(1, 2.0, 0.0), ua(2, 0.0, 2.0)}));
   // user1 (op rank 2): eps = 180d < 200d age -> both files purged.
@@ -257,7 +258,7 @@ TEST_F(ActiveDrTest, DryRunSelectsWithoutDeleting) {
   vfs_.create(file(3, "fresh"), meta(3, 100, 1));
   ActiveDrConfig config;
   config.dry_run = true;
-  const ActiveDrPolicy policy(config, registry_);
+  const ActiveDrPolicy policy(config);
   const PurgeReport report =
       policy.run(vfs_, kNow, 150, plan({ua(3, 0.0, 0.0)}));
 
@@ -273,7 +274,7 @@ TEST_F(ActiveDrTest, DryRunSelectsWithoutDeleting) {
   ActiveDrConfig wet = config;
   wet.dry_run = false;
   wet.record_victims = true;
-  const PurgeReport real = ActiveDrPolicy(wet, registry_)
+  const PurgeReport real = ActiveDrPolicy(wet)
                                .run(vfs_, kNow, 150, plan({ua(3, 0.0, 0.0)}));
   EXPECT_EQ(real.victim_paths, report.victim_paths);
   EXPECT_EQ(vfs_.file_count(), 1u);
@@ -285,7 +286,7 @@ TEST_F(ActiveDrTest, DryRunRetrospectivePassesDoNotDoubleCount) {
   vfs_.create(file(3, "old"), meta(3, 100, 500));
   ActiveDrConfig config;
   config.dry_run = true;
-  const ActiveDrPolicy policy(config, registry_);
+  const ActiveDrPolicy policy(config);
   const PurgeReport report =
       policy.run(vfs_, kNow, 10'000, plan({ua(3, 0.0, 0.0)}));
   EXPECT_EQ(report.purged_files, 1u);

@@ -136,55 +136,6 @@ TEST_F(EmulatorTest, ActiveDrAttributionDoesNotDependOnTheFltRun) {
   }
 }
 
-void expect_same_report(const retention::PurgeReport& a,
-                        const retention::PurgeReport& b) {
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.when, b.when);
-  EXPECT_EQ(a.target_purge_bytes, b.target_purge_bytes);
-  EXPECT_EQ(a.purged_bytes, b.purged_bytes);
-  EXPECT_EQ(a.purged_files, b.purged_files);
-  EXPECT_EQ(a.target_reached, b.target_reached);
-  EXPECT_EQ(a.retrospective_passes_used, b.retrospective_passes_used);
-  EXPECT_EQ(a.exempted_files, b.exempted_files);
-  for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
-    EXPECT_EQ(a.by_group[g].purged_bytes, b.by_group[g].purged_bytes);
-    EXPECT_EQ(a.by_group[g].retained_bytes, b.by_group[g].retained_bytes);
-    EXPECT_EQ(a.by_group[g].purged_files, b.by_group[g].purged_files);
-    EXPECT_EQ(a.by_group[g].retained_files, b.by_group[g].retained_files);
-    EXPECT_EQ(a.by_group[g].users_affected, b.by_group[g].users_affected);
-    EXPECT_EQ(a.by_group[g].users_total, b.by_group[g].users_total);
-  }
-  EXPECT_EQ(a.affected_users, b.affected_users);
-  EXPECT_EQ(a.dry_run, b.dry_run);
-  EXPECT_EQ(a.victim_paths, b.victim_paths);
-}
-
-TEST_F(EmulatorTest, EvalModesProduceIdenticalReportsForBothPolicies) {
-  // The pipeline's headline guarantee, end to end: a year of replay under
-  // full re-evaluation and under delta-aware evaluation yields the same
-  // PurgeReport at every trigger, for FLT and ActiveDR alike.
-  ExperimentConfig full_config;
-  full_config.eval_mode = activeness::EvalMode::kFull;
-  ExperimentConfig inc_config;
-  inc_config.eval_mode = activeness::EvalMode::kIncremental;
-  const ComparisonResult full = run_comparison(*scenario_, full_config);
-  const ComparisonResult inc = run_comparison(*scenario_, inc_config);
-
-  ASSERT_EQ(full.flt.purges.size(), inc.flt.purges.size());
-  for (std::size_t i = 0; i < full.flt.purges.size(); ++i) {
-    expect_same_report(full.flt.purges[i], inc.flt.purges[i]);
-  }
-  ASSERT_EQ(full.activedr.purges.size(), inc.activedr.purges.size());
-  for (std::size_t i = 0; i < full.activedr.purges.size(); ++i) {
-    expect_same_report(full.activedr.purges[i], inc.activedr.purges[i]);
-  }
-  EXPECT_EQ(full.final_group_counts, inc.final_group_counts);
-  EXPECT_EQ(full.flt.total_misses, inc.flt.total_misses);
-  EXPECT_EQ(full.activedr.total_misses, inc.activedr.total_misses);
-  EXPECT_EQ(full.flt.final_bytes, inc.flt.final_bytes);
-  EXPECT_EQ(full.activedr.final_bytes, inc.activedr.final_bytes);
-}
-
 TEST_F(EmulatorTest, ActiveDrReducesMissesForActiveUsers) {
   // The headline claim, at test scale: ActiveDR must not miss *more* than
   // FLT overall for the active groups combined.

@@ -2,14 +2,16 @@
 # Perf regression harness for the purge-index scan path and the sustained-
 # load harness.
 #
-# Builds the Release bench tree, runs the Fig. 12 walk-vs-indexed purge
-# trigger comparison and the bench_load ramp, and diffs the emitted
-# BENCH_fig12.json / BENCH_load.json against the committed baselines
-# (bench/baselines/).
+# Builds the Release bench tree, runs the Fig. 12 purge trigger (the
+# indexed scan-once ActiveDR run) and the bench_load ramp, and diffs the
+# emitted BENCH_fig12.json / BENCH_load.json against the committed baselines
+# (bench/baselines/). ActiveDR has a single scan, so there is no walk
+# baseline to beat and no victim-set identity check between scan modes; the
+# victims are instead held to the baseline's count and bytes.
 #
 # Fails when:
-#   * the two scan modes select different victim sets (correctness), or
-#   * the indexed/walk speedup drops below MIN_SPEEDUP (default 3.0), or
+#   * the purge trigger's victim count or purged bytes differ from the
+#     baseline (same scenario only), or
 #   * indexed_seconds regresses more than TOLERANCE x the baseline, or
 #   * full and incremental eval modes produce different ranks/plans, or
 #   * the incremental eval-phase speedup over full re-evaluation drops
@@ -40,7 +42,6 @@ BASELINE="$REPO_ROOT/bench/baselines/BENCH_fig12.json"
 LOAD_BASELINE="$REPO_ROOT/bench/baselines/BENCH_load.json"
 OUT_JSON="$BUILD_DIR/BENCH_fig12.json"
 LOAD_JSON="$BUILD_DIR/BENCH_load.json"
-MIN_SPEEDUP="${MIN_SPEEDUP:-3.0}"
 MIN_EVAL_SPEEDUP="${MIN_EVAL_SPEEDUP:-3.0}"
 MIN_LOAD_RATE="${MIN_LOAD_RATE:-0}"
 TOLERANCE="${TOLERANCE:-1.5}"
@@ -71,13 +72,13 @@ cmake --build "$BUILD_DIR" --target bench_fig12_performance bench_load \
 "$BUILD_DIR/bench/bench_scale" --users "$SCALE_USERS" \
     --rss-budget-gb "$SCALE_RSS_GB" --bench-json "$SCALE_JSON"
 
-python3 - "$OUT_JSON" "$BASELINE" "$MIN_SPEEDUP" "$TOLERANCE" \
+python3 - "$OUT_JSON" "$BASELINE" "$TOLERANCE" \
     "$MIN_EVAL_SPEEDUP" "$LOAD_JSON" "$LOAD_BASELINE" "$MIN_LOAD_RATE" <<'PY'
 import json, sys
 
-(out_path, base_path, min_speedup, tolerance, min_eval_speedup,
- load_path, load_base_path, min_load_rate) = sys.argv[1:9]
-min_speedup, tolerance = float(min_speedup), float(tolerance)
+(out_path, base_path, tolerance, min_eval_speedup,
+ load_path, load_base_path, min_load_rate) = sys.argv[1:8]
+tolerance = float(tolerance)
 min_eval_speedup = float(min_eval_speedup)
 min_load_rate = float(min_load_rate)
 out = json.load(open(out_path))
@@ -86,11 +87,6 @@ load = json.load(open(load_path))
 load_base = json.load(open(load_base_path))
 
 failures = []
-if not out["victim_sets_identical"]:
-    failures.append("walk and indexed scans selected DIFFERENT victim sets")
-if out["speedup"] < min_speedup:
-    failures.append(
-        f"indexed speedup {out['speedup']:.2f}x below floor {min_speedup}x")
 if not out["eval_ranks_identical"]:
     failures.append(
         "full and incremental eval modes produced DIFFERENT ranks/plans")
@@ -144,8 +140,7 @@ else:
           f"({out['users']} users / seed {out['seed']} vs "
           f"{base['users']} / {base['seed']}); timing diff skipped")
 
-print(f"walk {out['walk_seconds']:.4f}s, indexed "
-      f"{out['indexed_seconds']:.4f}s, speedup {out['speedup']:.2f}x, "
+print(f"purge trigger {out['indexed_seconds']:.4f}s, "
       f"{out['victims']} victims")
 print(f"eval full {out['eval_full_seconds']:.4f}s, incremental "
       f"{out['eval_incremental_seconds']:.4f}s, speedup "

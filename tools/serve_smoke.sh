@@ -66,8 +66,7 @@ echo "==> synth + feed"
 echo "==> cold one-shot reference"
 "$adr" purge --snapshot bundle/snapshot.csv --users bundle/users.csv \
   --jobs bundle/jobs.csv --pubs bundle/pubs.csv --now "$now" \
-  --target "$retain" --dry-run --scan-mode indexed \
-  --victims cold_victims.txt >/dev/null
+  --target "$retain" --dry-run --victims cold_victims.txt >/dev/null
 
 start_daemon() {
   "$adr" serve --wal wal --state state --users bundle/users.csv \
