@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <limits>
 #include <map>
-#include <fstream>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -153,7 +152,9 @@ commands:
 global options:
   --metrics-out FILE
             After the command finishes, dump the process metrics registry
-            (counters, gauges, latency histograms, timer spans) as JSON.
+            (counters, gauges, latency histograms, timer spans) as JSON,
+            also when the command failed. The file is replaced atomically;
+            if it cannot be written, a command that succeeded exits 1.
   --parse-policy strict|permissive
             How trace/activity loaders treat bad input rows. strict (the
             default) aborts with a file:line:column error on the first bad
@@ -706,7 +707,10 @@ int cmd_loadgen(const util::Config& config, std::ostream& out) {
       << (result.ranks_identical ? "yes" : "NO (BUG)") << "\n";
 
   if (const auto json_path = config.get("json")) {
-    std::ofstream json(*json_path);
+    // Footer-less: tools/run_bench.sh parses the file as JSON.
+    util::io::AtomicWriter writer(
+        *json_path, {.fsync = util::io::default_fsync(), .footer = false});
+    std::ostream& json = writer.stream();
     json << "{\n  \"bench\": \"load_harness\",\n  \"producers\": "
          << c.producers << ",\n  \"levels\": [\n";
     for (std::size_t i = 0; i < result.levels.size(); ++i) {
@@ -724,6 +728,7 @@ int cmd_loadgen(const util::Config& config, std::ostream& out) {
     json << "  ],\n  \"max_sustainable_rate\": " << result.max_sustainable_rate
          << ",\n  \"ranks_identical\": "
          << (result.ranks_identical ? "true" : "false") << "\n}\n";
+    writer.commit();
     out << "wrote " << *json_path << "\n";
   }
   return result.ranks_identical ? 0 : 3;
@@ -769,15 +774,22 @@ namespace {
 
 // --metrics-out: dump the registry after any command, even a failing one —
 // the metrics of a run that errored out are often the interesting ones.
-void maybe_dump_metrics(const util::Config& config, std::ostream& err) {
+// Written atomically and footer-less (it is plain JSON). Returns false when
+// the dump was asked for but could not be written.
+bool maybe_dump_metrics(const util::Config& config, std::ostream& err) {
   const auto path = config.get("metrics-out");
-  if (!path) return;
-  std::ofstream metrics_out(*path);
-  if (!metrics_out) {
-    err << "activedr: cannot write --metrics-out file " << *path << "\n";
-    return;
+  if (!path) return true;
+  try {
+    util::io::AtomicWriter writer(
+        *path, {.fsync = util::io::default_fsync(), .footer = false});
+    writer.write(obs::MetricsRegistry::global().to_json() + "\n");
+    writer.commit();
+  } catch (const std::exception& e) {
+    err << "activedr: cannot write --metrics-out file " << *path << ": "
+        << e.what() << "\n";
+    return false;
   }
-  metrics_out << obs::MetricsRegistry::global().to_json() << "\n";
+  return true;
 }
 
 // Every command with the flags it reads. run_cli rejects any other flag
@@ -899,8 +911,11 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     err << "activedr " << command << ": " << e.what() << "\n";
     rc = 1;
   }
-  maybe_dump_metrics(config, err);
+  // Faults are disarmed first: the injected plan targets the command, not
+  // the metrics dump. A run whose command succeeded but whose metrics are
+  // missing fails; a failed command keeps its own exit code.
   if (fault_armed) util::FaultInjector::global().clear();
+  if (!maybe_dump_metrics(config, err) && rc == 0) rc = 1;
   util::io::set_default_fsync(prior_fsync);
   return rc;
 }

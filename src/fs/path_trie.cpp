@@ -35,10 +35,10 @@ struct PathTrie::Node {
   std::optional<FileMeta> file;
 
   /// Index of the child whose first edge component is `c`, or npos.
-  std::size_t child_index(const std::string& c) const {
+  std::size_t child_index(std::string_view c) const {
     const auto it = std::lower_bound(
         children.begin(), children.end(), c,
-        [](const std::unique_ptr<Node>& n, const std::string& key) {
+        [](const std::unique_ptr<Node>& n, std::string_view key) {
           return n->edge.front() < key;
         });
     if (it != children.end() && (*it)->edge.front() == c)
@@ -131,19 +131,27 @@ const FileMeta* PathTrie::find(std::string_view path) const {
 }
 
 bool PathTrie::contains_prefix_of(std::string_view path) const {
-  const auto comps = split_path(path);
+  // Walks the path's components in place (no split_path): this runs once
+  // per purge candidate when a reservation list is installed.
+  std::size_t pos = 0;
+  const auto next_component = [path, &pos]() {
+    while (pos < path.size() && path[pos] == '/') ++pos;
+    const std::size_t begin = pos;
+    while (pos < path.size() && path[pos] != '/') ++pos;
+    return path.substr(begin, pos - begin);  // empty once the path ends
+  };
   const Node* node = root_.get();
   if (node->file) return true;
-  std::size_t i = 0;
-  while (i < comps.size()) {
-    const std::size_t ci = node->child_index(comps[i]);
+  for (std::string_view comp = next_component(); !comp.empty();
+       comp = next_component()) {
+    const std::size_t ci = node->child_index(comp);
     if (ci == static_cast<std::size_t>(-1)) return false;
     const Node* child = node->children[ci].get();
-    if (i + child->edge.size() > comps.size()) return false;
-    for (std::size_t k = 0; k < child->edge.size(); ++k) {
-      if (child->edge[k] != comps[i + k]) return false;
+    // child_index matched the edge's first component; an edge may span
+    // several, and the path must cover all of them.
+    for (std::size_t k = 1; k < child->edge.size(); ++k) {
+      if (next_component() != child->edge[k]) return false;
     }
-    i += child->edge.size();
     node = child;
     if (node->file) return true;
   }

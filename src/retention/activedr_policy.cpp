@@ -1,7 +1,7 @@
 #include "retention/activedr_policy.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -10,11 +10,18 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace adr::retention {
 
 namespace {
+
+/// The lazy scan collects users in blocks just ahead of the apply. A block
+/// holds a quarter as many users as were collected before it, and at least
+/// kMinCollectBlock. So the scan runs at most a quarter (or 8 users) ahead
+/// of the users the apply reached, and an apply that crosses a whole
+/// 30k-user group records about 35 scan spans, not one per user.
+constexpr std::size_t kMinCollectBlock = 8;
+constexpr std::size_t kCollectAheadDivisor = 4;
 
 obs::Counter& victims_considered() {
   static obs::Counter& c =
@@ -50,6 +57,21 @@ obs::Counter& index_candidates() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("policy.index_candidates");
   return c;
+}
+
+// The apply phase is timed by hand rather than by a TimerSpan: the
+// collection blocks it runs are recorded under "policy.scan", and the
+// "policy.apply" span must not count them a second time.
+obs::Histogram& apply_span() {
+  static obs::Histogram& h =
+      obs::MetricsRegistry::global().span_histogram("policy.apply");
+  return h;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 }  // namespace
@@ -109,14 +131,9 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
   std::uint64_t remaining = target_purge_bytes;
   const bool no_target = target_purge_bytes == 0;
   std::vector<bool> user_affected;
-  std::atomic<std::size_t> exempted{0};
-
-  // Victims travel as interned ids — no per-victim path copies; the string
-  // is only touched for vfs.remove() and opt-in recording.
-  struct Victim {
-    fs::PathId id;
-    util::TimePoint atime;
-    std::uint64_t size;
+  std::size_t exempted = 0;
+  const auto is_exempt = [&](const fs::PurgeIndex::Entry& e) {
+    return exemptions_.is_exempt(index.path(e.id));
   };
 
   obs::TimerSpan run_span("policy.run");
@@ -128,39 +145,50 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
     groups_scanned().add();
 
     const int max_pass = no_target ? 0 : config_.retrospective_passes;
-
-    // Scan-once: materialize each user's candidates one time, at the
-    // *widest* cutoff this group can ever reach (the fully decayed lifetime
-    // of the last retrospective pass). The 20%-per-pass decay only widens
-    // the victim window, so every pass's victims are a prefix of this list
+    // Scan-once: a user's candidates are drawn one time, at the *widest*
+    // cutoff this group can ever reach (the fully decayed lifetime of the
+    // last retrospective pass). The 20%-per-pass decay only widens the
+    // victim window, so every pass's victims are a prefix of this list
     // (the index yields them oldest first); passes then advance a cursor
-    // instead of re-walking, and each candidate is visited exactly once.
-    std::vector<std::vector<Victim>> candidates(users.size());
-    std::vector<std::size_t> cursor(users.size(), 0);
-    {
+    // instead of re-scanning, and each candidate is visited exactly once.
+    const auto widest_cutoff = [&](const activeness::UserActiveness& ua) {
+      return now - effective_lifetime(ua, max_pass);
+    };
+
+    // Collected lazily: a user's candidates are drawn when the apply first
+    // reaches that user, so a trigger pays for the users it reaches, not
+    // for the whole group. This equals drawing every list up front: a list
+    // comes from its user's own index entries, the apply removes only the
+    // files of the user it is on (a dry run removes nothing), and nothing
+    // is created during a run, so no path id is recycled.
+    struct Reached {
+      std::vector<fs::PurgeIndex::Entry> candidates;  // oldest first
+      std::size_t cursor = 0;  // first candidate no pass has taken yet
+    };
+    std::vector<Reached> reached;  // users[0, reached.size()) are collected
+    // Collect the next block of users; returns its wall time.
+    const auto collect_block = [&]() {
       obs::TimerSpan scan_span("policy.scan");
-      util::global_pool().parallel_for(0, users.size(), [&](std::size_t ui) {
-        const auto& ua = users[ui];
-        const util::TimePoint widest_cutoff =
-            now - effective_lifetime(ua, max_pass);
-        std::vector<fs::PurgeIndex::Entry> entries;
-        index.collect_expired(ua.user, widest_cutoff, entries);
-        auto& mine = candidates[ui];
-        mine.reserve(entries.size());
-        for (const auto& e : entries) {
-          if (exemptions_.is_exempt(index.path(e.id))) {
-            exempted.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          mine.push_back({e.id, e.atime, e.size_bytes});
+      const std::size_t first = reached.size();
+      const std::size_t last = std::min(
+          users.size(),
+          first + std::max(kMinCollectBlock, first / kCollectAheadDivisor));
+      reached.resize(last);
+      std::size_t collected = 0;
+      for (std::size_t ui = first; ui < last; ++ui) {
+        auto& mine = reached[ui].candidates;
+        index.collect_expired(users[ui].user, widest_cutoff(users[ui]), mine);
+        if (!exemptions_.empty()) {
+          const auto kept = std::remove_if(mine.begin(), mine.end(), is_exempt);
+          exempted += static_cast<std::size_t>(mine.end() - kept);
+          mine.erase(kept, mine.end());
         }
-      });
-      report.phases.scan_seconds += scan_span.stop();
-      std::size_t considered = 0;
-      for (const auto& mine : candidates) considered += mine.size();
-      victims_considered().add(considered);
-      index_candidates().add(considered);
-    }
+        collected += mine.size();
+      }
+      victims_considered().add(collected);
+      index_candidates().add(collected);
+      return scan_span.stop();
+    };
 
     for (int pass = 0; pass <= max_pass && !done; ++pass) {
       if (pass > 0) {
@@ -169,19 +197,23 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
       }
 
       // Apply phase: sequential, ascending activeness order; stop exactly
-      // at the target.
-      obs::TimerSpan apply_span("policy.apply");
+      // at the target. Only pass 0 collects: a pass that misses the target
+      // has reached every user of the group.
+      const auto apply_start = std::chrono::steady_clock::now();
+      double scan_seconds = 0.0;
       bool purged_any = false;
       for (std::size_t ui = 0; ui < users.size() && !done; ++ui) {
+        if (ui == reached.size()) scan_seconds += collect_block();
         const trace::UserId user = users[ui].user;
         // This pass's victims: the candidate prefix under the decayed
         // cutoff, starting where the previous pass left off.
         const util::TimePoint cutoff =
             now - effective_lifetime(users[ui], pass);
-        const auto& mine = candidates[ui];
-        for (std::size_t& cur = cursor[ui];
-             !done && cur < mine.size() && mine[cur].atime < cutoff; ++cur) {
-          const Victim& v = mine[cur];
+        Reached& mine = reached[ui];
+        for (; !done && mine.cursor < mine.candidates.size() &&
+               mine.candidates[mine.cursor].atime < cutoff;
+             ++mine.cursor) {
+          const fs::PurgeIndex::Entry& v = mine.candidates[mine.cursor];
           const std::string& path = index.path(v.id);
           if (record) report.victim_paths.push_back(path);
           if (!config_.dry_run && !vfs.remove(path)) {
@@ -190,10 +222,10 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
           }
           purged_any = true;
           victims_purged().add();
-          report.purged_bytes += v.size;
+          report.purged_bytes += v.size_bytes;
           ++report.purged_files;
           auto& g = report.group(group);
-          g.purged_bytes += v.size;
+          g.purged_bytes += v.size_bytes;
           ++g.purged_files;
           if (user != trace::kInvalidUser) {
             if (user >= user_affected.size())
@@ -205,12 +237,16 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
             }
           }
           if (!no_target) {
-            remaining -= std::min(remaining, v.size);
+            remaining -= std::min(remaining, v.size_bytes);
             if (remaining == 0) done = true;
           }
         }
       }
-      report.phases.apply_seconds += apply_span.stop();
+      const double apply_seconds =
+          std::max(0.0, seconds_since(apply_start) - scan_seconds);
+      apply_span().observe(apply_seconds);
+      report.phases.scan_seconds += scan_seconds;
+      report.phases.apply_seconds += apply_seconds;
       if (!purged_any && pass > 0) {
         // Decayed lifetime freed nothing new; further decay of this group
         // can only help if files sit just under the current threshold —
@@ -230,9 +266,25 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
                 << (no_target ? std::string("(no target)")
                               : std::to_string(remaining) + " bytes");
     }
+
+    // The target stopped the apply before the scan reached these users.
+    // Their exempt files still count once for the group when expired at
+    // its widest cutoff (DESIGN.md §8); nothing else of theirs is needed.
+    if (!exemptions_.empty() && reached.size() < users.size()) {
+      obs::TimerSpan scan_span("policy.scan");
+      std::vector<fs::PurgeIndex::Entry> expired;
+      for (std::size_t ui = reached.size(); ui < users.size(); ++ui) {
+        expired.clear();
+        index.collect_expired(users[ui].user, widest_cutoff(users[ui]),
+                              expired);
+        exempted += static_cast<std::size_t>(
+            std::count_if(expired.begin(), expired.end(), is_exempt));
+      }
+      report.phases.scan_seconds += scan_span.stop();
+    }
   }
 
-  report.exempted_files = exempted.load();
+  report.exempted_files = exempted;
   report.target_reached = no_target || remaining == 0;
   if (!report.target_reached) {
     ADR_WARN << name() << ": purge target NOT reached; " << remaining

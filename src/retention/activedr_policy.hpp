@@ -8,29 +8,30 @@
 //                      Operation Active Only, Both Active]:
 //     for pass in 0 .. retrospective_passes:          # pass 0 = normal scan
 //       decayed multiplier = multiplier x (1 - decay)^pass
-//       1. decision phase (parallel over users): for every non-exempt file
-//          in the user's scratch directory, mark it a victim when
-//          now − atime > initial_lifetime x decayed multiplier   (Eq. 7)
-//       2. apply phase (sequential, ascending user order): purge victims
-//          until the byte target is met; stop everything once it is.
+//       for each user, in ascending activeness order:
+//         purge the user's non-exempt files with
+//           now − atime > initial_lifetime x decayed multiplier   (Eq. 7)
+//         oldest first, until the byte target is met; stop everything
+//         once it is.
 //     if target met: stop; else move to the next group.
 //
 // If the target is still unmet after the Both Active group's passes, the run
 // stops and reports target_reached = false (§3.4's "report to the
 // administrator").
 //
-// The parallel-decision / ordered-apply split mirrors the paper's mpi4py
-// implementation: ranks scan disjoint user shards concurrently (Fig. 12b–d)
-// while the purge-target guarantee stays exact.
-//
 // The scan (DESIGN.md §8 "Purge index") answers the Eq. 7 victim query as
 // an atime range over the Vfs's purge index, and makes the retrospective
-// passes *scan-once*: a group's candidates are materialized a single time at
-// the fully-decayed cutoff (decay only widens the victim window, so each
-// pass's victims are a prefix) and passes 1..5 just advance a per-user
-// cursor. Within a user, victims go oldest first (atime, then path id). An
-// exempt file counts toward exempted_files once per scanned group, when it
-// is expired at that group's widest cutoff.
+// passes *scan-once*: a user's candidates are collected a single time, at
+// the group's fully-decayed cutoff (decay only widens the victim window, so
+// each pass's victims are a prefix), and passes 1..5 just advance a per-user
+// cursor. Collection is lazy: it runs serially just ahead of the apply, so a
+// trigger pays for the users it reaches rather than for every expired file
+// in the groups it enters. (The paper's mpi4py implementation scans user
+// shards on parallel ranks; here parallel collection measured no gain over
+// serial, DESIGN.md §5.) Within a user, victims go oldest first (atime, then
+// path id). An exempt file counts toward exempted_files once per scanned
+// group, when it is expired at that group's widest cutoff — also when the
+// target stops the apply before the scan reaches its owner.
 
 #include <cstdint>
 #include <string>

@@ -10,7 +10,7 @@ void ExemptionList::reserve(std::string_view path) {
 }
 
 bool ExemptionList::is_exempt(std::string_view path) const {
-  return trie_.contains_prefix_of(path);
+  return !trie_.empty() && trie_.contains_prefix_of(path);
 }
 
 std::vector<std::string> ExemptionList::reserved_paths() const {

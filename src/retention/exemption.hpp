@@ -22,6 +22,7 @@ class ExemptionList {
   void reserve(std::string_view path);
 
   /// True if `path` is reserved, either exactly or via a reserved ancestor.
+  /// An empty list answers false without looking at the path.
   bool is_exempt(std::string_view path) const;
 
   std::size_t size() const { return trie_.file_count(); }

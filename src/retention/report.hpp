@@ -36,8 +36,8 @@ struct GroupStats {
 /// zeroed. The same numbers accumulate into the global metrics registry
 /// under the "policy.scan" / "policy.apply" spans.
 struct PhaseTimings {
-  double scan_seconds = 0.0;   ///< parallel decision phase, summed over passes
-  double apply_seconds = 0.0;  ///< sequential apply phase, summed over passes
+  double scan_seconds = 0.0;   ///< candidate collection, summed over passes
+  double apply_seconds = 0.0;  ///< apply phase less its collection, summed
 
   double total_seconds() const { return scan_seconds + apply_seconds; }
 };

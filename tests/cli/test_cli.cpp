@@ -378,6 +378,55 @@ TEST_F(CliTest, MetricsOutDumpsRegistryJson) {
   }
 }
 
+TEST_F(CliTest, MetricsOutWriteFailureFailsTheRun) {
+  // The command succeeds but its metrics cannot be written: not exit 0.
+  const std::string unwritable = path("no_such_dir/metrics.json");
+  CliResult r = run({"info", "--snapshot", path("snapshot.csv").c_str(),
+                     "--metrics-out", unwritable.c_str()});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.out.find("Snapshot summary"), std::string::npos);
+  EXPECT_NE(r.err.find("cannot write --metrics-out file"), std::string::npos)
+      << r.err;
+  EXPECT_FALSE(fsys::exists(unwritable));
+
+  // A failed command keeps its own exit code: FLT with a lifetime longer
+  // than any file's age frees nothing, so the target is unmet (exit 2) ...
+  r = run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
+           path("users.csv").c_str(), "--now", "2016-06-01", "--policy", "flt",
+           "--lifetime", "100000", "--target", "0.01", "--metrics-out",
+           unwritable.c_str()});
+  EXPECT_EQ(r.code, 2) << r.err;
+  // ... and its metrics are still dumped when the file can be written.
+  const std::string metrics = path("unmet_metrics.json");
+  r = run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
+           path("users.csv").c_str(), "--now", "2016-06-01", "--policy", "flt",
+           "--lifetime", "100000", "--target", "0.01", "--metrics-out",
+           metrics.c_str()});
+  EXPECT_EQ(r.code, 2) << r.err;
+  EXPECT_TRUE(fsys::exists(metrics));
+}
+
+TEST_F(CliTest, LoadgenJsonWriteFailureFails) {
+  const std::string unwritable = path("no_such_dir/load.json");
+  CliResult r = run({"loadgen", "--users", "30", "--load-duration", "0.1",
+                     "--ramp-levels", "1", "--json", unwritable.c_str()});
+  EXPECT_NE(r.code, 0);
+  EXPECT_EQ(r.out.find("wrote"), std::string::npos) << r.out;
+  EXPECT_FALSE(fsys::exists(unwritable));
+
+  // A writable path gets the report as plain JSON: no checksum footer,
+  // since tools/run_bench.sh parses it with a JSON parser.
+  const std::string json = path("load.json");
+  r = run({"loadgen", "--users", "30", "--load-duration", "0.1",
+           "--ramp-levels", "1", "--json", json.c_str()});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("wrote " + json), std::string::npos) << r.out;
+  std::ifstream in(json);
+  std::string line, last;
+  while (std::getline(in, line)) last = line;
+  EXPECT_EQ(last, "}");
+}
+
 /// Metric names per section of a --metrics-out dump. Sections open at
 /// indent 2 ("  \"counters\": {"), their metrics sit one per line at 4.
 std::map<std::string, std::set<std::string>> metric_names(

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -102,29 +106,55 @@ TEST(PathTrie, MoveSemantics) {
 }
 
 // Property test: a trie behaves exactly like a map<path, meta> under a
-// random insert/find workload.
+// random insert/find workload, and contains_prefix_of agrees with "some
+// stored path is a component-wise prefix of the probe". Paths are spelled
+// with random repeated and trailing slashes; the reference keys them by
+// components. In the last fifth of the run "/" itself is stored, which
+// covers every path.
 TEST(PathTrieProperty, MatchesReferenceMap) {
   util::Rng rng(99);
   PathTrie t;
-  std::map<std::string, std::uint64_t> ref;
+  using Components = std::vector<std::string>;
+  std::map<Components, std::uint64_t> ref;
   const char* comps[] = {"u1", "u2", "proj", "run", "data", "f1", "f2", "f3"};
-
-  for (int step = 0; step < 5000; ++step) {
-    // Random path of depth 1..5 over a small component alphabet (forces
-    // heavy sharing and edge splitting).
+  const auto canonical = [](const Components& c) {
     std::string path;
-    const int depth = 1 + static_cast<int>(rng.bounded(5));
-    for (int d = 0; d < depth; ++d) {
-      path += "/";
-      path += comps[rng.bounded(std::size(comps))];
+    for (const auto& comp : c) path += "/" + comp;
+    return path.empty() ? std::string("/") : path;
+  };
+  const auto covered = [&ref](const Components& probe) {
+    for (const auto& [key, size] : ref) {
+      if (key.size() <= probe.size() &&
+          std::equal(key.begin(), key.end(), probe.begin())) {
+        return true;
+      }
     }
+    return false;
+  };
+
+  constexpr int kSteps = 5000;
+  for (int step = 0; step < kSteps; ++step) {
+    // Random path of depth 1..5 over a small component alphabet (forces
+    // heavy sharing and edge splitting); depth 0 ("/") only late.
+    const std::uint64_t min_depth = step < kSteps * 4 / 5 ? 1 : 0;
+    Components components;
+    const std::uint64_t depth = min_depth + rng.bounded(6 - min_depth);
+    for (std::uint64_t d = 0; d < depth; ++d) {
+      components.push_back(comps[rng.bounded(std::size(comps))]);
+    }
+    std::string path;
+    for (const auto& comp : components) {
+      path += rng.bounded(4) == 0 ? "//" : "/";
+      path += comp;
+    }
+    if (path.empty() || rng.bounded(4) == 0) path += "/";
     if (rng.bounded(2) == 0) {
       const std::uint64_t size = rng.bounded(1000);
-      const bool was_new = ref.emplace(path, size).second;
-      if (!was_new) ref[path] = size;
-      EXPECT_EQ(t.insert(path, meta(size)), was_new);
+      const bool was_new = ref.emplace(components, size).second;
+      if (!was_new) ref[components] = size;
+      EXPECT_EQ(t.insert(path, meta(size)), was_new) << path;
     } else {
-      const auto it = ref.find(path);
+      const auto it = ref.find(components);
       const FileMeta* m = t.find(path);
       if (it == ref.end()) {
         EXPECT_EQ(m, nullptr) << path;
@@ -132,17 +162,21 @@ TEST(PathTrieProperty, MatchesReferenceMap) {
         ASSERT_NE(m, nullptr) << path;
         EXPECT_EQ(m->size_bytes, it->second);
       }
+      EXPECT_EQ(t.contains_prefix_of(path), covered(components)) << path;
     }
     EXPECT_EQ(t.file_count(), ref.size());
   }
+  ASSERT_TRUE(ref.count(Components{})) << "\"/\" was never stored";
 
-  // Full enumeration agrees with the reference (paths and order).
+  // Full enumeration agrees with the reference (canonical paths).
   std::vector<std::string> trie_paths;
   t.for_each([&](const std::string& p, const FileMeta&) {
     trie_paths.push_back(p);
   });
+  std::set<std::string> want;
+  for (const auto& [key, size] : ref) want.insert(canonical(key));
   EXPECT_EQ(trie_paths.size(), ref.size());
-  for (const auto& p : trie_paths) EXPECT_TRUE(ref.count(p)) << p;
+  for (const auto& p : trie_paths) EXPECT_TRUE(want.count(p)) << p;
 }
 
 }  // namespace

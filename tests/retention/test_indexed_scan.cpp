@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "activeness/classifier.hpp"
+#include "obs/metrics.hpp"
 #include "retention/activedr_policy.hpp"
 #include "retention/flt.hpp"
 #include "trace/user_registry.hpp"
@@ -54,9 +55,9 @@ UserActiveness ua(trace::UserId user, double op, double oc) {
 /// every activeness group, plus a stream of overwrites and removes so the
 /// index has seen every maintenance path before the policies run.
 void populate(fs::Vfs& vfs, const trace::UserRegistry& registry,
-              util::Rng& rng) {
+              util::Rng& rng, std::size_t users = kUsers) {
   vfs.set_removal_sink([](const std::string&, const fs::FileMeta&) {});
-  for (trace::UserId u = 0; u < kUsers; ++u) {
+  for (trace::UserId u = 0; u < users; ++u) {
     const std::string home = registry.home_dir(u);
     const int files = static_cast<int>(rng.uniform_int(5, 40));
     for (int i = 0; i < files; ++i) {
@@ -80,9 +81,9 @@ void populate(fs::Vfs& vfs, const trace::UserRegistry& registry,
   ASSERT_TRUE(vfs.verify_purge_index());
 }
 
-ScanPlan make_plan(util::Rng& rng) {
+ScanPlan make_plan(util::Rng& rng, std::size_t count = kUsers) {
   std::vector<UserActiveness> users;
-  for (trace::UserId u = 0; u < kUsers; ++u) {
+  for (trace::UserId u = 0; u < count; ++u) {
     users.push_back(
         ua(u, rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.5, 4.0),
            rng.uniform() < 0.5 ? 0.0 : rng.uniform(0.5, 4.0)));
@@ -95,7 +96,9 @@ ScanPlan make_plan(util::Rng& rng) {
 /// lifetime and its expired files are purged oldest first (atime, then path
 /// id) until the target is met. A dry run cannot remove, so a file selected
 /// in an earlier pass is skipped by path. No index, cursor or scan-once
-/// candidate list is involved.
+/// candidate list is involved. Exempt files are counted when a group is
+/// entered, over all of its users, including those the apply never reaches
+/// because the target is met first.
 PurgeReport reference_walk(fs::Vfs& vfs, const ActiveDrPolicy& policy,
                            const trace::UserRegistry& registry,
                            const ScanPlan& plan, std::uint64_t target) {
@@ -129,23 +132,28 @@ PurgeReport reference_walk(fs::Vfs& vfs, const ActiveDrPolicy& policy,
     if (done || users.empty()) continue;
     const int max_pass =
         no_target ? 0 : policy.config().retrospective_passes;
+    for (const UserActiveness& user : users) {
+      const util::Duration widest = policy.effective_lifetime(user, max_pass);
+      vfs.for_each_under(
+          registry.home_dir(user.user),
+          [&](const std::string& path, const fs::FileMeta& meta) {
+            if (policy.exemptions().is_exempt(path) &&
+                kNow - meta.atime > widest) {
+              ++report.exempted_files;
+            }
+          });
+    }
     for (int pass = 0; pass <= max_pass && !done; ++pass) {
       if (pass > 0) ++report.retrospective_passes_used;
       bool purged_any = false;
       for (const UserActiveness& user : users) {
         if (done) break;
         const util::Duration lifetime = policy.effective_lifetime(user, pass);
-        const util::Duration widest = policy.effective_lifetime(user, max_pass);
         std::vector<Victim> victims;
         vfs.for_each_under(
             registry.home_dir(user.user),
             [&](const std::string& path, const fs::FileMeta& meta) {
-              if (policy.exemptions().is_exempt(path)) {
-                if (pass == 0 && kNow - meta.atime > widest) {
-                  ++report.exempted_files;
-                }
-                return;
-              }
+              if (policy.exemptions().is_exempt(path)) return;
               if (kNow - meta.atime > lifetime) {
                 victims.push_back(
                     {path, meta.atime, meta.path_id, meta.size_bytes});
@@ -294,21 +302,69 @@ TEST(IndexedScan, RandomizedPopulationsAgreeOverManySeeds) {
 }
 
 TEST(IndexedScan, ExemptionsRespected) {
+  // Enough users that the first scanned group outgrows the scan's first
+  // collection blocks, so small targets stop the apply before the scan
+  // reaches the group's last user.
+  constexpr std::size_t kMany = 96;
   util::Rng rng(7);
-  const auto registry = trace::UserRegistry::with_synthetic_users(kUsers);
+  const auto registry = trace::UserRegistry::with_synthetic_users(kMany);
   fs::Vfs vfs;
-  populate(vfs, registry, rng);
-  const ScanPlan plan = make_plan(rng);
+  populate(vfs, registry, rng, kMany);
+  const ScanPlan plan = make_plan(rng, kMany);
+  const auto& first = plan.group(activeness::kScanOrder[0]);
+  ASSERT_GE(first.size(), 16u);
 
-  const std::string home = registry.home_dir(0);  // user 0 fully reserved
-  const PurgeReport report =
-      expect_matches_reference(vfs, registry, plan, vfs.total_bytes(),
-                               /*dry_run=*/false, "exemptions", {home});
-  for (const auto& path : report.victim_paths) {
-    EXPECT_EQ(path.rfind(home + "/", 0), std::string::npos)
-        << "exempt file purged: " << path;
+  // User 0 and the first group's last user are fully reserved.
+  const std::vector<std::string> homes = {
+      registry.home_dir(0), registry.home_dir(first.back().user)};
+  const std::uint64_t total = vfs.total_bytes();
+  for (const bool dry_run : {false, true}) {
+    for (const std::uint64_t target :
+         {total / 100, total / 10, total / 2, total}) {
+      const PurgeReport report = expect_matches_reference(
+          vfs, registry, plan, target, dry_run,
+          std::string(dry_run ? "dry" : "wet") +
+              " target=" + std::to_string(target),
+          homes);
+      for (const auto& path : report.victim_paths) {
+        for (const auto& home : homes) {
+          EXPECT_EQ(path.rfind(home + "/", 0), std::string::npos)
+              << "exempt file purged: " << path;
+        }
+      }
+      EXPECT_GT(report.exempted_files, 0u);
+    }
   }
-  EXPECT_GT(report.exempted_files, 0u);
+}
+
+TEST(IndexedScan, SmallTargetCollectsOnlyReachedUsers) {
+  // One group of 1,000 inactive users, 5 expired files each. A 1-byte
+  // target is met by the first user's oldest file, so the scan must not
+  // collect the other users' candidates.
+  constexpr std::size_t kGroup = 1000;
+  constexpr std::size_t kFilesPerUser = 5;
+  const auto registry = trace::UserRegistry::with_synthetic_users(kGroup);
+  fs::Vfs vfs;
+  std::vector<UserActiveness> users;
+  for (trace::UserId u = 0; u < kGroup; ++u) {
+    for (std::size_t i = 0; i < kFilesPerUser; ++i) {
+      vfs.create(registry.home_dir(u) + "/f" + std::to_string(i),
+                 meta(u, 100, 200.0 + static_cast<double>(i)));
+    }
+    users.push_back(ua(u, 0.0, 0.0));
+  }
+  const ScanPlan plan = activeness::build_scan_plan(std::move(users));
+  ASSERT_EQ(plan.group(activeness::UserGroup::kBothInactive).size(), kGroup);
+
+  const obs::Counter& candidates =
+      obs::MetricsRegistry::global().counter("policy.index_candidates");
+  const std::uint64_t before = candidates.value();
+  const PurgeReport report = expect_matches_reference(
+      vfs, registry, plan, /*target=*/1, /*dry_run=*/false, "1-byte target");
+  EXPECT_EQ(report.purged_files, 1u);
+  EXPECT_TRUE(report.target_reached);
+  // An eager scan collects all kGroup * kFilesPerUser candidates.
+  EXPECT_LT(candidates.value() - before, kGroup * kFilesPerUser / 10);
 }
 
 TEST(IndexedScan, FltStrictSelectsTheExpiredSet) {

@@ -1,0 +1,57 @@
+#!/usr/bin/env bash
+# Identity smoke for the repository benchmark (perfbench/, BENCHMARK.json):
+# every workload runs at seed 1 with ACTIVEDR_THREADS=2 and =1, and each run
+# must pass its correctness gate ("correct": true) and print the pinned
+# seed-1 digest. The digest hashes every trigger's victim list and the
+# final rank keys (perfbench/README.md), so a retention or evaluation change
+# that moves a single victim, or a result that depends on the thread count,
+# fails here by workload name. `--seconds 1` still runs the workload's 100
+# purge triggers, so the digests equal those of the full 10 s runs; each
+# run takes about 10 s.
+#
+# A change that alters the victims on purpose must update the pinned
+# digests below and say why in its CHANGES.md entry.
+#
+# Usage: tools/perfbench_smoke.sh
+# (perfbench/run.py builds its Release tree in .bench_build/ on first use.)
+
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+declare -A pinned=(
+  [fs_churn]=97e1ee05537c5f62
+  [eval_dense]=eed9321e222ba690
+  [wal_serve]=ddd6befc74162b4b
+)
+
+# run.py writes its build output and progress lines to stderr; they are
+# shown only for a failing run.
+log="$(mktemp)"
+trap 'rm -f "$log"' EXIT
+
+failures=0
+for workload in fs_churn eval_dense wal_serve; do
+  for threads in 2 1; do
+    label="$workload --threads $threads"
+    rc=0
+    out="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+             --seconds 1 --threads "$threads" 2>"$log")" || rc=$?
+    digest="$(grep -m1 -o '^digest=[0-9a-f]*$' <<<"$out" || true)"
+    if [[ $rc -ne 0 ]] || ! tail -n1 <<<"$out" | grep -q '"correct": true'; then
+      echo "FAIL $label: correctness gate failed (exit $rc)"
+      tail -n 20 "$log"
+      failures=$((failures + 1))
+    elif [[ "$digest" != "digest=${pinned[$workload]}" ]]; then
+      echo "FAIL $label: ${digest:-no digest} (pinned ${pinned[$workload]})"
+      failures=$((failures + 1))
+    else
+      echo "ok   $label: $digest"
+    fi
+  done
+done
+
+if [[ $failures -ne 0 ]]; then
+  echo "perfbench smoke FAILED: $failures run(s)"
+  exit 1
+fi
+echo "perfbench smoke passed"
