@@ -17,6 +17,8 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <string_view>
+#include <vector>
 
 #include "activeness/incremental.hpp"
 #include "common/scenario_cache.hpp"
@@ -461,9 +463,20 @@ int main(int argc, char** argv) {
   run_purge_trigger_bench(raw.get_string("bench-json", "BENCH_fig12.json"),
                           eval_cmp);
 
-  // Hand benchmark only the flags it understands.
-  int bench_argc = 1;
-  benchmark::Initialize(&bench_argc, argv);
+  // Hand google-benchmark argv[0] plus its own --benchmark_* flags; it
+  // would reject the bench's flags (--users, --bench-json, ...). A
+  // --benchmark_* flag it does not know still fails loudly.
+  std::vector<char*> bench_argv{argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]).starts_with("--benchmark_")) {
+      bench_argv.push_back(argv[i]);
+    }
+  }
+  int bench_argc = static_cast<int>(bench_argv.size());
+  benchmark::Initialize(&bench_argc, bench_argv.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) {
+    return 1;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   print_phase_breakdown();

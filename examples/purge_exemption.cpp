@@ -5,14 +5,48 @@
 // Renaming a reserved file silently cancels the reservation — the paths are
 // the contract.
 
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/service.hpp"
 
 using namespace adr;
 
-int main() {
+namespace {
+
+/// A fresh directory with a unique name under the system temp directory,
+/// removed with everything in it when the guard goes out of scope.
+class TempDir {
+ public:
+  TempDir() {
+    const std::string pattern =
+        (std::filesystem::temp_directory_path() / "activedr_example.XXXXXX")
+            .string();
+    std::vector<char> name(pattern.begin(), pattern.end());
+    name.push_back('\0');
+    if (mkdtemp(name.data()) == nullptr) {
+      throw std::runtime_error("cannot create a directory from " + pattern);
+    }
+    path_ = name.data();
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+int run() {
   const util::TimePoint now = util::from_civil(2026, 7, 1);
 
   core::ServiceConfig config;
@@ -40,7 +74,8 @@ int main() {
 
   // The administrator's reservation file: one exact file plus a directory
   // subtree.
-  const std::string list_path = "/tmp/activedr_reservations.txt";
+  const TempDir dir;
+  const std::string list_path = dir.path() + "/reservations.txt";
   {
     std::ofstream out(list_path);
     out << "# reservation list, one path per line\n";
@@ -66,4 +101,17 @@ int main() {
   std::cout << "tmp_scratch.dat purged:        "
             << !service.vfs().exists(home + "/tmp_scratch.dat") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main() {
+  // Catching here unwinds run()'s stack, so the temp directory is removed
+  // on the error path too.
+  try {
+    return run();
+  } catch (const std::exception& e) {
+    std::cerr << "purge_exemption: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -135,18 +135,25 @@ void ActivityStore::append(trace::UserId user, ActivityTypeId type,
             ? 0
             : std::max(gaps[i], stream[i].timestamp - stream[i - 1].timestamp);
   }
-  const auto cit = std::upper_bound(
-      chrono_.begin(), chrono_.end(),
-      std::make_pair(activity.timestamp,
-                     std::numeric_limits<trace::UserId>::max()));
-  chrono_.emplace(cit, activity.timestamp, user);
+  // A live feed appends the newest event almost always: that position is
+  // the back, the same one upper_bound would pick (after every entry with
+  // an equal timestamp), without searching the whole index.
+  if (chrono_.empty() || chrono_.back().first <= activity.timestamp) {
+    chrono_.emplace_back(activity.timestamp, user);
+  } else {
+    const auto cit = std::upper_bound(
+        chrono_.begin(), chrono_.end(),
+        std::make_pair(activity.timestamp,
+                       std::numeric_limits<trace::UserId>::max()));
+    chrono_.emplace(cit, activity.timestamp, user);
+  }
   mark_dirty(user);
   static obs::Counter& appends =
       obs::MetricsRegistry::global().counter("activity_store.appends");
   appends.add();
-  obs::MetricsRegistry::global()
-      .gauge("activity_store.aggregate_entries")
-      .add(3);  // one prefix entry + one gap entry + one chrono entry
+  static obs::Gauge& entries =
+      obs::MetricsRegistry::global().gauge("activity_store.aggregate_entries");
+  entries.add(3);  // one prefix entry + one gap entry + one chrono entry
 }
 
 void ActivityStore::add_types(std::size_t extra) {

@@ -32,33 +32,6 @@ std::size_t ScanPlan::total_users() const {
   return n;
 }
 
-namespace {
-
-// A user's position in its group's scan order, flattened: the group's
-// primary rank key (operation rank for the operation-inactive groups,
-// outcome rank for the operation-active ones), the other rank, then the
-// recency tie-break and the user id. 48 bytes against UserActiveness's 96,
-// so build_scan_plan sorts keys and gathers the records once.
-//
-// Rank ties (the bulk of the population sits at Φ = 0 exactly) break on
-// recency, *most recently active first*: a still-writing-but-inactive
-// user keeps producing fresh data and rarely re-reads old files, so their
-// stale files are the harmless purge fodder; a user who has gone quiet is
-// exactly the paused-project case of §1 who may come back for what they
-// left — scan them last. User id breaks exact ties for determinism.
-//
-// Operation-inactive groups (Both Inactive, Outcome Active Only) sort by
-// operation rank, then outcome rank (§3.3: operation rank has priority);
-// operation-active groups "in an ascending order of the outcome
-// activeness" (§3.4).
-struct ScanKey {
-  long double primary = 0.0L;
-  long double secondary = 0.0L;
-  util::TimePoint last_activity = 0;
-  trace::UserId user = 0;
-  std::uint32_t index = 0;  // caller's slot for the record (not compared)
-};
-
 ScanKey scan_key(UserGroup group, const UserActiveness& ua,
                  std::uint32_t index) {
   const bool by_op = group == UserGroup::kBothInactive ||
@@ -74,13 +47,6 @@ bool scan_key_less(const ScanKey& a, const ScanKey& b) {
   if (a.last_activity != b.last_activity)
     return a.last_activity > b.last_activity;
   return a.user < b.user;
-}
-
-}  // namespace
-
-bool scan_less(UserGroup group, const UserActiveness& a,
-               const UserActiveness& b) {
-  return scan_key_less(scan_key(group, a, 0), scan_key(group, b, 0));
 }
 
 ScanPlan build_scan_plan(const std::vector<UserActiveness>& users) {

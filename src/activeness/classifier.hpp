@@ -10,6 +10,7 @@
 // activeness" for the latter two).
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -52,13 +53,39 @@ struct ScanPlan {
 
 ScanPlan build_scan_plan(const std::vector<UserActiveness>& users);
 
-/// The strict total order a group's users are scanned in (rank keys, then
-/// the recency tie-break, then user id; classifier.cpp's ScanKey states it)
-/// — exposed so incremental plan maintenance can splice re-evaluated users
-/// into a sorted group and land exactly where a full build_scan_plan
-/// rebuild would put them.
-bool scan_less(UserGroup group, const UserActiveness& a,
-               const UserActiveness& b);
+/// A user's position in its group's scan order, flattened: the group's
+/// primary rank key (operation rank for the operation-inactive groups,
+/// outcome rank for the operation-active ones), the other rank, then the
+/// recency tie-break and the user id. 48 bytes against UserActiveness's 96,
+/// so build_scan_plan and the incremental pipeline's plan splice sort keys,
+/// not records.
+///
+/// Rank ties (the bulk of the population sits at Φ = 0 exactly) break on
+/// recency, *most recently active first*: a still-writing-but-inactive
+/// user keeps producing fresh data and rarely re-reads old files, so their
+/// stale files are the harmless purge fodder; a user who has gone quiet is
+/// exactly the paused-project case of §1 who may come back for what they
+/// left — scan them last. User id breaks exact ties for determinism.
+///
+/// Operation-inactive groups (Both Inactive, Outcome Active Only) sort by
+/// operation rank, then outcome rank (§3.3: operation rank has priority);
+/// operation-active groups "in an ascending order of the outcome
+/// activeness" (§3.4).
+struct ScanKey {
+  long double primary = 0.0L;
+  long double secondary = 0.0L;
+  util::TimePoint last_activity = 0;
+  trace::UserId user = 0;
+  std::uint32_t index = 0;  // caller's slot for the record (not compared)
+};
+
+ScanKey scan_key(UserGroup group, const UserActiveness& ua,
+                 std::uint32_t index);
+
+/// The strict total order a group's users are scanned in. Strict and total
+/// (the user id breaks every tie), so a plan patched by splicing sorted
+/// keys into a sorted group is element-for-element a build_scan_plan.
+bool scan_key_less(const ScanKey& a, const ScanKey& b);
 
 /// How an inactive user's file lifetime is derived — the paper is ambiguous
 /// between two readings (see DESIGN.md):

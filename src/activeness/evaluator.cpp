@@ -133,13 +133,23 @@ Rank evaluate_stream(std::span<const Activity> stream,
 
 Rank evaluate_stream_indexed(std::span<const Activity> stream,
                              std::span<const double> prefix,
-                             const EvaluationParams& params) {
-  if (stream.empty()) return Rank::no_data();
+                             const EvaluationParams& params,
+                             util::TimePoint* stable_until) {
+  // The last t_c at which every age bucket the result reads is unchanged.
+  util::TimePoint until = std::numeric_limits<util::TimePoint>::max();
+  const auto finish = [&](const Rank& r) {
+    if (stable_until != nullptr) *stable_until = until;
+    return r;
+  };
+  if (stream.empty()) return finish(Rank::no_data());
 
   const util::Duration plen = util::days(params.period_length_days);
   const util::Duration span_ts = params.now - stream.front().timestamp;
   std::int64_t m = span_ts <= 0 ? 1 : (span_ts + plen - 1) / plen;
   if (m < 1) m = 1;
+  // m reads a_0's bucket c_0 = m until the cap pins it for good.
+  const bool pinned = params.max_periods > 0 && m >= params.max_periods;
+  const util::TimePoint m_until = stream.front().timestamp + m * plen;
   if (params.max_periods > 0 && m > params.max_periods) m = params.max_periods;
 
   const std::size_t n = stream.size();
@@ -149,7 +159,7 @@ Rank evaluate_stream_indexed(std::span<const Activity> stream,
   if (total <= 0.0) {
     r.zero = true;
     r.sticky_zero = true;
-    return r;
+    return finish(r);
   }
   // Pigeonhole: a non-zero product needs every one of the m periods
   // populated, impossible with fewer than m activities. (Holds under both
@@ -159,8 +169,9 @@ Rank evaluate_stream_indexed(std::span<const Activity> stream,
   if (m > static_cast<std::int64_t>(n)) {
     r.zero = true;
     r.sticky_zero = true;
-    return r;
+    return finish(r);
   }
+  if (!pinned) until = m_until;
 
   // idx(j, cap) = first activity with timestamp >= t_c - j*plen. Period
   // e < m covers [idx(m-e+1), idx(m-e)); period m covers [idx(1), n)
@@ -185,14 +196,23 @@ Rank evaluate_stream_indexed(std::span<const Activity> stream,
   // Newest period first: a stream that has gone quiet exits after a single
   // binary search instead of grinding through its whole history.
   for (std::int64_t e = m; e >= 1; --e) {
+    const bool clamped_tail =
+        e == 1 && params.stale == StaleHandling::kClampOldest;
     const std::size_t lo =
         e > 1 ? idx(m - e + 1, hi)
               : (params.stale == StaleHandling::kDrop ? idx(m, hi) : 0);
+    // The period's lower edge is its oldest activity, in bucket m − e + 1:
+    // it moves once that activity ages past ts + (m − e + 1)·d. The upper
+    // edge is the next-newer period's lower edge, already bounded (or n,
+    // which only new activity moves). Index 0 of the clamped tail is fixed.
+    if (lo < hi && !clamped_tail) {
+      until = std::min(until, stream[lo].timestamp + (m - e + 1) * plen);
+    }
     const double d_pe = prefix[hi] - prefix[lo];
     if (d_pe <= 0.0) {
       r.zero = true;
       r.log_phi = 0.0L;
-      return r;
+      return finish(r);
     }
     // Same double-log / long-double-accumulate split as evaluate_stream —
     // the two paths must agree to the last bit of their shared math.
@@ -214,7 +234,7 @@ Rank evaluate_stream_indexed(std::span<const Activity> stream,
     hi = lo;
   }
   r.log_phi = log_phi;
-  return r;
+  return finish(r);
 }
 
 Evaluator::Evaluator(const ActivityCatalog& catalog, EvaluationParams params)
@@ -256,10 +276,12 @@ obs::Counter& zero_ranks() {
 }  // namespace
 
 UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
-                                        trace::UserId user) const {
+                                        trace::UserId user,
+                                        util::TimePoint* stable_until) const {
   UserActiveness ua;
   ua.user = user;
   std::uint64_t trimmed = 0;
+  util::TimePoint until = std::numeric_limits<util::TimePoint>::max();
   // A finalized store carries prefix-impact aggregates; the indexed
   // evaluation resolves period impacts via boundary binary searches instead
   // of walking every activity.
@@ -274,15 +296,20 @@ UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
         ua.last_activity = std::max(ua.last_activity, stream.back().timestamp);
       }
       if (indexed) {
+        util::TimePoint stream_until = 0;
         rank *= evaluate_stream_indexed(
-            stream, store.prefix(user, t).first(stream.size() + 1), params_);
+            stream, store.prefix(user, t).first(stream.size() + 1), params_,
+            &stream_until);
+        until = std::min(until, stream_until);
       } else {
         rank *= evaluate_stream(stream, params_);
+        until = params_.now;
       }
     }
   };
   eval_category(op_types_, ua.op);
   eval_category(oc_types_, ua.oc);
+  if (stable_until != nullptr) *stable_until = until;
   users_evaluated().add();
   if (trimmed > 0) streams_trimmed().add(trimmed);
   if (ua.op.zero) zero_ranks().add();
@@ -291,11 +318,15 @@ UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
 }
 
 std::vector<UserActiveness> Evaluator::evaluate_all(
-    const ActivityStore& store) const {
+    const ActivityStore& store,
+    std::vector<util::TimePoint>* stable_until) const {
   obs::TimerSpan span("evaluator.evaluate_all");
   std::vector<UserActiveness> out(store.user_count());
+  if (stable_until != nullptr) stable_until->resize(out.size());
   util::global_pool().parallel_for(0, out.size(), [&](std::size_t i) {
-    out[i] = evaluate_user(store, static_cast<trace::UserId>(i));
+    out[i] = evaluate_user(
+        store, static_cast<trace::UserId>(i),
+        stable_until != nullptr ? &(*stable_until)[i] : nullptr);
   });
   return out;
 }

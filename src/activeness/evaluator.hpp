@@ -118,9 +118,19 @@ Rank evaluate_stream(std::span<const Activity> stream,
 /// params.now and `prefix` must be its aggregate (size k+1, prefix[0] = 0,
 /// see ActivityStore::prefix). Equal to evaluate_stream up to
 /// floating-point summation order.
+///
+/// `stable_until`, when given, receives the last t_c at which the returned
+/// rank provably holds for this trimmed stream (DESIGN.md §9.2): the rank
+/// reads the stream only through the age buckets
+/// c_x = max(1, ⌈(t_c − ts_x)/d⌉) of m's anchor and of each walked
+/// period's oldest activity, and c_x holds while t_c ≤ ts_x + c_x·d. The
+/// instant is the minimum of those bounds, taken from the walk's boundary
+/// indices; INT64_MAX for ranks only new activity can change (no data,
+/// sticky zeros).
 Rank evaluate_stream_indexed(std::span<const Activity> stream,
                              std::span<const double> prefix,
-                             const EvaluationParams& params);
+                             const EvaluationParams& params,
+                             util::TimePoint* stable_until = nullptr);
 
 /// A user's evaluated activeness: Φop, Φoc (Eq. 6).
 struct UserActiveness {
@@ -146,13 +156,22 @@ class Evaluator {
   /// would dangle (silently empty type lists, every rank fresh).
   Evaluator(ActivityCatalog&&, EvaluationParams) = delete;
 
-  UserActiveness evaluate_user(const ActivityStore& store,
-                               trace::UserId user) const;
+  /// `stable_until`, when given, receives the last t_c at which the result
+  /// provably holds while the user's trimmed streams stay as they are: the
+  /// minimum of evaluate_stream_indexed's instants over every stream of
+  /// both categories. An unfinalized store takes the walking path, which
+  /// claims nothing: the instant is t_c itself.
+  UserActiveness evaluate_user(const ActivityStore& store, trace::UserId user,
+                               util::TimePoint* stable_until = nullptr) const;
 
   /// Evaluate every user of the store, parallel over users via the global
-  /// thread pool; slot i holds user i. Every full evaluation runs through
-  /// here, so the "evaluator.evaluate_all" span fires on every path.
-  std::vector<UserActiveness> evaluate_all(const ActivityStore& store) const;
+  /// thread pool; slot i holds user i (and, when `stable_until` is given,
+  /// its slot i the user's stable-until instant). Every full evaluation
+  /// runs through here, so the "evaluator.evaluate_all" span fires on
+  /// every path.
+  std::vector<UserActiveness> evaluate_all(
+      const ActivityStore& store,
+      std::vector<util::TimePoint>* stable_until = nullptr) const;
 
   const EvaluationParams& params() const { return params_; }
 

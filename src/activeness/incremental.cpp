@@ -1,10 +1,7 @@
 #include "activeness/incremental.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <chrono>
-#include <iterator>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -130,12 +127,13 @@ bool IncrementalEvaluator::skippable(const ActivityStore& store,
     return kNo;
   };
 
-  // Per category (each must hold; a live positive rank always moves — Eq.
-  // 1's m grows with t_c, diluting Avg and shifting every boundary): the
-  // cached Φ = 0 persists if ANY contributing stream stays at zero — one
-  // zero factor absorbs the whole product, pinning log_phi at 0 exactly as
-  // a recompute would. last_activity is unchanged by construction, so the
-  // skipped UserActiveness is rank-identical to a full re-evaluation.
+  // Per category (each must hold): the cached Φ = 0 persists if ANY
+  // contributing stream stays at zero — one zero factor absorbs the whole
+  // product, pinning log_phi at 0 exactly as a recompute would.
+  // last_activity is unchanged by construction, so the skipped
+  // UserActiveness is rank-identical to a full re-evaluation. A positive
+  // rank certifies nothing here and returns at once; advance() carries it
+  // with the stable-until instant instead.
   const auto frozen = [&](const Rank& r, std::span<const ActivityTypeId> types) {
     if (!r.has_data) return true;
     if (!r.zero) return false;
@@ -161,7 +159,8 @@ void IncrementalEvaluator::rebuild(ActivityStore& store, util::TimePoint now) {
   EvaluationParams params = base_params_;
   params.now = now;
   Evaluator evaluator(*catalog_, params);
-  users_ = evaluator.evaluate_all(store);
+  users_ = evaluator.evaluate_all(store, &stable_until_);
+  reeval_.clear();
   groups_.resize(users_.size());
   for (std::size_t u = 0; u < users_.size(); ++u) {
     groups_[u] = classify(users_[u]);
@@ -230,68 +229,70 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
         continue;
       }
       if (frozen_[i]) continue;  // durable skip: holds until dirty
+      // The certificates come first so a durable zero is memoized the
+      // first time it is seen; skippable() returns at once for a positive
+      // rank, which the stable-until instant then carries.
       bool durable = false;
       if (skippable(store, users_[i], now, durable)) {
         if (durable) {
           frozen_[i] = 1;
           ++frozen_count_;
         }
-      } else {
-        candidate_flags_[i] = 1;  // marks plan entries to splice out below
-        reeval_.push_back(u);
+        continue;
       }
+      if (now <= stable_until_[i]) continue;  // no bucket it reads moved
+      candidate_flags_[i] = 1;  // marks plan entries to splice out below
+      reeval_.push_back(u);
     }
     stats.users_reevaluated = reeval_.size();
     stats.users_skipped = users_.size() - reeval_.size();
 
-    updated_.resize(reeval_.size());
+    // Distinct users, so the parallel writes land in distinct slots.
     util::global_pool().parallel_for(0, reeval_.size(), [&](std::size_t i) {
-      updated_[i] = evaluator.evaluate_user(store, reeval_[i]);
+      const trace::UserId u = reeval_[i];
+      users_[u] = evaluator.evaluate_user(store, u, &stable_until_[u]);
     });
 
     if (reeval_.size() * 2 >= users_.size()) {
-      // Near-full delta: patching costs more than sorting from scratch.
-      // Same output either way — scan_less is a strict total order.
-      for (std::size_t i = 0; i < reeval_.size(); ++i) {
-        users_[reeval_[i]] = updated_[i];
-        groups_[reeval_[i]] = classify(updated_[i]);
-      }
+      // Near-full delta: sorting from scratch is cheaper than splicing.
+      // Same output either way — scan_key_less is a strict total order.
+      for (const trace::UserId u : reeval_) groups_[u] = classify(users_[u]);
       plan_ = build_scan_plan(users_);
     } else if (!reeval_.empty()) {
-      // Batched splice: one compaction pass per group vector plus a sorted
-      // merge of the incoming entries — O(n + r log r) per trigger instead
-      // of r separate O(n) erase/insert memmoves. candidate_flags_ now
-      // marks exactly the re-evaluated users (dirty + skip-rule failures).
-      for (auto& vec : plan_.groups) {
+      // Batched splice: sort the incoming users' keys per group, compact
+      // each group vector in one pass, then merge from the back in place —
+      // O(n + r log r) per trigger instead of r separate O(n) memmoves,
+      // and no second record buffer. candidate_flags_ now marks exactly
+      // the re-evaluated users (dirty + skip-check failures).
+      for (auto& keys : incoming_) keys.clear();
+      for (const trace::UserId u : reeval_) {
+        const UserGroup g = classify(users_[u]);
+        groups_[u] = g;
+        incoming_[static_cast<std::size_t>(g)].push_back(
+            scan_key(g, users_[u], u));
+      }
+      for (std::size_t gi = 0; gi < kGroupCount; ++gi) {
+        auto& vec = plan_.groups[gi];
         vec.erase(std::remove_if(vec.begin(), vec.end(),
                                  [this](const UserActiveness& x) {
                                    return candidate_flags_[x.user];
                                  }),
                   vec.end());
-      }
-      std::array<std::vector<UserActiveness>, kGroupCount> incoming;
-      for (std::size_t i = 0; i < reeval_.size(); ++i) {
-        const trace::UserId u = reeval_[i];
-        users_[u] = updated_[i];
-        const UserGroup g = classify(updated_[i]);
-        groups_[u] = g;
-        incoming[static_cast<std::size_t>(g)].push_back(updated_[i]);
-      }
-      for (std::size_t gi = 0; gi < kGroupCount; ++gi) {
-        auto& in = incoming[gi];
+        auto& in = incoming_[gi];
         if (in.empty()) continue;
-        const auto less = [g = static_cast<UserGroup>(gi)](
-                              const UserActiveness& a,
-                              const UserActiveness& b) {
-          return scan_less(g, a, b);
-        };
-        std::sort(in.begin(), in.end(), less);
-        auto& vec = plan_.groups[gi];
-        merge_scratch_.clear();
-        merge_scratch_.reserve(vec.size() + in.size());
-        std::merge(vec.begin(), vec.end(), in.begin(), in.end(),
-                   std::back_inserter(merge_scratch_), less);
-        vec.swap(merge_scratch_);
+        std::sort(in.begin(), in.end(), scan_key_less);
+        const auto g = static_cast<UserGroup>(gi);
+        std::size_t kept = vec.size();
+        std::size_t next = in.size();
+        vec.resize(kept + next);
+        for (std::size_t w = vec.size(); next > 0;) {
+          if (kept > 0 && scan_key_less(in[next - 1],
+                                        scan_key(g, vec[kept - 1], 0))) {
+            vec[--w] = vec[--kept];
+          } else {
+            vec[--w] = users_[in[--next].index];
+          }
+        }
       }
     }
   }

@@ -3,45 +3,50 @@
 //
 // A full evaluation re-ranks every user at every purge trigger, but between
 // two triggers almost nothing changes: most users had no new activity, and
-// the bulk of the population already sits at Φ = 0 exactly (some period is
-// empty) where growing the window cannot resurrect them. IncrementalEvaluator
-// exploits both facts. It keeps the latest evaluation (dense per-user
-// activeness, group table, sorted ScanPlan) and, on each advance to a new
-// t_c, re-evaluates only users that can have changed:
+// Eqs. 1–5 anchor the periods at t_c, so a user's rank moves only when a
+// period boundary passes one of their activities. IncrementalEvaluator
+// exploits that. It keeps the latest evaluation (dense per-user activeness,
+// group table, sorted ScanPlan) and, on each advance to a new t_c,
+// re-evaluates only users that can have changed:
 //
 //  * users the store marked dirty (streaming appends since the last drain);
 //  * users with activity inside (t_prev, t_c] revealed by the advancing trim
 //    (replay stores hold the whole trace up front, so "new" events surface
 //    by time moving, not by appends) — answered by the store's chronological
 //    index;
-//  * any cached user that fails the *skip rule*.
+//  * any other user whose cached evaluation the skip checks cannot carry.
 //
-// Skip rule (proved in DESIGN.md §9.2): a user with no new activity keeps an
-// identical evaluation at t_c iff every data-bearing category rank already
-// sits at Φ = 0 *and* that zero provably persists at the new t_c. Four
-// independent certificates establish persistence, each checkable in O(1)
-// against the store's aggregates (no stream walk):
-//   * pigeonhole — more periods than activities (m only grows, the stream
-//     is frozen);
-//   * zero total impact (frozen totals);
-//   * stale newest period — the last activity strictly predates t_c − d;
-//   * static gap — some inter-activity gap wider than 2d swallows a full
-//     period wherever the t_c-anchored boundaries land. Durable uncapped;
-//     under a max_periods cap P ≥ 4 it stays durable when the gap's right
-//     end is recent enough (ts_right ≥ ts_newest − (P−4)·d) that the capped
-//     window provably keeps an aligned period inside the gap until the
-//     stale-newest argument takes over (DESIGN.md §9.2).
-// Fresh users (no data at all) trivially qualify. Everyone else — anyone
-// with a live positive rank — is re-evaluated, because Eq. 1's m grows with
-// t_c and dilutes Avg even without new events.
+// A user outside the delta set keeps its trimmed streams, so its rank is a
+// function of the age buckets c_x = max(1, ⌈(t_c − ts_x)/d⌉) alone
+// (DESIGN.md §9.2). The checks, in order:
+//  1. frozen_ — a durable skip memoized at an earlier trigger;
+//  2. the zero certificates of skippable(), each O(1) against the store's
+//     aggregates (no stream walk); durable ones are memoized in frozen_:
+//     * pigeonhole — more periods than activities (m only grows, the
+//       stream is frozen);
+//     * zero total impact (frozen totals);
+//     * stale newest period — the last activity strictly predates t_c − d;
+//     * static gap — some inter-activity gap wider than 2d swallows a full
+//       period wherever the t_c-anchored boundaries land. Durable uncapped;
+//       under a max_periods cap P ≥ 4 it stays durable when the gap's right
+//       end is recent enough (ts_right ≥ ts_newest − (P−4)·d) that the
+//       capped window provably keeps an aligned period inside the gap until
+//       the stale-newest argument takes over (DESIGN.md §9.2);
+//  3. stable-until — t_c is at or before the instant the user's last
+//     evaluation returned (Evaluator::evaluate_user): no bucket its rank
+//     reads has moved. Transient, never memoized;
+//  4. otherwise the user is re-evaluated.
+// Fresh users (no data at all) pass check 2 trivially.
 //
-// Re-evaluated users are spliced into the cached ScanPlan with scan_less
-// (a strict total order), so the patched plan is element-for-element
-// identical to a from-scratch build_scan_plan. Both eval modes therefore
-// produce identical ranks, classifications, scan orderings, and downstream
-// PurgeReports — the property suite in tests/activeness/test_incremental.cpp
-// holds them to it.
+// Re-evaluated users are spliced into the cached ScanPlan: their ScanKeys
+// are sorted in instance scratch and merged into each compacted group from
+// the back, in place. scan_key_less is a strict total order, so the
+// patched plan is element-for-element identical to a from-scratch
+// build_scan_plan. Both eval modes therefore produce identical ranks,
+// classifications, scan orderings, and downstream PurgeReports — the
+// property suite in tests/activeness/test_incremental.cpp holds them to it.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -85,6 +90,11 @@ class IncrementalEvaluator {
   /// Full-rebuilds on the first call, when `now` moves backwards, when the
   /// user count changed, or in kFull mode.
   AdvanceStats advance(ActivityStore& store, util::TimePoint now);
+
+  /// Users the last delta advance() re-evaluated, ascending. After a full
+  /// rebuild (AdvanceStats::full_rebuild) every user was re-evaluated and
+  /// this is empty.
+  const std::vector<trace::UserId>& reevaluated() const { return reeval_; }
 
   /// Latest evaluation (valid after the first advance()), dense by user id.
   const ScanPlan& plan() const { return plan_; }
@@ -130,6 +140,9 @@ class IncrementalEvaluator {
   util::TimePoint last_now_ = 0;
   std::vector<UserActiveness> users_;  // dense by user id
   std::vector<UserGroup> groups_;      // dense by user id
+  /// Last t_c at which each user's cached evaluation provably holds while
+  /// their trimmed streams are unchanged (Evaluator::evaluate_user).
+  std::vector<util::TimePoint> stable_until_;  // dense by user id
   /// Users whose skip was established by durable (t_c-monotone)
   /// certificates: skipped without any recheck until they turn dirty.
   std::vector<std::uint8_t> frozen_;   // dense by user id
@@ -139,8 +152,7 @@ class IncrementalEvaluator {
   // nothing in steady state.
   std::vector<std::uint8_t> candidate_flags_;
   std::vector<trace::UserId> reeval_;
-  std::vector<UserActiveness> updated_;
-  std::vector<UserActiveness> merge_scratch_;
+  std::array<std::vector<ScanKey>, kGroupCount> incoming_;  // by UserGroup
   ScanPlan plan_;
   double seconds_ = 0.0;
 };

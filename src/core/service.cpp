@@ -191,8 +191,15 @@ const activeness::RankStore& Service::evaluate(util::TimePoint now) {
     return ranks_;
   }
   util::FaultInjector::global().crash_point("service.evaluate");
-  pipeline_.advance(store, now);
-  ranks_ = activeness::RankStore(pipeline_.users());
+  const activeness::AdvanceStats stats = pipeline_.advance(store, now);
+  const std::vector<activeness::UserActiveness>& users = pipeline_.users();
+  if (stats.full_rebuild) {
+    ranks_ = activeness::RankStore(users);
+  } else {
+    // A delta advance left every other user's evaluation as it was, and
+    // ranks_ already holds it: patch only the re-evaluated users.
+    for (const trace::UserId u : pipeline_.reevaluated()) ranks_.set(users[u]);
+  }
   last_eval_time_ = now;
   return ranks_;
 }

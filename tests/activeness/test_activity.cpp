@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace adr::activeness {
 namespace {
@@ -41,6 +47,72 @@ TEST(ActivityStore, AddAndStream) {
   store.sort_all();
   EXPECT_EQ(store.stream(1, 0)[0].timestamp, 50);
   EXPECT_EQ(store.stream(1, 0)[1].timestamp, 100);
+}
+
+// append() puts a chronological-index entry at the back when the event is
+// the newest, and searches only for an out-of-order one; either way the
+// index, the streams and the aggregate_entries gauge must come out as a
+// bulk add() + sort_all() of the same events builds them.
+TEST(ActivityStore, AppendsMatchBulkLoadInChronoIndexAndGauge) {
+  struct Event {
+    trace::UserId user;
+    ActivityTypeId type;
+    Activity activity;
+  };
+  const std::vector<Event> events{
+      {0, 0, {100, 1.0}}, {1, 1, {200, 2.0}},  // in order
+      {2, 0, {200, 3.0}}, {1, 1, {200, 4.0}},  // equal timestamps
+      {0, 1, {150, 5.0}}, {2, 1, {50, 6.0}},   // out of order
+      {1, 0, {300, 7.0}}, {0, 0, {50, 8.0}},   // newest again, oldest tie
+  };
+  auto& gauge =
+      obs::MetricsRegistry::global().gauge("activity_store.aggregate_entries");
+  ActivityStore streamed(3, 2);
+  for (const Event& e : events) streamed.append(e.user, e.type, e.activity);
+  const std::int64_t streamed_gauge = gauge.value();
+  EXPECT_EQ(streamed_gauge,
+            static_cast<std::int64_t>(streamed.aggregate_entries()));
+
+  ActivityStore bulk(3, 2);
+  for (const Event& e : events) bulk.add(e.user, e.type, e.activity);
+  bulk.sort_all();
+  EXPECT_EQ(gauge.value(), streamed_gauge);
+  EXPECT_EQ(bulk.aggregate_entries(), streamed.aggregate_entries());
+
+  for (trace::UserId u = 0; u < 3; ++u) {
+    for (ActivityTypeId t = 0; t < 2; ++t) {
+      const auto a = streamed.stream(u, t);
+      const auto b = bulk.stream(u, t);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].timestamp, b[i].timestamp);
+        EXPECT_EQ(a[i].impact, b[i].impact);
+      }
+    }
+  }
+  // Entries with equal timestamps may differ in user order (appends keep
+  // arrival order, the bulk sort orders by user); every window must hold
+  // the same entries.
+  const auto sorted = [](auto window) {
+    std::vector<std::pair<util::TimePoint, trace::UserId>> out(window.begin(),
+                                                               window.end());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (const auto& [begin, end] :
+       std::vector<std::pair<util::TimePoint, util::TimePoint>>{
+           {0, 400}, {49, 50}, {50, 150}, {100, 200}, {199, 200}, {200, 300},
+           {300, 400}}) {
+    SCOPED_TRACE(std::to_string(begin) + ".." + std::to_string(end));
+    const auto a = streamed.chrono_window(begin, end);
+    const auto b = bulk.chrono_window(begin, end);
+    EXPECT_EQ(sorted(a), sorted(b));
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end(),
+                               [](const auto& x, const auto& y) {
+                                 return x.first < y.first;
+                               }));
+  }
+  EXPECT_EQ(streamed.chrono_window(0, 400).size(), events.size());
 }
 
 TEST(ActivityStore, BoundsChecked) {

@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "activeness/evaluator.hpp"
 #include "util/rng.hpp"
@@ -202,6 +205,98 @@ TEST_P(EvaluatorProperty, ActivityAtNowCountsAsNewest) {
   const Rank r = evaluate_stream(acts, params());
   EXPECT_TRUE(r.has_data);
   EXPECT_FALSE(r.zero);  // both periods populated
+}
+
+void expect_same_rank(const Rank& a, const Rank& b) {
+  EXPECT_EQ(a.has_data, b.has_data);
+  EXPECT_EQ(a.zero, b.zero);
+  EXPECT_EQ(a.sticky_zero, b.sticky_zero);
+  EXPECT_EQ(a.log_phi, b.log_phi);
+}
+
+// The stable-until instant (DESIGN.md §9.2): for a fixed trimmed stream the
+// indexed evaluation is a function of the activities' age buckets, and the
+// instant is the last t_c at which every bucket it reads is unchanged. So
+// the rank must come out field for field the same at t_c, at the instant
+// itself, and anywhere in between — across both stale modes, caps, the
+// three exponent schemes and short to long periods, on random streams with
+// equal timestamps, zero impacts and activities on period boundaries.
+TEST(StableUntil, RankHoldsFieldForFieldThroughTheInstant) {
+  constexpr util::Duration kDay = 86'400;
+  util::Rng rng(0x57ab1e);
+  int bounded = 0;
+  for (const StaleHandling stale :
+       {StaleHandling::kClampOldest, StaleHandling::kDrop}) {
+    for (const int cap : {0, 1, 4, 6}) {
+      for (const ExponentScheme scheme :
+           {ExponentScheme::kPaperExponent, ExponentScheme::kUniform,
+            ExponentScheme::kCappedLinear}) {
+        for (const int d : {7, 30, 90}) {
+          EvaluationParams p;
+          p.period_length_days = d;
+          p.max_periods = cap;
+          p.stale = stale;
+          p.scheme = scheme;
+          p.exponent_cap = 3;
+          p.now = kT0;
+          const util::Duration plen = d * kDay;
+          for (int trial = 0; trial < 25; ++trial) {
+            // 1-80 activities within ~8 periods of t_c; some land exactly
+            // on a period boundary or at t_c, some repeat the previous
+            // timestamp, some carry no impact.
+            const auto n = static_cast<std::size_t>(rng.uniform_int(1, 80));
+            const util::Duration horizon =
+                static_cast<util::Duration>(rng.uniform_int(1, 8)) * plen;
+            std::vector<Activity> acts;
+            for (std::size_t i = 0; i < n; ++i) {
+              util::TimePoint ts = kT0 - rng.uniform_int(0, horizon);
+              const double shape = rng.uniform();
+              if (shape < 0.1) {
+                ts = kT0 - rng.uniform_int(0, 8) * plen;
+              } else if (shape < 0.25 && !acts.empty()) {
+                ts = acts.back().timestamp;
+              }
+              const double impact =
+                  rng.bernoulli(0.15) ? 0.0 : rng.uniform(0.1, 50.0);
+              acts.push_back(Activity{ts, impact});
+            }
+            std::stable_sort(acts.begin(), acts.end(),
+                             [](const Activity& a, const Activity& b) {
+                               return a.timestamp < b.timestamp;
+                             });
+            std::vector<double> prefix(acts.size() + 1, 0.0);
+            for (std::size_t i = 0; i < acts.size(); ++i) {
+              prefix[i + 1] = prefix[i] + acts[i].impact;
+            }
+
+            util::TimePoint until = 0;
+            const Rank at_now =
+                evaluate_stream_indexed(acts, prefix, p, &until);
+            ASSERT_GE(until, p.now);
+            // A rank only new activity can change holds forever; probe it
+            // out to ten years.
+            const bool forever =
+                until == std::numeric_limits<util::TimePoint>::max();
+            const util::TimePoint last =
+                forever ? p.now + 3650 * kDay : until;
+            if (!forever) ++bounded;
+            std::vector<util::TimePoint> probes{last};
+            for (int k = 0; k < 20; ++k) {
+              probes.push_back(p.now + rng.uniform_int(0, last - p.now));
+            }
+            for (const util::TimePoint t : probes) {
+              SCOPED_TRACE("t_c + " + std::to_string(t - p.now) + " s");
+              EvaluationParams later = p;
+              later.now = t;
+              expect_same_rank(evaluate_stream_indexed(acts, prefix, later),
+                               at_now);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(bounded, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -71,6 +71,40 @@ ActivityStore random_store(std::uint64_t seed, std::size_t users) {
   return store;
 }
 
+/// Two files per user, atimes up to `max_age_days` before `t`: a dry-run
+/// ActiveDR purge to a third of the bytes must name the same victims in the
+/// same order under both plans (the list depends on scan order, not just
+/// the victim set).
+void expect_same_victims(const ScanPlan& want_plan, const ScanPlan& got_plan,
+                         std::size_t users, util::TimePoint t,
+                         std::uint64_t seed, std::int64_t max_age_days) {
+  const trace::UserRegistry registry =
+      trace::UserRegistry::with_synthetic_users(users);
+  fs::Vfs vfs_full, vfs_inc;
+  util::Rng files(seed ^ 0xabc);
+  for (trace::UserId u = 0; u < users; ++u) {
+    for (int f = 0; f < 2; ++f) {
+      fs::FileMeta meta;
+      meta.owner = u;
+      meta.size_bytes =
+          64 + static_cast<std::uint64_t>(files.uniform_int(0, 100));
+      meta.atime = t - static_cast<util::Duration>(
+                           files.uniform_int(0, max_age_days)) * kDay;
+      meta.ctime = meta.atime;
+      const std::string path = registry.home_dir(u) + "/f" + std::to_string(f);
+      vfs_full.create(path, meta);
+      vfs_inc.create(path, meta);
+    }
+  }
+  retention::ActiveDrConfig config;
+  config.dry_run = true;
+  const retention::ActiveDrPolicy policy(config);
+  const std::uint64_t target = vfs_full.total_bytes() / 3;
+  const auto want = policy.run(vfs_full, t, target, want_plan).victim_paths;
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(policy.run(vfs_inc, t, target, got_plan).victim_paths, want);
+}
+
 EvaluationParams params_for(int period_days, StaleHandling stale,
                             ExponentScheme scheme, int max_periods = 0) {
   EvaluationParams p;
@@ -124,8 +158,6 @@ TEST(IncrementalEvaluator, MatchesFullAcrossRandomizedTriggerSweeps) {
 TEST(IncrementalEvaluator, MatchesFullAcrossAppendsJumpsAndVictimLists) {
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
   constexpr std::size_t kUsers = 80;
-  const trace::UserRegistry registry =
-      trace::UserRegistry::with_synthetic_users(kUsers);
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const EvaluationParams params = params_for(
@@ -169,31 +201,104 @@ TEST(IncrementalEvaluator, MatchesFullAcrossAppendsJumpsAndVictimLists) {
       expect_same_plan(full.plan(), inc.plan());
     }
 
-    fs::Vfs vfs_full, vfs_inc;
-    util::Rng files(seed ^ 0xabc);
-    for (trace::UserId u = 0; u < kUsers; ++u) {
-      for (int f = 0; f < 2; ++f) {
-        fs::FileMeta meta;
-        meta.owner = u;
-        meta.size_bytes =
-            64 + static_cast<std::uint64_t>(files.uniform_int(0, 100));
-        meta.atime =
-            t - static_cast<util::Duration>(files.uniform_int(0, 400)) * kDay;
-        meta.ctime = meta.atime;
-        const std::string path =
-            registry.home_dir(u) + "/f" + std::to_string(f);
-        vfs_full.create(path, meta);
-        vfs_inc.create(path, meta);
+    expect_same_victims(full.plan(), inc.plan(), kUsers, t, seed, 400);
+  }
+}
+
+/// A population that stays active at every trigger of the sweep below:
+/// each user's operation stream has an activity every 4 to 6.9 days and
+/// the outcome stream one every 4.5 to 6.9 days, from 30-60 days before
+/// kT0 to 60 days after it. No 7-day period is ever empty, so every cached
+/// rank is positive; the activities after each trigger surface through the
+/// chronological index as time moves.
+ActivityStore dense_store(std::uint64_t seed, std::size_t users) {
+  ActivityStore store(users, 2);
+  util::Rng rng(seed);
+  const util::TimePoint end = kT0 + 60 * kDay;
+  for (trace::UserId u = 0; u < users; ++u) {
+    const util::TimePoint begin =
+        kT0 - static_cast<util::Duration>(rng.uniform_int(30, 60)) * kDay;
+    for (util::TimePoint ts = begin; ts < end;
+         ts += static_cast<util::Duration>(rng.uniform(4.0, 6.9) * kDay)) {
+      store.add(u, 0, Activity{ts, rng.uniform(0.5, 40.0)});
+    }
+    for (util::TimePoint ts = begin; ts < end;
+         ts += static_cast<util::Duration>(rng.uniform(4.5, 6.9) * kDay)) {
+      store.add(u, 1, Activity{ts, rng.uniform(0.5, 40.0)});
+    }
+  }
+  store.sort_all();
+  return store;
+}
+
+// The stable-until skip at trigger cadences finer than a period (1-36 h
+// against 7-day periods), with streamed appends between triggers: users,
+// groups and plan equal kFull at every step, a dry-run purge names the
+// same victims, and on steps where every cached rank is positive — where
+// no zero certificate can skip anyone — the instant still skips users.
+// The dense populations run under a 3-period cap: a user's rank then reads
+// the buckets of a few activities, so even a 36 h step leaves some users
+// unmoved. (Uncapped, m grows through the sweep, and every period adds a
+// lower edge that a long step can carry into the next bucket.)
+TEST(IncrementalEvaluator, StableUntilSkipMatchesFullAtSubPeriodCadences) {
+  const ActivityCatalog catalog = ActivityCatalog::paper_default();
+  constexpr std::size_t kUsers = 60;
+  int positive_steps = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const bool dense = seed % 2 == 1;
+    const StaleHandling stale =
+        seed % 3 == 0 ? StaleHandling::kDrop : StaleHandling::kClampOldest;
+    const int cap = dense ? 3 : (seed % 4 == 0 ? 4 : 0);
+    const EvaluationParams params = params_for(
+        7, stale,
+        seed % 4 == 1 ? ExponentScheme::kUniform
+                      : ExponentScheme::kPaperExponent,
+        cap);
+    ActivityStore store_full =
+        dense ? dense_store(seed, kUsers) : random_store(seed, kUsers);
+    ActivityStore store_inc =
+        dense ? dense_store(seed, kUsers) : random_store(seed, kUsers);
+    IncrementalEvaluator full(catalog, params, EvalMode::kFull);
+    IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
+    util::Rng rng(seed * 104729);
+    util::TimePoint t = kT0;
+    for (int step = 0; step < 40; ++step) {
+      const util::Duration cadence =
+          static_cast<util::Duration>(rng.uniform_int(1, 36)) * 3600;
+      const int burst = static_cast<int>(rng.uniform_int(0, 4));
+      for (int e = 0; e < burst; ++e) {
+        const auto user =
+            static_cast<trace::UserId>(rng.uniform_int(0, kUsers - 1));
+        const ActivityTypeId type = rng.uniform() < 0.7 ? 0 : 1;
+        const Activity a{t + rng.uniform_int(0, cadence),
+                         rng.uniform(0.5, 20.0)};
+        store_full.append(user, type, a);
+        store_inc.append(user, type, a);
+      }
+      t += cadence;
+      const bool only_positive =
+          step > 0 &&
+          std::all_of(inc.users().begin(), inc.users().end(),
+                      [](const UserActiveness& ua) {
+                        return !ua.fresh() && !ua.op.zero && !ua.oc.zero;
+                      });
+      full.advance(store_full, t);
+      const AdvanceStats stats = inc.advance(store_inc, t);
+      EXPECT_EQ(stats.full_rebuild, step == 0);
+      for (std::size_t u = 0; u < kUsers; ++u) {
+        expect_same_activeness(full.users()[u], inc.users()[u]);
+        EXPECT_EQ(full.groups()[u], inc.groups()[u]);
+      }
+      expect_same_plan(full.plan(), inc.plan());
+      if (only_positive) {
+        ++positive_steps;
+        EXPECT_GT(stats.users_skipped, 0u) << "step " << step;
       }
     }
-    retention::ActiveDrConfig config;
-    config.dry_run = true;
-    const retention::ActiveDrPolicy policy(config);
-    const std::uint64_t target = vfs_full.total_bytes() / 3;
-    const auto want = policy.run(vfs_full, t, target, full.plan()).victim_paths;
-    EXPECT_FALSE(want.empty());
-    EXPECT_EQ(policy.run(vfs_inc, t, target, inc.plan()).victim_paths, want);
+    expect_same_victims(full.plan(), inc.plan(), kUsers, t, seed, 30);
   }
+  EXPECT_GT(positive_steps, 0);
 }
 
 TEST(IncrementalEvaluator, StreamingAppendsMatchFullEvaluation) {
@@ -260,13 +365,28 @@ TEST(IncrementalEvaluator, ReevaluatesOnlyTheDirtyUser) {
   EXPECT_EQ(second.users_skipped, 9u);
   EXPECT_TRUE(inc.users()[3].oc.has_data);
 
-  // Quiet interval: nothing is dirty, nobody needs a re-rank.
+  // Quiet interval: nothing is dirty, nobody needs a re-rank. User 3's
+  // single activity stays inside its first 90-day period, so its positive
+  // rank is unchanged and the stable-until instant carries it.
   const AdvanceStats third = inc.advance(store, kT0 + 30 * kDay);
   EXPECT_EQ(third.users_dirty, 0u);
-  // user 3's single recent activity holds a positive rank, so it cannot be
-  // skipped (m grows with t_c); everyone else can.
-  EXPECT_EQ(third.users_reevaluated, 1u);
-  EXPECT_EQ(third.users_skipped, 9u);
+  EXPECT_EQ(third.users_reevaluated, 0u);
+  EXPECT_EQ(third.users_skipped, 10u);
+
+  // One second past ts + d the activity enters its second period (m = 2):
+  // exactly user 3 is re-evaluated, and the result still matches kFull.
+  const util::TimePoint crossed = kT0 + kDay + 90 * kDay + 1;
+  const AdvanceStats fourth = inc.advance(store, crossed);
+  EXPECT_EQ(fourth.users_dirty, 0u);
+  EXPECT_EQ(fourth.users_reevaluated, 1u);
+  EXPECT_EQ(fourth.users_skipped, 9u);
+  EXPECT_EQ(inc.reevaluated(), std::vector<trace::UserId>{3});
+  IncrementalEvaluator full(catalog, params, EvalMode::kFull);
+  full.advance(store, crossed);
+  for (std::size_t u = 0; u < 10; ++u) {
+    expect_same_activeness(full.users()[u], inc.users()[u]);
+  }
+  expect_same_plan(full.plan(), inc.plan());
 }
 
 TEST(IncrementalEvaluator, BackwardsTimeForcesFullRebuild) {

@@ -4,11 +4,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -538,6 +540,59 @@ TEST_F(ServiceTest, IncrementalEvaluationTouchesOnlyTheDirtyUser) {
                 before.counters.at("incremental.users_skipped"),
             3u);
   EXPECT_TRUE(service_.activeness_of(2).oc.has_data);
+}
+
+TEST_F(ServiceTest, DeltaAdvancesPatchRanksToAFullCopy) {
+  // Evaluate after each slice of the history, then twice more with time
+  // moving and nothing new: every advance after the first is a delta that
+  // patches the re-evaluated users into ranks() instead of copying every
+  // user. The patched store must equal a full copy field for field, and
+  // save the same bytes.
+  auto service = make_service();
+  const auto events = all_events();
+  const std::size_t slices = 4;
+  const auto apply_slice = [&](std::size_t k) {
+    const std::size_t end =
+        std::min(events.size(), (k + 1) * events.size() / slices);
+    for (std::size_t i = k * events.size() / slices; i < end; ++i) {
+      service->apply(events[i]);
+    }
+  };
+  apply_slice(0);
+  service->evaluate(now_);  // the first evaluation rebuilds
+  const auto before = obs::MetricsRegistry::global().snapshot();
+  std::size_t patched = 0;
+  for (std::size_t k = 1; k < slices + 2; ++k) {
+    if (k < slices) apply_slice(k);
+    service->evaluate(now_ + static_cast<util::Duration>(k) * util::days(3));
+    patched += service->pipeline().reevaluated().size();
+  }
+  const auto after = obs::MetricsRegistry::global().snapshot();
+  EXPECT_EQ(after.counters.at("incremental.full_rebuilds"),
+            before.counters.at("incremental.full_rebuilds"));
+  EXPECT_GT(patched, 0u);
+
+  const auto& users = service->pipeline().users();
+  const auto& ranks = service->ranks().all();
+  ASSERT_EQ(ranks.size(), users.size());
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    SCOPED_TRACE("user " + std::to_string(u));
+    EXPECT_EQ(ranks[u].user, users[u].user);
+    for (const auto& [got, want] :
+         {std::pair{ranks[u].op, users[u].op},
+          std::pair{ranks[u].oc, users[u].oc}}) {
+      EXPECT_EQ(got.has_data, want.has_data);
+      EXPECT_EQ(got.zero, want.zero);
+      EXPECT_EQ(got.sticky_zero, want.sticky_zero);
+      EXPECT_EQ(got.log_phi, want.log_phi);
+    }
+    EXPECT_EQ(ranks[u].last_activity, users[u].last_activity);
+  }
+  const std::string patched_csv = dir_ + "/ranks_patched.csv";
+  const std::string copied_csv = dir_ + "/ranks_copied.csv";
+  service->ranks().save_csv(patched_csv);
+  activeness::RankStore(users).save_csv(copied_csv);
+  EXPECT_EQ(slurp(patched_csv), slurp(copied_csv));
 }
 
 TEST_F(ServiceTest, FullEvalModeMatchesIncremental) {
