@@ -45,7 +45,6 @@ ActivityStore::ActivityStore(std::size_t user_count, std::size_t type_count)
       types_(type_count),
       streams_(user_count * type_count),
       prefix_(user_count * type_count),
-      gap_prefix_(user_count * type_count),
       dirty_flags_(user_count, 0),
       ingest_(std::make_unique<IngestQueue>()) {}
 
@@ -69,17 +68,10 @@ void ActivityStore::rebuild_aggregates() {
   for (std::size_t s = 0; s < streams_.size(); ++s) {
     const auto& stream = streams_[s];
     auto& prefix = prefix_[s];
-    auto& gaps = gap_prefix_[s];
     prefix.resize(stream.size() + 1);
-    gaps.resize(stream.size() + 1);
     prefix[0] = 0.0;
-    gaps[0] = 0;
     for (std::size_t i = 0; i < stream.size(); ++i) {
       prefix[i + 1] = prefix[i] + stream[i].impact;
-      gaps[i + 1] =
-          i == 0 ? 0
-                 : std::max(gaps[i],
-                            stream[i].timestamp - stream[i - 1].timestamp);
     }
     const auto user = static_cast<trace::UserId>(s / types_);
     for (const auto& a : stream) chrono_.emplace_back(a.timestamp, user);
@@ -124,17 +116,6 @@ void ActivityStore::append(trace::UserId user, ActivityTypeId type,
   for (std::size_t i = pos; i < stream.size(); ++i) {
     prefix[i + 1] = prefix[i] + stream[i].impact;
   }
-  // Gaps change only at/after the insertion point: O(1) for the common
-  // append-at-end, O(k - pos) for an out-of-order insert.
-  auto& gaps = gap_prefix_[user * types_ + type];
-  gaps.resize(stream.size() + 1);
-  gaps[0] = 0;
-  for (std::size_t i = pos == 0 ? 0 : pos - 1; i < stream.size(); ++i) {
-    gaps[i + 1] =
-        i == 0
-            ? 0
-            : std::max(gaps[i], stream[i].timestamp - stream[i - 1].timestamp);
-  }
   // A live feed appends the newest event almost always: that position is
   // the back, the same one upper_bound would pick (after every entry with
   // an equal timestamp), without searching the whole index.
@@ -153,7 +134,7 @@ void ActivityStore::append(trace::UserId user, ActivityTypeId type,
   appends.add();
   static obs::Gauge& entries =
       obs::MetricsRegistry::global().gauge("activity_store.aggregate_entries");
-  entries.add(3);  // one prefix entry + one gap entry + one chrono entry
+  entries.add(2);  // one prefix entry + one chrono entry
 }
 
 void ActivityStore::add_types(std::size_t extra) {
@@ -161,26 +142,20 @@ void ActivityStore::add_types(std::size_t extra) {
   const std::size_t new_types = types_ + extra;
   std::vector<std::vector<Activity>> streams(users_ * new_types);
   std::vector<std::vector<double>> prefix(users_ * new_types);
-  std::vector<std::vector<util::Duration>> gaps(users_ * new_types);
   for (trace::UserId u = 0; u < users_; ++u) {
     for (std::size_t t = 0; t < types_; ++t) {
       streams[u * new_types + t] = std::move(streams_[u * types_ + t]);
       prefix[u * new_types + t] = std::move(prefix_[u * types_ + t]);
-      gaps[u * new_types + t] = std::move(gap_prefix_[u * types_ + t]);
     }
   }
   streams_ = std::move(streams);
   prefix_ = std::move(prefix);
-  gap_prefix_ = std::move(gaps);
   types_ = new_types;
   if (finalized_) {
     // New streams are empty; prefixes for them are built lazily on append,
     // but give them their canonical empty shape now.
     for (auto& p : prefix_) {
       if (p.empty()) p.assign(1, 0.0);
-    }
-    for (auto& g : gap_prefix_) {
-      if (g.empty()) g.assign(1, 0);
     }
   }
 }
@@ -197,13 +172,6 @@ std::span<const double> ActivityStore::prefix(trace::UserId user,
   if (user >= users_ || type >= types_)
     throw std::out_of_range("ActivityStore: bad user/type");
   return prefix_[user * types_ + type];
-}
-
-std::span<const util::Duration> ActivityStore::max_gap_prefix(
-    trace::UserId user, ActivityTypeId type) const {
-  if (user >= users_ || type >= types_)
-    throw std::out_of_range("ActivityStore: bad user/type");
-  return gap_prefix_[user * types_ + type];
 }
 
 std::vector<trace::UserId> ActivityStore::take_dirty() {
@@ -329,7 +297,6 @@ std::size_t ActivityStore::total_activities() const {
 std::size_t ActivityStore::aggregate_entries() const {
   std::size_t n = chrono_.size();
   for (const auto& p : prefix_) n += p.size();
-  for (const auto& g : gap_prefix_) n += g.size();
   return n;
 }
 

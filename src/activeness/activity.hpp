@@ -88,7 +88,7 @@ enum class EnqueueResult { kQueued, kShed, kSpilled };
 /// Per-user, per-type activity streams. Dense over users for cache-friendly
 /// parallel evaluation.
 ///
-/// Two ingestion styles:
+/// Three ingestion styles:
 ///  * bulk: add() rows in any order, then sort_all() once — the load path
 ///    for whole trace files;
 ///  * streaming: append() events as they happen — each append keeps the
@@ -132,16 +132,6 @@ class ActivityStore {
   /// i impacts (size = stream size + 1, element 0 = 0). Only valid while
   /// finalized().
   std::span<const double> prefix(trace::UserId user, ActivityTypeId type) const;
-
-  /// Prefix-max of internal inter-activity gaps: element i is the widest
-  /// gap between consecutive timestamps among the first i activities (0
-  /// for i < 2; size = stream size + 1). Only valid while finalized().
-  /// The incremental evaluator's frozen-zero rule reads this: a static gap
-  /// wider than two period lengths swallows a full period wherever the
-  /// t_c-anchored boundaries land, so a zero rank provably survives any
-  /// window shift until new activity arrives.
-  std::span<const util::Duration> max_gap_prefix(trace::UserId user,
-                                                 ActivityTypeId type) const;
 
   /// True once sort_all() (or any append) has built the aggregates and no
   /// un-sorted bulk add() is pending.
@@ -236,7 +226,6 @@ class ActivityStore {
   std::size_t types_;
   std::vector<std::vector<Activity>> streams_;  // [user * types_ + type]
   std::vector<std::vector<double>> prefix_;     // parallel to streams_
-  std::vector<std::vector<util::Duration>> gap_prefix_;  // parallel to streams_
   /// Chronological index for windowed dirty-user queries, time-sorted.
   std::vector<std::pair<util::TimePoint, trace::UserId>> chrono_;
   bool finalized_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -33,8 +34,6 @@ Rank& Rank::operator*=(const Rank& other) {
     return *this;
   }
   zero = zero || other.zero;
-  // One sticky-zero factor pins the whole product at zero for good.
-  sticky_zero = sticky_zero || other.sticky_zero;
   log_phi = zero ? 0.0L : log_phi + other.log_phi;
   return *this;
 }
@@ -50,93 +49,14 @@ Rank Rank::from_value(double v) {
   return r;
 }
 
-Rank evaluate_stream(std::span<const Activity> stream,
-                     const EvaluationParams& params) {
-  if (stream.empty()) return Rank::no_data();
-
-  const util::Duration plen = util::days(params.period_length_days);
-
-  // Eq. 1: number of periods, anchored at t_c (>= 1). Counting from the
-  // first activity to *now* — not to the last activity — is what makes an
-  // idle tail decay the rank: a user silent for months accrues recent empty
-  // periods, while a span-based m would never see them.
-  const util::Duration span_ts = params.now - stream.front().timestamp;
-  std::int64_t m = span_ts <= 0 ? 1 : (span_ts + plen - 1) / plen;
-  if (m < 1) m = 1;
-  if (params.max_periods > 0 && m > params.max_periods) m = params.max_periods;
-
-  // Eq. 2: average activeness per period over all k activities.
-  double total = 0.0;
-  for (const auto& a : stream) total += a.impact;
-  Rank r;
-  r.has_data = true;
-  if (total <= 0.0) {
-    r.zero = true;
-    r.sticky_zero = true;
-    return r;
-  }
-  // Pigeonhole: fewer activities than periods guarantees an empty period.
-  // Structural — m only grows with t_c while the activity count is frozen,
-  // so the zero outlives any window shift.
-  if (m > static_cast<std::int64_t>(stream.size())) {
-    r.zero = true;
-    r.sticky_zero = true;
-    return r;
-  }
-  const double avg = total / static_cast<double>(m);
-
-  // Eq. 4: bucket activities into periods indexed 1..m (m = most recent).
-  std::vector<double> period_impact(static_cast<std::size_t>(m) + 1, 0.0);
-  for (const auto& a : stream) {
-    const util::Duration age = params.now - a.timestamp;
-    const std::int64_t c = age <= 0 ? 0 : (age + plen - 1) / plen;
-    std::int64_t e = m - c + 1;
-    if (e < 1) {  // older than the evaluation window
-      if (params.stale == StaleHandling::kDrop) continue;
-      e = 1;
-    }
-    if (e > m) e = m;  // at/after t_c: newest period
-    period_impact[static_cast<std::size_t>(e)] += a.impact;
-  }
-
-  // Eq. 3 + Eq. 5 in log space.
-  long double log_phi = 0.0L;
-  for (std::int64_t e = 1; e <= m; ++e) {
-    const double d_pe = period_impact[static_cast<std::size_t>(e)];
-    if (d_pe <= 0.0) {
-      r.zero = true;
-      return r;
-    }
-    // Per-period log in double (the long double accumulator keeps the sum
-    // stable): the transcendental is the hot instruction for active users,
-    // and a double log is several times cheaper than the x87 one for far
-    // more precision than the ranks need.
-    const double b = d_pe / avg;
-    double exponent = 1.0;
-    switch (params.scheme) {
-      case ExponentScheme::kPaperExponent:
-        exponent = static_cast<double>(e);
-        break;
-      case ExponentScheme::kUniform:
-        exponent = 1.0;
-        break;
-      case ExponentScheme::kCappedLinear:
-        exponent = static_cast<double>(
-            std::min<std::int64_t>(e, params.exponent_cap));
-        break;
-    }
-    log_phi += static_cast<long double>(exponent * std::log(b));
-  }
-  r.log_phi = log_phi;
-  return r;
-}
-
 Rank evaluate_stream_indexed(std::span<const Activity> stream,
                              std::span<const double> prefix,
                              const EvaluationParams& params,
                              util::TimePoint* stable_until) {
+  constexpr util::TimePoint kForever =
+      std::numeric_limits<util::TimePoint>::max();
   // The last t_c at which every age bucket the result reads is unchanged.
-  util::TimePoint until = std::numeric_limits<util::TimePoint>::max();
+  util::TimePoint until = kForever;
   const auto finish = [&](const Rank& r) {
     if (stable_until != nullptr) *stable_until = until;
     return r;
@@ -144,6 +64,10 @@ Rank evaluate_stream_indexed(std::span<const Activity> stream,
   if (stream.empty()) return finish(Rank::no_data());
 
   const util::Duration plen = util::days(params.period_length_days);
+  // Eq. 1: number of periods, anchored at t_c (>= 1). Counting from the
+  // first activity to *now* — not to the last activity — is what makes an
+  // idle tail decay the rank: a user silent for months accrues recent empty
+  // periods, while a span-based m would never see them.
   const util::Duration span_ts = params.now - stream.front().timestamp;
   std::int64_t m = span_ts <= 0 ? 1 : (span_ts + plen - 1) / plen;
   if (m < 1) m = 1;
@@ -156,19 +80,19 @@ Rank evaluate_stream_indexed(std::span<const Activity> stream,
   const double total = prefix[n];
   Rank r;
   r.has_data = true;
+  // Zero total impact: the totals are frozen, so this zero holds until new
+  // activity arrives.
   if (total <= 0.0) {
     r.zero = true;
-    r.sticky_zero = true;
     return finish(r);
   }
   // Pigeonhole: a non-zero product needs every one of the m periods
   // populated, impossible with fewer than m activities. (Holds under both
   // stale modes — clamping folds stale activities into period 1, it never
-  // duplicates them.) Structural, hence sticky: m only grows with t_c while
-  // the stream is frozen, so this zero persists until new activity arrives.
+  // duplicates them.) m only grows with t_c while the stream is frozen, so
+  // this zero too holds until new activity arrives.
   if (m > static_cast<std::int64_t>(n)) {
     r.zero = true;
-    r.sticky_zero = true;
     return finish(r);
   }
   if (!pinned) until = m_until;
@@ -210,12 +134,19 @@ Rank evaluate_stream_indexed(std::span<const Activity> stream,
     }
     const double d_pe = prefix[hi] - prefix[lo];
     if (d_pe <= 0.0) {
+      // An empty newest period (every activity predates t_c − d) stays
+      // empty at every later t_c: the newest period then holds a subset of
+      // this one. The zero holds until new activity arrives. (The clamped
+      // tail of m = 1 is never empty, so the test cannot fire there.)
+      if (e == m && lo == n) until = kForever;
       r.zero = true;
       r.log_phi = 0.0L;
       return finish(r);
     }
-    // Same double-log / long-double-accumulate split as evaluate_stream —
-    // the two paths must agree to the last bit of their shared math.
+    // Per-period log in double (the long double accumulator keeps the sum
+    // stable): the transcendental is the hot instruction for active users,
+    // and a double log is several times cheaper than the x87 one for far
+    // more precision than the ranks need.
     const double b = d_pe / avg;
     double exponent = 1.0;
     switch (params.scheme) {
@@ -255,6 +186,15 @@ std::span<const Activity> trim_to_now(std::span<const Activity> stream,
   return stream.first(static_cast<std::size_t>(it - stream.begin()));
 }
 
+/// The kernel reads the prefix aggregates, which only a finalized store
+/// keeps consistent with its streams.
+void require_finalized(const ActivityStore& store) {
+  if (!store.finalized()) {
+    throw std::logic_error(
+        "Evaluator: store has unsorted add() rows; call sort_all() first");
+  }
+}
+
 obs::Counter& users_evaluated() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("evaluator.users_evaluated");
@@ -278,14 +218,11 @@ obs::Counter& zero_ranks() {
 UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
                                         trace::UserId user,
                                         util::TimePoint* stable_until) const {
+  require_finalized(store);
   UserActiveness ua;
   ua.user = user;
   std::uint64_t trimmed = 0;
   util::TimePoint until = std::numeric_limits<util::TimePoint>::max();
-  // A finalized store carries prefix-impact aggregates; the indexed
-  // evaluation resolves period impacts via boundary binary searches instead
-  // of walking every activity.
-  const bool indexed = store.finalized();
   const auto eval_category = [&](std::span<const ActivityTypeId> types,
                                  Rank& rank) {
     for (const ActivityTypeId t : types) {
@@ -295,16 +232,11 @@ UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
       if (!stream.empty()) {
         ua.last_activity = std::max(ua.last_activity, stream.back().timestamp);
       }
-      if (indexed) {
-        util::TimePoint stream_until = 0;
-        rank *= evaluate_stream_indexed(
-            stream, store.prefix(user, t).first(stream.size() + 1), params_,
-            &stream_until);
-        until = std::min(until, stream_until);
-      } else {
-        rank *= evaluate_stream(stream, params_);
-        until = params_.now;
-      }
+      util::TimePoint stream_until = 0;
+      rank *= evaluate_stream_indexed(
+          stream, store.prefix(user, t).first(stream.size() + 1), params_,
+          &stream_until);
+      until = std::min(until, stream_until);
     }
   };
   eval_category(op_types_, ua.op);
@@ -320,6 +252,7 @@ UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
 std::vector<UserActiveness> Evaluator::evaluate_all(
     const ActivityStore& store,
     std::vector<util::TimePoint>* stable_until) const {
+  require_finalized(store);
   obs::TimerSpan span("evaluator.evaluate_all");
   std::vector<UserActiveness> out(store.user_count());
   if (stable_until != nullptr) stable_until->resize(out.size());

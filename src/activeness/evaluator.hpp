@@ -21,9 +21,11 @@
 //  * a type with no activities at all ⇒ no-data rank: *neutral* (acts as 1.0
 //    in products, counts as inactive for classification) — §3.4's "initial
 //    rank 1.0" without letting empty types zero out Eq. 6;
-//  * first activity at/after t_c ⇒ m = 1 (Eq. 1 would give 0);
-//  * activities older than the m-period window (e < 1) are dropped;
-//  * activities at/after t_c (e > m) count toward the newest period m;
+//  * first activity at t_c ⇒ m = 1 (Eq. 1 would give 0);
+//  * activities older than the m-period window (e < 1) count toward the
+//    oldest period or are dropped, per StaleHandling;
+//  * an activity at t_c counts toward the newest period m; activities
+//    after t_c are not seen (evaluate_user trims each stream to t_c);
 //  * zero total impact ⇒ Φ = 0.
 
 #include <limits>
@@ -71,17 +73,12 @@ struct EvaluationParams {
 };
 
 /// Rank of one activity type, or of one category after Eq. 6 combination.
-/// Φ lives in {0} ∪ (0,1) ∪ [1,+inf); Φ ≥ 1 means active.
+/// Φ lives in {0} ∪ (0,1) ∪ [1,+inf); Φ ≥ 1 means active. Every zero rank
+/// is the same value ({has_data, zero, log_phi = 0}), whatever emptied it:
+/// how long it lasts is the stable-until instant's business, not the rank's.
 struct Rank {
   bool has_data = false;      ///< false = no activities (neutral element)
   bool zero = false;          ///< Φ == 0 exactly (some period was empty)
-  /// The zero is *structural* — pigeonhole (more periods than activities)
-  /// or non-positive total impact — so it provably persists at every later
-  /// evaluation instant until new activity arrives (m never shrinks and the
-  /// totals are frozen). The incremental pipeline's skip rule leans on this:
-  /// a sticky zero can be carried forward without recency checks, where a
-  /// plain empty-period zero can clear once the window shifts.
-  bool sticky_zero = false;
   long double log_phi = 0.0;  ///< ln Φ; meaningful only if has_data && !zero
 
   /// Active per the paper's threshold: Φ ≥ 1, which requires actual data.
@@ -106,18 +103,13 @@ struct Rank {
   static Rank from_value(double v);
 };
 
-/// Eq. 1–5 for one type: evaluate a time-sorted activity stream.
-Rank evaluate_stream(std::span<const Activity> stream,
-                     const EvaluationParams& params);
-
-/// Eq. 1–5 through a prefix-impact aggregate: per-period impacts resolve as
-/// prefix differences at binary-searched period boundaries — O(m log k) per
-/// stream, and O(log k) for the dominant zero-rank case (any user whose
-/// newest period is empty, plus the m > k pigeonhole) — instead of the
-/// O(k) walk of evaluate_stream. `stream` must already be trimmed to
-/// params.now and `prefix` must be its aggregate (size k+1, prefix[0] = 0,
-/// see ActivityStore::prefix). Equal to evaluate_stream up to
-/// floating-point summation order.
+/// Eq. 1–5 for one type. Per-period impacts resolve as prefix differences
+/// at binary-searched period boundaries, newest period first: O(m log k)
+/// per stream, and O(log k) for the dominant zero-rank case (any stream
+/// whose newest period is empty, plus the m > k pigeonhole). `stream` must be time-sorted and already
+/// trimmed to params.now, and `prefix` must be its aggregate (size k+1,
+/// prefix[0] = 0, see ActivityStore::prefix). The tests hold it to a
+/// literal walk of the equations.
 ///
 /// `stable_until`, when given, receives the last t_c at which the returned
 /// rank provably holds for this trimmed stream (DESIGN.md §9.2): the rank
@@ -125,8 +117,9 @@ Rank evaluate_stream(std::span<const Activity> stream,
 /// c_x = max(1, ⌈(t_c − ts_x)/d⌉) of m's anchor and of each walked
 /// period's oldest activity, and c_x holds while t_c ≤ ts_x + c_x·d. The
 /// instant is the minimum of those bounds, taken from the walk's boundary
-/// indices; INT64_MAX for ranks only new activity can change (no data,
-/// sticky zeros).
+/// indices; INT64_MAX for ranks only new activity can change: no data, the
+/// pigeonhole and zero-total zeros, and a zero whose newest period is
+/// empty (a later newest period holds a subset of that empty set).
 Rank evaluate_stream_indexed(std::span<const Activity> stream,
                              std::span<const double> prefix,
                              const EvaluationParams& params,
@@ -156,11 +149,14 @@ class Evaluator {
   /// would dangle (silently empty type lists, every rank fresh).
   Evaluator(ActivityCatalog&&, EvaluationParams) = delete;
 
+  /// The store must be finalized (ActivityStore::finalized(): sort_all()
+  /// after bulk add()s), since the kernel reads its prefix aggregates;
+  /// throws std::logic_error otherwise.
+  ///
   /// `stable_until`, when given, receives the last t_c at which the result
   /// provably holds while the user's trimmed streams stay as they are: the
   /// minimum of evaluate_stream_indexed's instants over every stream of
-  /// both categories. An unfinalized store takes the walking path, which
-  /// claims nothing: the instant is t_c itself.
+  /// both categories.
   UserActiveness evaluate_user(const ActivityStore& store, trace::UserId user,
                                util::TimePoint* stable_until = nullptr) const;
 
@@ -168,7 +164,7 @@ class Evaluator {
   /// thread pool; slot i holds user i (and, when `stable_until` is given,
   /// its slot i the user's stable-until instant). Every full evaluation
   /// runs through here, so the "evaluator.evaluate_all" span fires on
-  /// every path.
+  /// every path. Same finalized-store requirement as evaluate_user.
   std::vector<UserActiveness> evaluate_all(
       const ActivityStore& store,
       std::vector<util::TimePoint>* stable_until = nullptr) const;

@@ -48,114 +48,7 @@ IncrementalEvaluator::IncrementalEvaluator(const ActivityCatalog& catalog,
                                            EvalMode mode)
     : catalog_(&catalog), base_params_(base_params), mode_(mode) {}
 
-bool IncrementalEvaluator::skippable(const ActivityStore& store,
-                                     const UserActiveness& ua,
-                                     util::TimePoint now,
-                                     bool& durable) const {
-  durable = true;
-  // No data at all: stays a fresh account until an activity surfaces (and
-  // that would have put the user in the delta set).
-  if (ua.fresh()) return true;
-  const util::Duration plen = util::days(base_params_.period_length_days);
-
-  enum Cert { kNo, kDurable, kTransient };
-
-  // Does `type`'s stream provably evaluate to Φ = 0 at `now`? The stream is
-  // unchanged since the cached evaluation (the user is not in the delta
-  // set), so each certificate needs only the store's aggregates:
-  //  * pigeonhole: m > n — m never shrinks while n is frozen;
-  //  * zero total impact: the prefix sum is frozen;
-  //  * stale newest period: the last activity strictly predates now − d
-  //    (equality lands *inside* the newest period — boundaries are
-  //    left-closed);
-  //  * static gap: a gap > 2d between consecutive activities contains a
-  //    full boundary-aligned period for ANY t_c — the grid has spacing d,
-  //    so (ts_i, ts_{i+1} − d] is longer than d and holds a grid point b,
-  //    and [b, b + d) ⊂ the gap is empty. Durable as-is when the window is
-  //    unbounded; under a max_periods cap P the capped window [t' − P·d, t')
-  //    can slide past the gap, EXCEPT when the gap ends recently enough:
-  //      ts_{i+1} ≥ ts_{n−1} − (P−4)·d        (P ≥ 4)
-  //    Then for every t' up to ts_{n−1} + d the interval of admissible grid
-  //    points (max(ts_i, t' − (P−1)·d), ts_{i+1} − d] keeps length ≥ d (so
-  //    it holds a grid point and an empty period at depth e ≥ 2, clear of
-  //    the kClampOldest tail), and for every later t' the newest period
-  //    [t' − d, t') itself is empty because ts_{n−1} has gone stale — the
-  //    zero persists at every future trigger (full derivation: DESIGN.md
-  //    §9.2). Gaps ending earlier than that stay transient while the window
-  //    is uncapped and certify nothing once the cap engages.
-  // All but the gap rule are monotone in t_c (m only grows, totals are
-  // frozen, the newest activity only recedes), so they persist at every
-  // later trigger; the gap rule is monotone exactly in the cases above.
-  const auto frozen_zero_type = [&](ActivityTypeId type) -> Cert {
-    const auto full = store.stream(ua.user, type);
-    const auto it = std::upper_bound(
-        full.begin(), full.end(), now,
-        [](util::TimePoint t, const Activity& a) { return t < a.timestamp; });
-    const auto n = static_cast<std::size_t>(it - full.begin());
-    if (n == 0) return kNo;  // no-data factor: neutral, pins nothing
-    const util::Duration span = now - full.front().timestamp;
-    std::int64_t m = span <= 0 ? 1 : (span + plen - 1) / plen;
-    if (m < 1) m = 1;
-    const bool capped =
-        base_params_.max_periods > 0 && m > base_params_.max_periods;
-    if (capped) m = base_params_.max_periods;
-    if (m > static_cast<std::int64_t>(n)) return kDurable;
-    if (store.prefix(ua.user, type)[n] <= 0.0) return kDurable;
-    if (full[n - 1].timestamp < now - plen) return kDurable;
-    if (store.max_gap_prefix(ua.user, type)[n] > 2 * plen) {
-      if (base_params_.max_periods <= 0) return kDurable;
-      const std::int64_t cap = base_params_.max_periods;
-      if (cap >= 4) {
-        // Find the widest-reaching recent gap: any consecutive pair with
-        // its right end at/after the cutoff and a gap > 2d certifies.
-        const util::TimePoint cutoff =
-            full[n - 1].timestamp - (cap - 4) * plen;
-        const auto lo = std::lower_bound(
-            full.begin(), full.begin() + static_cast<std::ptrdiff_t>(n),
-            cutoff, [](const Activity& a, util::TimePoint t) {
-              return a.timestamp < t;
-            });
-        std::size_t i = static_cast<std::size_t>(lo - full.begin());
-        if (i == 0) i = 1;  // pairs need a left neighbour
-        for (; i < n; ++i) {
-          if (full[i].timestamp - full[i - 1].timestamp > 2 * plen)
-            return kDurable;
-        }
-      }
-      if (!capped) return kTransient;  // holds at this t_c; cap may bite
-    }
-    return kNo;
-  };
-
-  // Per category (each must hold): the cached Φ = 0 persists if ANY
-  // contributing stream stays at zero — one zero factor absorbs the whole
-  // product, pinning log_phi at 0 exactly as a recompute would.
-  // last_activity is unchanged by construction, so the skipped
-  // UserActiveness is rank-identical to a full re-evaluation. A positive
-  // rank certifies nothing here and returns at once; advance() carries it
-  // with the stable-until instant instead.
-  const auto frozen = [&](const Rank& r, std::span<const ActivityTypeId> types) {
-    if (!r.has_data) return true;
-    if (!r.zero) return false;
-    if (r.sticky_zero) return true;  // structural, no stream checks needed
-    Cert best = kNo;
-    for (const ActivityTypeId t : types) {
-      const Cert c = frozen_zero_type(t);
-      if (c == kDurable) return true;
-      if (c == kTransient) best = kTransient;
-    }
-    if (best == kTransient) {
-      durable = false;
-      return true;
-    }
-    return false;
-  };
-  return frozen(ua.op, op_types_) && frozen(ua.oc, oc_types_);
-}
-
 void IncrementalEvaluator::rebuild(ActivityStore& store, util::TimePoint now) {
-  op_types_ = catalog_->types_in(ActivityCategory::kOperation);
-  oc_types_ = catalog_->types_in(ActivityCategory::kOutcome);
   EvaluationParams params = base_params_;
   params.now = now;
   Evaluator evaluator(*catalog_, params);
@@ -166,8 +59,6 @@ void IncrementalEvaluator::rebuild(ActivityStore& store, util::TimePoint now) {
     groups_[u] = classify(users_[u]);
   }
   plan_ = build_scan_plan(users_);
-  frozen_.assign(users_.size(), 0);
-  frozen_count_ = 0;
 }
 
 std::size_t IncrementalEvaluator::mark_candidates(ActivityStore& store,
@@ -218,31 +109,14 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
     reeval_.clear();
     stats.users_dirty = mark_candidates(store, now);
 
+    // One skip rule: a user whose trimmed streams are unchanged keeps their
+    // rank while no age bucket it reads has moved (DESIGN.md §9.2).
     for (std::size_t i = 0; i < users_.size(); ++i) {
-      const auto u = static_cast<trace::UserId>(i);
-      if (candidate_flags_[i]) {
-        if (frozen_[i]) {  // new activity voids any memoized skip
-          frozen_[i] = 0;
-          --frozen_count_;
-        }
-        reeval_.push_back(u);
-        continue;
+      if (!candidate_flags_[i]) {
+        if (now <= stable_until_[i]) continue;
+        candidate_flags_[i] = 1;  // marks plan entries to splice out below
       }
-      if (frozen_[i]) continue;  // durable skip: holds until dirty
-      // The certificates come first so a durable zero is memoized the
-      // first time it is seen; skippable() returns at once for a positive
-      // rank, which the stable-until instant then carries.
-      bool durable = false;
-      if (skippable(store, users_[i], now, durable)) {
-        if (durable) {
-          frozen_[i] = 1;
-          ++frozen_count_;
-        }
-        continue;
-      }
-      if (now <= stable_until_[i]) continue;  // no bucket it reads moved
-      candidate_flags_[i] = 1;  // marks plan entries to splice out below
-      reeval_.push_back(u);
+      reeval_.push_back(static_cast<trace::UserId>(i));
     }
     stats.users_reevaluated = reeval_.size();
     stats.users_skipped = users_.size() - reeval_.size();
@@ -263,7 +137,7 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
       // each group vector in one pass, then merge from the back in place —
       // O(n + r log r) per trigger instead of r separate O(n) memmoves,
       // and no second record buffer. candidate_flags_ now marks exactly
-      // the re-evaluated users (dirty + skip-check failures).
+      // the re-evaluated users (candidates + expired instants).
       for (auto& keys : incoming_) keys.clear();
       for (const trace::UserId u : reeval_) {
         const UserGroup g = classify(users_[u]);

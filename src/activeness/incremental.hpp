@@ -14,29 +14,17 @@
 //    (replay stores hold the whole trace up front, so "new" events surface
 //    by time moving, not by appends) — answered by the store's chronological
 //    index;
-//  * any other user whose cached evaluation the skip checks cannot carry.
+//  * any other user whose stable-until instant t_c has passed.
 //
-// A user outside the delta set keeps its trimmed streams, so its rank is a
-// function of the age buckets c_x = max(1, ⌈(t_c − ts_x)/d⌉) alone
-// (DESIGN.md §9.2). The checks, in order:
-//  1. frozen_ — a durable skip memoized at an earlier trigger;
-//  2. the zero certificates of skippable(), each O(1) against the store's
-//     aggregates (no stream walk); durable ones are memoized in frozen_:
-//     * pigeonhole — more periods than activities (m only grows, the
-//       stream is frozen);
-//     * zero total impact (frozen totals);
-//     * stale newest period — the last activity strictly predates t_c − d;
-//     * static gap — some inter-activity gap wider than 2d swallows a full
-//       period wherever the t_c-anchored boundaries land. Durable uncapped;
-//       under a max_periods cap P ≥ 4 it stays durable when the gap's right
-//       end is recent enough (ts_right ≥ ts_newest − (P−4)·d) that the
-//       capped window provably keeps an aligned period inside the gap until
-//       the stale-newest argument takes over (DESIGN.md §9.2);
-//  3. stable-until — t_c is at or before the instant the user's last
-//     evaluation returned (Evaluator::evaluate_user): no bucket its rank
-//     reads has moved. Transient, never memoized;
-//  4. otherwise the user is re-evaluated.
-// Fresh users (no data at all) pass check 2 trivially.
+// A user outside the delta set keeps their trimmed streams, so their rank
+// is a function of the age buckets c_x = max(1, ⌈(t_c − ts_x)/d⌉) alone
+// (DESIGN.md §9.2). That gives the pipeline one skip rule: each
+// evaluation (Evaluator::evaluate_user) returns the last t_c at which no
+// bucket its rank reads has moved, and a user outside the delta set is
+// skipped while t_c is at or before that instant. Ranks only new activity
+// can change — fresh users, pigeonhole and zero-total zeros, and zeros
+// whose newest period is empty — carry +∞ and are never re-evaluated
+// until they turn dirty. Skipping a non-candidate costs one 8-byte read.
 //
 // Re-evaluated users are spliced into the cached ScanPlan: their ScanKeys
 // are sorted in instance scratch and merged into each compacted group from
@@ -59,7 +47,7 @@ namespace adr::activeness {
 /// production schedule; kFull is the reference the tests, loadgen's
 /// serial-replay check and the benches compare it against.
 enum class EvalMode {
-  kIncremental,  ///< delta-aware: dirty users + skip-rule failures only
+  kIncremental,  ///< delta-aware: candidates + expired instants only
   kFull,         ///< re-evaluate every user at every advance
 };
 
@@ -105,9 +93,6 @@ class IncrementalEvaluator {
   bool evaluated() const { return evaluated_; }
   util::TimePoint last_now() const { return last_now_; }
 
-  /// Users currently memoized as durably skippable (frozen_ bits set).
-  std::size_t frozen_users() const { return frozen_count_; }
-
   /// Wall time spent evaluating inside this pipeline instance (advance()
   /// only) — per-instance, unlike the process-global registry spans, so two
   /// concurrent pipelines never bleed into each other's Fig. 12b numbers.
@@ -115,12 +100,6 @@ class IncrementalEvaluator {
 
  private:
   void rebuild(ActivityStore& store, util::TimePoint now);
-  /// True when the cached evaluation provably equals a re-evaluation at
-  /// `now`. Sets `durable` when every certificate used is monotone in t_c
-  /// (the skip then holds at every later trigger until the user turns
-  /// dirty, so advance() memoizes it in frozen_ and never rechecks).
-  bool skippable(const ActivityStore& store, const UserActiveness& ua,
-                 util::TimePoint now, bool& durable) const;
   /// Mark the delta candidates in candidate_flags_ (sized to the cached
   /// users): the store's dirty set, drained here, plus every user the
   /// chronological index shows active in (last_now_, now]. Returns their
@@ -130,11 +109,6 @@ class IncrementalEvaluator {
   const ActivityCatalog* catalog_;
   EvaluationParams base_params_;
   EvalMode mode_;
-  /// The catalog's operation/outcome types, re-read at every rebuild so
-  /// types registered after construction count (Service builds its
-  /// pipeline before the catalog is populated).
-  std::vector<ActivityTypeId> op_types_;
-  std::vector<ActivityTypeId> oc_types_;
 
   bool evaluated_ = false;
   util::TimePoint last_now_ = 0;
@@ -143,10 +117,6 @@ class IncrementalEvaluator {
   /// Last t_c at which each user's cached evaluation provably holds while
   /// their trimmed streams are unchanged (Evaluator::evaluate_user).
   std::vector<util::TimePoint> stable_until_;  // dense by user id
-  /// Users whose skip was established by durable (t_c-monotone)
-  /// certificates: skipped without any recheck until they turn dirty.
-  std::vector<std::uint8_t> frozen_;   // dense by user id
-  std::size_t frozen_count_ = 0;       // set bits in frozen_
 
   // Per-advance scratch, kept across triggers so the delta path allocates
   // nothing in steady state.

@@ -1,8 +1,16 @@
+// Eq. 1–6 by example. The EvaluateStream cases run the production kernel
+// (evaluate_stream_indexed) through stream_eval.hpp's prefix-building
+// helper; test_evaluator_properties.cpp holds that kernel to a literal walk
+// of the equations.
+
 #include "activeness/evaluator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+
+#include "stream_eval.hpp"
 
 namespace adr::activeness {
 namespace {
@@ -334,11 +342,26 @@ TEST(Evaluator, CombinesCategoriesPerEq6) {
 TEST(Evaluator, FreshUserHasNoData) {
   const auto cat = ActivityCatalog::paper_default();
   ActivityStore store(2, cat.size());
+  store.sort_all();
   const Evaluator ev(cat, params_days(30, kT0));
   const UserActiveness ua = ev.evaluate_user(store, 1);
   EXPECT_TRUE(ua.fresh());
   EXPECT_FALSE(ua.op.active());
   EXPECT_FALSE(ua.oc.active());
+}
+
+TEST(Evaluator, RequiresFinalizedStore) {
+  // The kernel reads the prefix aggregates, which pending add() rows leave
+  // stale: evaluating before sort_all() must fail loudly, not rank users
+  // from half-built state.
+  const auto cat = ActivityCatalog::paper_default();
+  ActivityStore store(2, cat.size());
+  store.add(0, 0, at_days_ago(kT0, 5, 1.0));
+  const Evaluator ev(cat, params_days(10, kT0));
+  EXPECT_THROW(ev.evaluate_user(store, 0), std::logic_error);
+  EXPECT_THROW(ev.evaluate_all(store), std::logic_error);
+  store.sort_all();
+  EXPECT_TRUE(ev.evaluate_user(store, 0).op.active());
 }
 
 TEST(Evaluator, IgnoresActivitiesAfterNow) {

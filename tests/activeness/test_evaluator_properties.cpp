@@ -1,5 +1,7 @@
 // Property-based tests of the activeness evaluation (Eqs. 1-6): invariances
-// and orderings that must hold for every period length and scheme.
+// and orderings that must hold for every period length and scheme, the
+// stable-until instant, and the production kernel (evaluate_stream_indexed)
+// held to a literal walk of the equations.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +12,144 @@
 #include <vector>
 
 #include "activeness/evaluator.hpp"
+#include "stream_eval.hpp"
 #include "util/rng.hpp"
 
 namespace adr::activeness {
 namespace {
 
 constexpr util::TimePoint kT0 = 1'700'000'000;
+constexpr util::Duration kDay = 86'400;
+constexpr util::TimePoint kForever =
+    std::numeric_limits<util::TimePoint>::max();
+
+/// The oracle: Eqs. 1–5 read literally. m from Eq. 1, every activity
+/// bucketed into its period by Eq. 4 in one O(k) walk, then the product of
+/// Eqs. 3 and 5 in log space. The production kernel resolves the same
+/// periods by binary search over a prefix aggregate instead, newest period
+/// first; `WalkingOracle.*` holds the two to the same ranks.
+Rank walk_stream(std::span<const Activity> stream,
+                 const EvaluationParams& params) {
+  if (stream.empty()) return Rank::no_data();
+
+  const util::Duration plen = util::days(params.period_length_days);
+
+  // Eq. 1: number of periods, anchored at t_c (>= 1).
+  const util::Duration span_ts = params.now - stream.front().timestamp;
+  std::int64_t m = span_ts <= 0 ? 1 : (span_ts + plen - 1) / plen;
+  if (m < 1) m = 1;
+  if (params.max_periods > 0 && m > params.max_periods) m = params.max_periods;
+
+  // Eq. 2: average activeness per period over all k activities.
+  double total = 0.0;
+  for (const auto& a : stream) total += a.impact;
+  Rank r;
+  r.has_data = true;
+  if (total <= 0.0) {
+    r.zero = true;
+    return r;
+  }
+  // Pigeonhole: fewer activities than periods guarantees an empty period.
+  if (m > static_cast<std::int64_t>(stream.size())) {
+    r.zero = true;
+    return r;
+  }
+  const double avg = total / static_cast<double>(m);
+
+  // Eq. 4: bucket activities into periods indexed 1..m (m = most recent).
+  std::vector<double> period_impact(static_cast<std::size_t>(m) + 1, 0.0);
+  for (const auto& a : stream) {
+    const util::Duration age = params.now - a.timestamp;
+    const std::int64_t c = age <= 0 ? 0 : (age + plen - 1) / plen;
+    std::int64_t e = m - c + 1;
+    if (e < 1) {  // older than the evaluation window
+      if (params.stale == StaleHandling::kDrop) continue;
+      e = 1;
+    }
+    if (e > m) e = m;  // at t_c: newest period
+    period_impact[static_cast<std::size_t>(e)] += a.impact;
+  }
+
+  // Eq. 3 + Eq. 5 in log space.
+  long double log_phi = 0.0L;
+  for (std::int64_t e = 1; e <= m; ++e) {
+    const double d_pe = period_impact[static_cast<std::size_t>(e)];
+    if (d_pe <= 0.0) {
+      r.zero = true;
+      return r;
+    }
+    const double b = d_pe / avg;
+    double exponent = 1.0;
+    switch (params.scheme) {
+      case ExponentScheme::kPaperExponent:
+        exponent = static_cast<double>(e);
+        break;
+      case ExponentScheme::kUniform:
+        exponent = 1.0;
+        break;
+      case ExponentScheme::kCappedLinear:
+        exponent = static_cast<double>(
+            std::min<std::int64_t>(e, params.exponent_cap));
+        break;
+    }
+    log_phi += static_cast<long double>(exponent * std::log(b));
+  }
+  r.log_phi = log_phi;
+  return r;
+}
+
+/// A random time-sorted stream of 1-80 activities within ~8 periods of
+/// t_c = kT0, shaped to hit the kernel's edges: some land exactly on a
+/// period boundary or at t_c, some repeat the previous timestamp, some
+/// carry no impact.
+std::vector<Activity> random_edge_stream(util::Rng& rng, util::Duration plen) {
+  const auto n = static_cast<std::size_t>(rng.uniform_int(1, 80));
+  const util::Duration horizon =
+      static_cast<util::Duration>(rng.uniform_int(1, 8)) * plen;
+  std::vector<Activity> acts;
+  for (std::size_t i = 0; i < n; ++i) {
+    util::TimePoint ts = kT0 - rng.uniform_int(0, horizon);
+    const double shape = rng.uniform();
+    if (shape < 0.1) {
+      ts = kT0 - rng.uniform_int(0, 8) * plen;
+    } else if (shape < 0.25 && !acts.empty()) {
+      ts = acts.back().timestamp;
+    }
+    const double impact = rng.bernoulli(0.15) ? 0.0 : rng.uniform(0.1, 50.0);
+    acts.push_back(Activity{ts, impact});
+  }
+  std::stable_sort(acts.begin(), acts.end(),
+                   [](const Activity& a, const Activity& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  return acts;
+}
+
+/// Every combination the kernel branches on: both stale modes, no cap and
+/// caps that pin m at 1 and above it, the three exponent schemes, and short
+/// to long periods.
+template <typename Fn>
+void for_each_params(Fn&& fn) {
+  for (const StaleHandling stale :
+       {StaleHandling::kClampOldest, StaleHandling::kDrop}) {
+    for (const int cap : {0, 1, 4, 6}) {
+      for (const ExponentScheme scheme :
+           {ExponentScheme::kPaperExponent, ExponentScheme::kUniform,
+            ExponentScheme::kCappedLinear}) {
+        for (const int d : {7, 30, 90}) {
+          EvaluationParams p;
+          p.period_length_days = d;
+          p.max_periods = cap;
+          p.stale = stale;
+          p.scheme = scheme;
+          p.exponent_cap = 3;
+          p.now = kT0;
+          fn(p);
+        }
+      }
+    }
+  }
+}
 
 struct Case {
   int period_days;
@@ -210,7 +344,6 @@ TEST_P(EvaluatorProperty, ActivityAtNowCountsAsNewest) {
 void expect_same_rank(const Rank& a, const Rank& b) {
   EXPECT_EQ(a.has_data, b.has_data);
   EXPECT_EQ(a.zero, b.zero);
-  EXPECT_EQ(a.sticky_zero, b.sticky_zero);
   EXPECT_EQ(a.log_phi, b.log_phi);
 }
 
@@ -220,83 +353,80 @@ void expect_same_rank(const Rank& a, const Rank& b) {
 // the rank must come out field for field the same at t_c, at the instant
 // itself, and anywhere in between — across both stale modes, caps, the
 // three exponent schemes and short to long periods, on random streams with
-// equal timestamps, zero impacts and activities on period boundaries.
+// equal timestamps, zero impacts and activities on period boundaries. A
+// zero whose newest period is empty (last activity before t_c − d) holds
+// forever, and must say so.
 TEST(StableUntil, RankHoldsFieldForFieldThroughTheInstant) {
-  constexpr util::Duration kDay = 86'400;
   util::Rng rng(0x57ab1e);
   int bounded = 0;
-  for (const StaleHandling stale :
-       {StaleHandling::kClampOldest, StaleHandling::kDrop}) {
-    for (const int cap : {0, 1, 4, 6}) {
-      for (const ExponentScheme scheme :
-           {ExponentScheme::kPaperExponent, ExponentScheme::kUniform,
-            ExponentScheme::kCappedLinear}) {
-        for (const int d : {7, 30, 90}) {
-          EvaluationParams p;
-          p.period_length_days = d;
-          p.max_periods = cap;
-          p.stale = stale;
-          p.scheme = scheme;
-          p.exponent_cap = 3;
-          p.now = kT0;
-          const util::Duration plen = d * kDay;
-          for (int trial = 0; trial < 25; ++trial) {
-            // 1-80 activities within ~8 periods of t_c; some land exactly
-            // on a period boundary or at t_c, some repeat the previous
-            // timestamp, some carry no impact.
-            const auto n = static_cast<std::size_t>(rng.uniform_int(1, 80));
-            const util::Duration horizon =
-                static_cast<util::Duration>(rng.uniform_int(1, 8)) * plen;
-            std::vector<Activity> acts;
-            for (std::size_t i = 0; i < n; ++i) {
-              util::TimePoint ts = kT0 - rng.uniform_int(0, horizon);
-              const double shape = rng.uniform();
-              if (shape < 0.1) {
-                ts = kT0 - rng.uniform_int(0, 8) * plen;
-              } else if (shape < 0.25 && !acts.empty()) {
-                ts = acts.back().timestamp;
-              }
-              const double impact =
-                  rng.bernoulli(0.15) ? 0.0 : rng.uniform(0.1, 50.0);
-              acts.push_back(Activity{ts, impact});
-            }
-            std::stable_sort(acts.begin(), acts.end(),
-                             [](const Activity& a, const Activity& b) {
-                               return a.timestamp < b.timestamp;
-                             });
-            std::vector<double> prefix(acts.size() + 1, 0.0);
-            for (std::size_t i = 0; i < acts.size(); ++i) {
-              prefix[i + 1] = prefix[i] + acts[i].impact;
-            }
+  int stale_zeros = 0;
+  for_each_params([&](const EvaluationParams& p) {
+    const util::Duration plen = p.period_length_days * kDay;
+    for (int trial = 0; trial < 25; ++trial) {
+      const std::vector<Activity> acts = random_edge_stream(rng, plen);
+      const std::vector<double> prefix = stream_prefix(acts);
 
-            util::TimePoint until = 0;
-            const Rank at_now =
-                evaluate_stream_indexed(acts, prefix, p, &until);
-            ASSERT_GE(until, p.now);
-            // A rank only new activity can change holds forever; probe it
-            // out to ten years.
-            const bool forever =
-                until == std::numeric_limits<util::TimePoint>::max();
-            const util::TimePoint last =
-                forever ? p.now + 3650 * kDay : until;
-            if (!forever) ++bounded;
-            std::vector<util::TimePoint> probes{last};
-            for (int k = 0; k < 20; ++k) {
-              probes.push_back(p.now + rng.uniform_int(0, last - p.now));
-            }
-            for (const util::TimePoint t : probes) {
-              SCOPED_TRACE("t_c + " + std::to_string(t - p.now) + " s");
-              EvaluationParams later = p;
-              later.now = t;
-              expect_same_rank(evaluate_stream_indexed(acts, prefix, later),
-                               at_now);
-            }
-          }
-        }
+      util::TimePoint until = 0;
+      const Rank at_now = evaluate_stream_indexed(acts, prefix, p, &until);
+      ASSERT_GE(until, p.now);
+      if (at_now.zero && acts.back().timestamp < p.now - plen) {
+        ++stale_zeros;
+        EXPECT_EQ(until, kForever);
+      }
+      // A rank only new activity can change holds forever; probe it out to
+      // ten years.
+      const bool forever = until == kForever;
+      const util::TimePoint last = forever ? p.now + 3650 * kDay : until;
+      if (!forever) ++bounded;
+      std::vector<util::TimePoint> probes{last};
+      for (int k = 0; k < 20; ++k) {
+        probes.push_back(p.now + rng.uniform_int(0, last - p.now));
+      }
+      for (const util::TimePoint t : probes) {
+        SCOPED_TRACE("t_c + " + std::to_string(t - p.now) + " s");
+        EvaluationParams later = p;
+        later.now = t;
+        expect_same_rank(evaluate_stream_indexed(acts, prefix, later), at_now);
       }
     }
-  }
+  });
   EXPECT_GT(bounded, 0);
+  EXPECT_GT(stale_zeros, 0);
+}
+
+// One kernel: the production evaluate_stream_indexed against the literal
+// walk above, on the same edge-shaped random streams and parameter sweep,
+// at t_c and at later instants (where more of each stream has aged out of
+// the newest periods). has_data and zero must agree exactly; log Φ may
+// differ only by summation order (prefix differences vs per-period sums),
+// so it must agree within 1e-12 relative (absolute below |log Φ| = 1).
+TEST(WalkingOracle, IndexedKernelMatchesTheWalk) {
+  util::Rng rng(0x0dac1e);
+  int positive = 0;
+  for_each_params([&](const EvaluationParams& p) {
+    const util::Duration plen = p.period_length_days * kDay;
+    for (int trial = 0; trial < 25; ++trial) {
+      const std::vector<Activity> acts = random_edge_stream(rng, plen);
+      for (const util::Duration later : {util::Duration{0}, plen / 2, plen,
+                                         rng.uniform_int(0, 4 * plen)}) {
+        SCOPED_TRACE("t_c + " + std::to_string(later) + " s");
+        EvaluationParams q = p;
+        q.now = p.now + later;
+        const Rank want = walk_stream(acts, q);
+        const Rank got = evaluate_stream(acts, q);
+        ASSERT_EQ(got.has_data, want.has_data);
+        ASSERT_EQ(got.zero, want.zero);
+        if (got.zero) continue;
+        ++positive;
+        const long double scale = std::max(
+            {1.0L, std::fabs(want.log_phi), std::fabs(got.log_phi)});
+        EXPECT_LE(std::fabs(got.log_phi - want.log_phi), 1e-12L * scale)
+            << "walk " << static_cast<double>(want.log_phi) << ", indexed "
+            << static_cast<double>(got.log_phi);
+      }
+    }
+  });
+  EXPECT_GT(positive, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

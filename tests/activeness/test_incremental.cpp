@@ -234,8 +234,8 @@ ActivityStore dense_store(std::uint64_t seed, std::size_t users) {
 // The stable-until skip at trigger cadences finer than a period (1-36 h
 // against 7-day periods), with streamed appends between triggers: users,
 // groups and plan equal kFull at every step, a dry-run purge names the
-// same victims, and on steps where every cached rank is positive — where
-// no zero certificate can skip anyone — the instant still skips users.
+// same victims, and on steps where every cached rank is positive — so no
+// skip comes from a zero's +∞ instant — the instant still skips users.
 // The dense populations run under a 3-period cap: a user's rank then reads
 // the buckets of a few activities, so even a 36 h step leaves some users
 // unmoved. (Uncapped, m grows through the sweep, and every period adds a
@@ -504,13 +504,12 @@ TEST(IncrementalEvaluator, SustainedChurnStaysOnTheDeltaPathAndMatchesFull) {
   }
 }
 
-TEST(IncrementalEvaluator, CappedWindowStaticGapFreezesUser) {
-  // A max_periods cap used to disable the static-gap certificate outright
-  // (the capped window can slide past an old gap), so this user was
-  // re-ranked at every trigger forever. The capped variant proves the zero
-  // durable when the gap ends at/after ts_{n-1} - (P-4)·d: here a 35-day
-  // gap against d = 7 days and P = 6 — the gap's empty period stays inside
-  // every future window until the newest activity itself goes stale.
+TEST(IncrementalEvaluator, CappedWindowStaticGapZeroReevaluatesOnceThenHolds) {
+  // A capped user whose zero comes from an empty period inside a 35-day gap
+  // (d = 7 days, max_periods = 6). The stable-until instant carries the
+  // zero while the newest period still holds the last three activities;
+  // once they age out of it (one re-evaluation), the newest period is empty
+  // and the zero holds at every later trigger with no further work.
   const ActivityCatalog catalog = ActivityCatalog::paper_default();
   const EvaluationParams params = params_for(
       7, StaleHandling::kClampOldest, ExponentScheme::kPaperExponent, 6);
@@ -528,20 +527,19 @@ TEST(IncrementalEvaluator, CappedWindowStaticGapFreezesUser) {
   inc.advance(store, kT0);
   EXPECT_TRUE(inc.users()[0].op.zero);  // the gap's empty period zeroes op
 
-  // The first delta advance runs the skip rules once — the newest activity
-  // is still inside period 1, the totals are positive, and n >= m, so only
-  // the gap certificate can fire — and memoizes the durable skip.
-  AdvanceStats stats = inc.advance(store, kT0 + 3 * kDay);
-  EXPECT_EQ(stats.users_reevaluated, 0u);
-  EXPECT_EQ(stats.users_skipped, 1u);
-  EXPECT_EQ(inc.frozen_users(), 1u);
-
-  // The frozen skip holds at every later trigger (> 2·plen beyond the
-  // last activity included) without diverging from a full evaluation.
-  for (const int days : {7, 30, 200}) {
+  // +3 d: the newest period's oldest activity (3 days old at kT0) is still
+  // in its bucket until kT0 + 4 d, so the instant carries the zero. +7 d:
+  // it has aged out, so the user is re-evaluated once; the newest period
+  // is now empty, and the instant is +∞ at +30 d and +200 d.
+  for (const auto& [days, reevaluated] :
+       {std::pair{3, 0u}, std::pair{7, 1u}, std::pair{30, 0u},
+        std::pair{200, 0u}}) {
+    SCOPED_TRACE("at +" + std::to_string(days) + "d");
     const util::TimePoint t = kT0 + days * kDay;
-    stats = inc.advance(store, t);
-    EXPECT_EQ(stats.users_reevaluated, 0u) << "at +" << days << "d";
+    const AdvanceStats stats = inc.advance(store, t);
+    EXPECT_FALSE(stats.full_rebuild);
+    EXPECT_EQ(stats.users_reevaluated, reevaluated);
+    EXPECT_TRUE(inc.users()[0].op.zero);
     IncrementalEvaluator full(catalog, params, EvalMode::kFull);
     full.advance(mirror, t);
     expect_same_plan(full.plan(), inc.plan());

@@ -583,7 +583,6 @@ TEST_F(ServiceTest, DeltaAdvancesPatchRanksToAFullCopy) {
           std::pair{ranks[u].oc, users[u].oc}}) {
       EXPECT_EQ(got.has_data, want.has_data);
       EXPECT_EQ(got.zero, want.zero);
-      EXPECT_EQ(got.sticky_zero, want.sticky_zero);
       EXPECT_EQ(got.log_phi, want.log_phi);
     }
     EXPECT_EQ(ranks[u].last_activity, users[u].last_activity);

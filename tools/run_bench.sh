@@ -14,8 +14,11 @@
 #     baseline (same scenario only), or
 #   * indexed_seconds regresses more than TOLERANCE x the baseline, or
 #   * full and incremental eval modes produce different ranks/plans, or
-#   * the incremental eval-phase speedup over full re-evaluation drops
-#     below MIN_EVAL_SPEEDUP (default 3.0), or
+#   * the incremental eval-phase speedup over full re-evaluation (the
+#     ratio of the two modes' median times over bench_fig12's alternating
+#     reps) drops below MIN_EVAL_SPEEDUP (default 3.0), or
+#   * the incremental eval phase's median time regresses more than
+#     TOLERANCE x the baseline's median, or
 #   * bench_load's concurrent ingest diverged from the serial replay at any
 #     producer count (ranks must be byte-identical), or
 #   * bench_load's max sustainable rate drops below MIN_LOAD_RATE (default:
@@ -127,13 +130,12 @@ if same_scenario:
             f"indexed scan regressed: {out['indexed_seconds']:.4f}s vs "
             f"baseline {base['indexed_seconds']:.4f}s "
             f"(tolerance {tolerance}x)")
-    if "eval_incremental_seconds" in base and (
-            out["eval_incremental_seconds"]
-            > base["eval_incremental_seconds"] * tolerance):
+    if (out["eval_incremental_median_seconds"]
+            > base["eval_incremental_median_seconds"] * tolerance):
         failures.append(
-            f"incremental eval regressed: "
-            f"{out['eval_incremental_seconds']:.4f}s vs baseline "
-            f"{base['eval_incremental_seconds']:.4f}s "
+            f"incremental eval regressed: median "
+            f"{out['eval_incremental_median_seconds']:.4f}s vs baseline "
+            f"{base['eval_incremental_median_seconds']:.4f}s "
             f"(tolerance {tolerance}x)")
 else:
     print(f"note: scenario differs from baseline "
@@ -142,9 +144,12 @@ else:
 
 print(f"purge trigger {out['indexed_seconds']:.4f}s, "
       f"{out['victims']} victims")
-print(f"eval full {out['eval_full_seconds']:.4f}s, incremental "
-      f"{out['eval_incremental_seconds']:.4f}s, speedup "
-      f"{out['eval_speedup']:.2f}x over {out['eval_triggers']} triggers")
+for mode in ("full", "incremental"):
+    print(f"eval {mode}: median {out[f'eval_{mode}_median_seconds']:.4f}s "
+          f"(min {out[f'eval_{mode}_min_seconds']:.4f}s, max "
+          f"{out[f'eval_{mode}_max_seconds']:.4f}s) over {out['eval_reps']} "
+          f"reps of {out['eval_triggers']} triggers")
+print(f"eval speedup (medians) {out['eval_speedup']:.2f}x")
 levels = load.get("levels", [])
 tail = levels[-1] if levels else {}
 print(f"load: max sustainable {load['max_sustainable_rate']:.0f} ev/s over "
