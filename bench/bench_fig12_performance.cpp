@@ -179,8 +179,9 @@ bool same_plans(const adr::activeness::ScanPlan& a,
   for (std::size_t g = 0; g < adr::activeness::kGroupCount; ++g) {
     if (a.groups[g].size() != b.groups[g].size()) return false;
     for (std::size_t i = 0; i < a.groups[g].size(); ++i) {
-      const auto& x = a.groups[g][i];
-      const auto& y = b.groups[g][i];
+      if (a.groups[g][i].user != b.groups[g][i].user) return false;
+      const auto& x = a.at(a.groups[g][i]);
+      const auto& y = b.at(b.groups[g][i]);
       if (x.user != y.user || x.op.sort_key() != y.op.sort_key() ||
           x.oc.sort_key() != y.oc.sort_key() ||
           x.last_activity != y.last_activity) {

@@ -174,12 +174,12 @@ std::span<const double> ActivityStore::prefix(trace::UserId user,
   return prefix_[user * types_ + type];
 }
 
-std::vector<trace::UserId> ActivityStore::take_dirty() {
-  std::vector<trace::UserId> out = std::move(dirty_list_);
+void ActivityStore::drain_dirty(std::span<std::uint8_t> flags) {
+  for (const trace::UserId u : dirty_list_) {
+    dirty_flags_[u] = 0;
+    if (u < flags.size()) flags[u] = 1;
+  }
   dirty_list_.clear();
-  for (const trace::UserId u : out) dirty_flags_[u] = 0;
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::span<const std::pair<util::TimePoint, trace::UserId>>

@@ -140,13 +140,16 @@ class ActivityStore {
   // -- dirty tracking (single consumer: the incremental evaluator) --------
   //
   // Thread-safety: enqueue() and the pending/shed/spill readers are safe
-  // from any thread. Everything else (appends, sort_all, take_dirty,
+  // from any thread. Everything else (appends, sort_all, drain_dirty,
   // drain_ingest) is single-threaded: the evaluator owns it.
 
   bool has_dirty() const { return !dirty_list_.empty(); }
-  /// Users touched by append()/add()/sort_all() since the last take_dirty(),
-  /// sorted ascending; clears the dirty set.
-  std::vector<trace::UserId> take_dirty();
+  /// Flag every user touched by append()/add()/sort_all() since the last
+  /// drain (flags[u] = 1; ids at or past flags.size() are dropped) and
+  /// clear the dirty set in place. The set keeps its capacity, so a steady
+  /// stream of appends does not regrow it after every drain. An empty span
+  /// discards the set.
+  void drain_dirty(std::span<std::uint8_t> flags);
 
   // -- concurrent ingest (producers: any thread; consumer: drain_ingest) --
 
@@ -211,6 +214,22 @@ class ActivityStore {
   std::size_t user_count() const { return users_; }
   std::size_t type_count() const { return types_; }
 
+  /// Start loading `user`'s streams and prefix sums into L1, so that an
+  /// evaluation issued a few users later finds them there
+  /// (Evaluator::evaluate_users prefetches two users ahead). Per stream it
+  /// touches the first cache line and up to kPrefetchTailLines lines from
+  /// the newest end, where the newest periods' boundary searches land: a
+  /// multi-year stream of thousands of activities does not flood L1. Only
+  /// addresses inside the elements are touched, so an empty stream costs
+  /// nothing. Read-only, like stream(); unlike stream() it does not check
+  /// `user`, which must be below user_count().
+  void prefetch(trace::UserId user) const {
+    for (std::size_t s = user * types_; s < (user + 1) * types_; ++s) {
+      prefetch_elements(streams_[s]);
+      prefetch_elements(prefix_[s]);
+    }
+  }
+
   /// Total number of stored activities.
   std::size_t total_activities() const;
 
@@ -221,6 +240,32 @@ class ActivityStore {
  private:
   void mark_dirty(trace::UserId user);
   void rebuild_aggregates();
+
+  /// Covers a typical live stream whole: perfbench's eval_dense holds about
+  /// 25 activities per stream, 7 lines of activities and 4 of prefix sums.
+  static constexpr std::size_t kPrefetchTailLines = 16;
+  /// One prefetch into L1. On x86-64 an asm statement: GCC 12 at -O2
+  /// deletes a loop whose body is only __builtin_prefetch, and a volatile
+  /// asm cannot be dropped (tools/perfbench_smoke.sh checks the built
+  /// benchmark holds prefetcht0 instructions).
+  static void prefetch_line(const char* p) {
+#if defined(__x86_64__)
+    asm volatile("prefetcht0 %0" : : "m"(*p));
+#else
+    __builtin_prefetch(p, 0, 3);
+#endif
+  }
+  template <typename T>
+  static void prefetch_elements(const std::vector<T>& v) {
+    constexpr std::size_t kLine = 64;
+    if (v.empty()) return;
+    const char* const base = reinterpret_cast<const char*>(v.data());
+    const std::size_t last = v.size() * sizeof(T) - 1;  // last byte's offset
+    prefetch_line(base);
+    for (std::size_t k = 0; k < kPrefetchTailLines && k * kLine < last; ++k) {
+      prefetch_line(base + (last - k * kLine));
+    }
+  }
 
   std::size_t users_;
   std::size_t types_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "util/thread_pool.hpp"
 
@@ -49,27 +50,27 @@ bool scan_key_less(const ScanKey& a, const ScanKey& b) {
   return a.user < b.user;
 }
 
-ScanPlan build_scan_plan(const std::vector<UserActiveness>& users) {
-  std::array<std::vector<ScanKey>, kGroupCount> keys;
+void ScanPlan::sort_keys() {
+  for (auto& keys : groups) keys.clear();
   for (std::size_t i = 0; i < users.size(); ++i) {
     const UserGroup group = classify(users[i]);
-    keys[static_cast<std::size_t>(group)].push_back(
+    groups[static_cast<std::size_t>(group)].push_back(
         scan_key(group, users[i], static_cast<std::uint32_t>(i)));
   }
-  // The groups sort independently, one pool task each: with two threads a
-  // 30k-user plan builds 1.5-2x faster than in one serial pass (measured
-  // on a 4-vCPU Xeon), and rebuilds run this on every busy trigger.
-  ScanPlan plan;
+  // The groups sort independently, one pool task each: rebuilds run this
+  // on every busy trigger.
   util::global_pool().parallel_for(
       0, kGroupCount,
-      [&](std::size_t g) {
-        std::sort(keys[g].begin(), keys[g].end(), scan_key_less);
-        plan.groups[g].reserve(keys[g].size());
-        for (const ScanKey& key : keys[g]) {
-          plan.groups[g].push_back(users[key.index]);
-        }
+      [this](std::size_t g) {
+        std::sort(groups[g].begin(), groups[g].end(), scan_key_less);
       },
       /*grain=*/1);
+}
+
+ScanPlan build_scan_plan(std::vector<UserActiveness> users) {
+  ScanPlan plan;
+  plan.users = std::move(users);
+  plan.sort_keys();
   return plan;
 }
 

@@ -40,25 +40,12 @@ inline constexpr std::array<UserGroup, kGroupCount> kScanOrder = {
     UserGroup::kBothActive,
 };
 
-/// All users bucketed by group, each bucket sorted in scan (ascending
-/// activeness) order.
-struct ScanPlan {
-  std::array<std::vector<UserActiveness>, kGroupCount> groups;  // by UserGroup
-
-  const std::vector<UserActiveness>& group(UserGroup g) const {
-    return groups[static_cast<std::size_t>(g)];
-  }
-  std::size_t total_users() const;
-};
-
-ScanPlan build_scan_plan(const std::vector<UserActiveness>& users);
-
 /// A user's position in its group's scan order, flattened: the group's
 /// primary rank key (operation rank for the operation-inactive groups,
 /// outcome rank for the operation-active ones), the other rank, then the
 /// recency tie-break and the user id. 48 bytes against UserActiveness's 96,
-/// so build_scan_plan and the incremental pipeline's plan splice sort keys,
-/// not records.
+/// so a ScanPlan's groups hold keys, not records: build_scan_plan and the
+/// incremental pipeline's plan splice sort and merge keys.
 ///
 /// Rank ties (the bulk of the population sits at Φ = 0 exactly) break on
 /// recency, *most recently active first*: a still-writing-but-inactive
@@ -76,7 +63,9 @@ struct ScanKey {
   long double secondary = 0.0L;
   util::TimePoint last_activity = 0;
   trace::UserId user = 0;
-  std::uint32_t index = 0;  // caller's slot for the record (not compared)
+  std::uint32_t index = 0;  // the record's slot (not compared by the order)
+
+  friend bool operator==(const ScanKey&, const ScanKey&) = default;
 };
 
 ScanKey scan_key(UserGroup group, const UserActiveness& ua,
@@ -86,6 +75,34 @@ ScanKey scan_key(UserGroup group, const UserActiveness& ua,
 /// (the user id breaks every tie), so a plan patched by splicing sorted
 /// keys into a sorted group is element-for-element a build_scan_plan.
 bool scan_key_less(const ScanKey& a, const ScanKey& b);
+
+/// All users bucketed by group, each bucket sorted in scan (ascending
+/// activeness) order. The plan stores every record once, in `users`; a
+/// group holds only its users' ScanKeys, and at(key) reads the record a
+/// key stands for. Sorting or splicing a group therefore moves 48-byte
+/// keys, never records. A plan owns its records, so a copy or a move reads
+/// its own.
+struct ScanPlan {
+  std::vector<UserActiveness> users;                     // by ScanKey::index
+  std::array<std::vector<ScanKey>, kGroupCount> groups;  // by UserGroup
+
+  const std::vector<ScanKey>& group(UserGroup g) const {
+    return groups[static_cast<std::size_t>(g)];
+  }
+  const UserActiveness& at(const ScanKey& key) const {
+    return users[key.index];
+  }
+  std::size_t total_users() const;
+
+  /// Classify every record, rebuild the groups' keys (index = the record's
+  /// slot in `users`) and sort each group, one pool task per group. The
+  /// groups keep their capacity.
+  void sort_keys();
+};
+
+/// Takes the records by value, so a plan built from a temporary owns what
+/// it reads; pass an lvalue to copy, std::move to hand it over.
+ScanPlan build_scan_plan(std::vector<UserActiveness> users);
 
 /// How an inactive user's file lifetime is derived — the paper is ambiguous
 /// between two readings (see DESIGN.md):

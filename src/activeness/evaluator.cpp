@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -177,9 +178,12 @@ Evaluator::Evaluator(const ActivityCatalog& catalog, EvaluationParams params)
 namespace {
 
 /// Drop activities after t_c — during trace replay the store holds the whole
-/// trace, but an evaluation at t_c must only see the past.
+/// trace, but an evaluation at t_c must only see the past. A live-append
+/// store never holds activity after t_c, so a stream that ends at or before
+/// it is returned as it is, without the search.
 std::span<const Activity> trim_to_now(std::span<const Activity> stream,
                                       util::TimePoint now) {
+  if (stream.empty() || stream.back().timestamp <= now) return stream;
   const auto it = std::upper_bound(
       stream.begin(), stream.end(), now,
       [](util::TimePoint t, const Activity& a) { return t < a.timestamp; });
@@ -215,20 +219,33 @@ obs::Counter& zero_ranks() {
 
 }  // namespace
 
-UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
-                                        trace::UserId user,
-                                        util::TimePoint* stable_until) const {
-  require_finalized(store);
+// Each registry counter is one atomic shared by every pool thread; bumping
+// it per user made the threads contend on its cache line.
+struct Evaluator::Tally {
+  std::uint64_t users = 0;
+  std::uint64_t zeros = 0;
+  std::uint64_t trimmed = 0;
+
+  void flush() const {
+    users_evaluated().add(users);
+    if (trimmed > 0) streams_trimmed().add(trimmed);
+    if (zeros > 0) zero_ranks().add(zeros);
+  }
+};
+
+UserActiveness Evaluator::evaluate_one(const ActivityStore& store,
+                                       trace::UserId user,
+                                       util::TimePoint& stable_until,
+                                       Tally& tally) const {
   UserActiveness ua;
   ua.user = user;
-  std::uint64_t trimmed = 0;
-  util::TimePoint until = std::numeric_limits<util::TimePoint>::max();
+  stable_until = std::numeric_limits<util::TimePoint>::max();
   const auto eval_category = [&](std::span<const ActivityTypeId> types,
                                  Rank& rank) {
     for (const ActivityTypeId t : types) {
       const auto full = store.stream(user, t);
       const auto stream = trim_to_now(full, params_.now);
-      if (stream.size() < full.size()) ++trimmed;
+      if (stream.size() < full.size()) ++tally.trimmed;
       if (!stream.empty()) {
         ua.last_activity = std::max(ua.last_activity, stream.back().timestamp);
       }
@@ -236,17 +253,56 @@ UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
       rank *= evaluate_stream_indexed(
           stream, store.prefix(user, t).first(stream.size() + 1), params_,
           &stream_until);
-      until = std::min(until, stream_until);
+      stable_until = std::min(stable_until, stream_until);
     }
   };
   eval_category(op_types_, ua.op);
   eval_category(oc_types_, ua.oc);
-  if (stable_until != nullptr) *stable_until = until;
-  users_evaluated().add();
-  if (trimmed > 0) streams_trimmed().add(trimmed);
-  if (ua.op.zero) zero_ranks().add();
-  if (ua.oc.zero) zero_ranks().add();
+  ++tally.users;
+  tally.zeros += static_cast<std::uint64_t>(ua.op.zero) +
+                 static_cast<std::uint64_t>(ua.oc.zero);
   return ua;
+}
+
+UserActiveness Evaluator::evaluate_user(const ActivityStore& store,
+                                        trace::UserId user,
+                                        util::TimePoint* stable_until) const {
+  require_finalized(store);
+  Tally tally;
+  util::TimePoint until = 0;
+  const UserActiveness ua = evaluate_one(store, user, until, tally);
+  tally.flush();
+  if (stable_until != nullptr) *stable_until = until;
+  return ua;
+}
+
+void Evaluator::evaluate_users(const ActivityStore& store,
+                               std::span<const trace::UserId> ids,
+                               std::span<UserActiveness> out,
+                               std::span<util::TimePoint> stable_until) const {
+  require_finalized(store);
+  const std::size_t n = ids.size();
+  if (n == 0) return;
+  util::ThreadPool& pool = util::global_pool();
+  const std::size_t threads = pool.size() + 1;  // the caller participates
+  const std::size_t blocks = std::clamp<std::size_t>(
+      n / kMinBlockUsers, 1, threads * kBlocksPerThread);
+  const auto run_block = [&](std::size_t b) {
+    const std::size_t hi = n * (b + 1) / blocks;
+    Tally tally;
+    for (std::size_t i = n * b / blocks; i < hi; ++i) {
+      if (i + kPrefetchAhead < hi) store.prefetch(ids[i + kPrefetchAhead]);
+      const trace::UserId u = ids[i];
+      out[u] = evaluate_one(store, u, stable_until[u], tally);
+    }
+    tally.flush();
+  };
+  // Distinct ids, so the blocks write distinct slots.
+  if (blocks == 1) {
+    run_block(0);
+  } else {
+    pool.parallel_for(0, blocks, run_block, /*grain=*/1);
+  }
 }
 
 std::vector<UserActiveness> Evaluator::evaluate_all(
@@ -255,12 +311,13 @@ std::vector<UserActiveness> Evaluator::evaluate_all(
   require_finalized(store);
   obs::TimerSpan span("evaluator.evaluate_all");
   std::vector<UserActiveness> out(store.user_count());
-  if (stable_until != nullptr) stable_until->resize(out.size());
-  util::global_pool().parallel_for(0, out.size(), [&](std::size_t i) {
-    out[i] = evaluate_user(
-        store, static_cast<trace::UserId>(i),
-        stable_until != nullptr ? &(*stable_until)[i] : nullptr);
-  });
+  std::vector<trace::UserId> ids(out.size());
+  std::iota(ids.begin(), ids.end(), trace::UserId{0});
+  std::vector<util::TimePoint> unwanted;
+  std::vector<util::TimePoint>& until =
+      stable_until != nullptr ? *stable_until : unwanted;
+  until.resize(out.size());
+  evaluate_users(store, ids, out, until);
   return out;
 }
 

@@ -52,27 +52,59 @@ void IncrementalEvaluator::rebuild(ActivityStore& store, util::TimePoint now) {
   EvaluationParams params = base_params_;
   params.now = now;
   Evaluator evaluator(*catalog_, params);
-  users_ = evaluator.evaluate_all(store, &stable_until_);
+  plan_ = build_scan_plan(evaluator.evaluate_all(store, &stable_until_));
   reeval_.clear();
-  groups_.resize(users_.size());
-  for (std::size_t u = 0; u < users_.size(); ++u) {
-    groups_[u] = classify(users_[u]);
+  groups_.resize(plan_.users.size());
+  for (std::size_t u = 0; u < plan_.users.size(); ++u) {
+    groups_[u] = classify(plan_.users[u]);
   }
-  plan_ = build_scan_plan(users_);
 }
 
 std::size_t IncrementalEvaluator::mark_candidates(ActivityStore& store,
                                                   util::TimePoint now) {
-  candidate_flags_.assign(users_.size(), 0);
-  for (const trace::UserId u : store.take_dirty()) {
-    if (u < candidate_flags_.size()) candidate_flags_[u] = 1;
-  }
+  candidate_flags_.assign(plan_.users.size(), 0);
+  store.drain_dirty(candidate_flags_);
   for (const auto& [ts, u] : store.chrono_window(last_now_, now)) {
     if (u < candidate_flags_.size()) candidate_flags_[u] = 1;
   }
   std::size_t marked = 0;
   for (const std::uint8_t f : candidate_flags_) marked += f;
   return marked;
+}
+
+void IncrementalEvaluator::splice() {
+  for (auto& keys : incoming_) keys.clear();
+  for (const trace::UserId u : reeval_) {
+    const UserGroup g = classify(plan_.users[u]);
+    groups_[u] = g;
+    incoming_[static_cast<std::size_t>(g)].push_back(
+        scan_key(g, plan_.users[u], u));
+  }
+  // One forward merge per group, O(n + r log r): the group's kept keys in
+  // order, the sorted incoming keys merged in, the re-evaluated users' old
+  // keys dropped. The groups touch disjoint vectors and only read the
+  // flags, so they run as pool tasks.
+  util::global_pool().parallel_for(
+      0, kGroupCount,
+      [this](std::size_t gi) {
+        auto& in = incoming_[gi];
+        std::sort(in.begin(), in.end(), scan_key_less);
+        auto& group = plan_.groups[gi];
+        auto& merged = merged_[gi];
+        merged.clear();
+        merged.reserve(group.size() + in.size());
+        auto next = in.cbegin();
+        for (const ScanKey& key : group) {
+          if (candidate_flags_[key.user]) continue;  // its new key is in `in`
+          for (; next != in.cend() && scan_key_less(*next, key); ++next) {
+            merged.push_back(*next);
+          }
+          merged.push_back(key);
+        }
+        merged.insert(merged.end(), next, in.cend());
+        group.swap(merged);
+      },
+      /*grain=*/1);
 }
 
 AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
@@ -88,13 +120,14 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
   // everything below sees them as ordinary dirty users.
   store.drain_ingest();
 
+  const std::size_t users = plan_.users.size();
   const bool delta = mode_ == EvalMode::kIncremental && evaluated_ &&
-                     now >= last_now_ && users_.size() == store.user_count();
+                     now >= last_now_ && users == store.user_count();
   if (!delta) {
-    store.take_dirty();  // everyone is re-evaluated: the set is stale
+    store.drain_dirty({});  // everyone is re-evaluated: the set is stale
     rebuild(store, now);
     stats.full_rebuild = true;
-    stats.users_reevaluated = users_.size();
+    stats.users_reevaluated = plan_.users.size();
     full_rebuilds_counter().add();
   } else {
     EvaluationParams params = base_params_;
@@ -111,63 +144,32 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
 
     // One skip rule: a user whose trimmed streams are unchanged keeps their
     // rank while no age bucket it reads has moved (DESIGN.md §9.2).
-    for (std::size_t i = 0; i < users_.size(); ++i) {
+    for (std::size_t i = 0; i < users; ++i) {
       if (!candidate_flags_[i]) {
         if (now <= stable_until_[i]) continue;
-        candidate_flags_[i] = 1;  // marks plan entries to splice out below
+        candidate_flags_[i] = 1;  // marks plan keys to splice out below
       }
       reeval_.push_back(static_cast<trace::UserId>(i));
     }
     stats.users_reevaluated = reeval_.size();
-    stats.users_skipped = users_.size() - reeval_.size();
+    stats.users_skipped = users - reeval_.size();
 
-    // Distinct users, so the parallel writes land in distinct slots.
-    util::global_pool().parallel_for(0, reeval_.size(), [&](std::size_t i) {
-      const trace::UserId u = reeval_[i];
-      users_[u] = evaluator.evaluate_user(store, u, &stable_until_[u]);
-    });
+    {
+      obs::TimerSpan reevaluate_span("incremental.reevaluate");
+      evaluator.evaluate_users(store, reeval_, plan_.users, stable_until_);
+    }
 
-    if (reeval_.size() * 2 >= users_.size()) {
-      // Near-full delta: sorting from scratch is cheaper than splicing.
-      // Same output either way — scan_key_less is a strict total order.
-      for (const trace::UserId u : reeval_) groups_[u] = classify(users_[u]);
-      plan_ = build_scan_plan(users_);
-    } else if (!reeval_.empty()) {
-      // Batched splice: sort the incoming users' keys per group, compact
-      // each group vector in one pass, then merge from the back in place —
-      // O(n + r log r) per trigger instead of r separate O(n) memmoves,
-      // and no second record buffer. candidate_flags_ now marks exactly
-      // the re-evaluated users (candidates + expired instants).
-      for (auto& keys : incoming_) keys.clear();
+    obs::TimerSpan splice_span("incremental.splice");
+    if (reeval_.size() * 2 >= users) {
+      // Near-full delta: sorting every key afresh is cheaper than
+      // splicing. Same output either way — scan_key_less is a strict total
+      // order.
       for (const trace::UserId u : reeval_) {
-        const UserGroup g = classify(users_[u]);
-        groups_[u] = g;
-        incoming_[static_cast<std::size_t>(g)].push_back(
-            scan_key(g, users_[u], u));
+        groups_[u] = classify(plan_.users[u]);
       }
-      for (std::size_t gi = 0; gi < kGroupCount; ++gi) {
-        auto& vec = plan_.groups[gi];
-        vec.erase(std::remove_if(vec.begin(), vec.end(),
-                                 [this](const UserActiveness& x) {
-                                   return candidate_flags_[x.user];
-                                 }),
-                  vec.end());
-        auto& in = incoming_[gi];
-        if (in.empty()) continue;
-        std::sort(in.begin(), in.end(), scan_key_less);
-        const auto g = static_cast<UserGroup>(gi);
-        std::size_t kept = vec.size();
-        std::size_t next = in.size();
-        vec.resize(kept + next);
-        for (std::size_t w = vec.size(); next > 0;) {
-          if (kept > 0 && scan_key_less(in[next - 1],
-                                        scan_key(g, vec[kept - 1], 0))) {
-            vec[--w] = vec[--kept];
-          } else {
-            vec[--w] = users_[in[--next].index];
-          }
-        }
-      }
+      plan_.sort_keys();
+    } else if (!reeval_.empty()) {
+      splice();
     }
   }
 

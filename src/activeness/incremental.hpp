@@ -5,8 +5,9 @@
 // two triggers almost nothing changes: most users had no new activity, and
 // Eqs. 1–5 anchor the periods at t_c, so a user's rank moves only when a
 // period boundary passes one of their activities. IncrementalEvaluator
-// exploits that. It keeps the latest evaluation (dense per-user activeness,
-// group table, sorted ScanPlan) and, on each advance to a new t_c,
+// exploits that. It keeps the latest evaluation (a ScanPlan holding every
+// user's activeness once, dense by user id, plus each group's sorted keys,
+// and a user -> group table) and, on each advance to a new t_c,
 // re-evaluates only users that can have changed:
 //
 //  * users the store marked dirty (streaming appends since the last drain);
@@ -19,20 +20,25 @@
 // A user outside the delta set keeps their trimmed streams, so their rank
 // is a function of the age buckets c_x = max(1, ⌈(t_c − ts_x)/d⌉) alone
 // (DESIGN.md §9.2). That gives the pipeline one skip rule: each
-// evaluation (Evaluator::evaluate_user) returns the last t_c at which no
+// evaluation (Evaluator::evaluate_users) returns the last t_c at which no
 // bucket its rank reads has moved, and a user outside the delta set is
 // skipped while t_c is at or before that instant. Ranks only new activity
 // can change — fresh users, pigeonhole and zero-total zeros, and zeros
 // whose newest period is empty — carry +∞ and are never re-evaluated
 // until they turn dirty. Skipping a non-candidate costs one 8-byte read.
 //
-// Re-evaluated users are spliced into the cached ScanPlan: their ScanKeys
-// are sorted in instance scratch and merged into each compacted group from
-// the back, in place. scan_key_less is a strict total order, so the
-// patched plan is element-for-element identical to a from-scratch
-// build_scan_plan. Both eval modes therefore produce identical ranks,
-// classifications, scan orderings, and downstream PurgeReports — the
-// property suite in tests/activeness/test_incremental.cpp holds them to it.
+// The users to re-evaluate go through Evaluator::evaluate_users, which
+// writes their records in place in the plan's table in contiguous blocks,
+// prefetching each user's streams two users ahead. The plan stores each
+// record once; its groups hold ScanKeys. Re-evaluated users' keys are
+// sorted per group in instance scratch, and each group is rebuilt by one
+// forward merge that drops the users' old keys, the four groups as pool
+// tasks: no record moves, and no kept key is rebuilt. scan_key_less is a
+// strict total order, so the patched plan is element-for-element identical
+// to a from-scratch build_scan_plan. Both eval modes therefore produce
+// identical ranks, classifications, scan orderings, and downstream
+// PurgeReports — the property suite in tests/activeness/test_incremental.cpp
+// holds them to it.
 
 #include <array>
 #include <cstdint>
@@ -61,7 +67,7 @@ struct AdvanceStats {
 
 /// Stateful evaluation pipeline: owns the latest evaluation and advances it
 /// in place. Wraps the stateless Evaluator math — every rank it produces
-/// comes out of Evaluator::evaluate_user, never a second code path.
+/// comes out of Evaluator::evaluate_users, never a second code path.
 class IncrementalEvaluator {
  public:
   IncrementalEvaluator(const ActivityCatalog& catalog,
@@ -85,8 +91,9 @@ class IncrementalEvaluator {
   const std::vector<trace::UserId>& reevaluated() const { return reeval_; }
 
   /// Latest evaluation (valid after the first advance()), dense by user id.
+  /// users() is the plan's own record table: the pipeline keeps one copy.
   const ScanPlan& plan() const { return plan_; }
-  const std::vector<UserActiveness>& users() const { return users_; }
+  const std::vector<UserActiveness>& users() const { return plan_.users; }
   const std::vector<UserGroup>& groups() const { return groups_; }
   UserGroup group_of(trace::UserId user) const { return groups_[user]; }
 
@@ -105,6 +112,9 @@ class IncrementalEvaluator {
   /// chronological index shows active in (last_now_, now]. Returns their
   /// count.
   std::size_t mark_candidates(ActivityStore& store, util::TimePoint now);
+  /// Replace the keys of the users in reeval_ (flagged in
+  /// candidate_flags_) with keys of their new records.
+  void splice();
 
   const ActivityCatalog* catalog_;
   EvaluationParams base_params_;
@@ -112,10 +122,10 @@ class IncrementalEvaluator {
 
   bool evaluated_ = false;
   util::TimePoint last_now_ = 0;
-  std::vector<UserActiveness> users_;  // dense by user id
-  std::vector<UserGroup> groups_;      // dense by user id
+  ScanPlan plan_;                  // plan_.users: dense by user id
+  std::vector<UserGroup> groups_;  // dense by user id
   /// Last t_c at which each user's cached evaluation provably holds while
-  /// their trimmed streams are unchanged (Evaluator::evaluate_user).
+  /// their trimmed streams are unchanged (Evaluator::evaluate_users).
   std::vector<util::TimePoint> stable_until_;  // dense by user id
 
   // Per-advance scratch, kept across triggers so the delta path allocates
@@ -123,7 +133,7 @@ class IncrementalEvaluator {
   std::vector<std::uint8_t> candidate_flags_;
   std::vector<trace::UserId> reeval_;
   std::array<std::vector<ScanKey>, kGroupCount> incoming_;  // by UserGroup
-  ScanPlan plan_;
+  std::array<std::vector<ScanKey>, kGroupCount> merged_;    // by UserGroup
   double seconds_ = 0.0;
 };
 

@@ -109,11 +109,11 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
   // Dense user -> group lookup for report attribution.
   std::vector<activeness::UserGroup> group_lookup;
   for (std::size_t gi = 0; gi < activeness::kGroupCount; ++gi) {
-    for (const auto& ua : plan.groups[gi]) {
-      if (ua.user >= group_lookup.size()) {
-        group_lookup.resize(ua.user + 1, activeness::UserGroup::kBothInactive);
+    for (const activeness::ScanKey& key : plan.groups[gi]) {
+      if (key.user >= group_lookup.size()) {
+        group_lookup.resize(key.user + 1, activeness::UserGroup::kBothInactive);
       }
-      group_lookup[ua.user] = static_cast<activeness::UserGroup>(gi);
+      group_lookup[key.user] = static_cast<activeness::UserGroup>(gi);
     }
   }
   const GroupOf fast_group_of = [&group_lookup](trace::UserId user) {
@@ -140,8 +140,8 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
   bool done = false;
   for (const activeness::UserGroup group : activeness::kScanOrder) {
     if (done) break;
-    const auto& users = plan.group(group);
-    if (users.empty()) continue;
+    const auto& keys = plan.group(group);
+    if (keys.empty()) continue;
     groups_scanned().add();
 
     const int max_pass = no_target ? 0 : config_.retrospective_passes;
@@ -151,8 +151,8 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
     // victim window, so every pass's victims are a prefix of this list
     // (the index yields them oldest first); passes then advance a cursor
     // instead of re-scanning, and each candidate is visited exactly once.
-    const auto widest_cutoff = [&](const activeness::UserActiveness& ua) {
-      return now - effective_lifetime(ua, max_pass);
+    const auto widest_cutoff = [&](const activeness::ScanKey& key) {
+      return now - effective_lifetime(plan.at(key), max_pass);
     };
 
     // Collected lazily: a user's candidates are drawn when the apply first
@@ -165,19 +165,19 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
       std::vector<fs::PurgeIndex::Entry> candidates;  // oldest first
       std::size_t cursor = 0;  // first candidate no pass has taken yet
     };
-    std::vector<Reached> reached;  // users[0, reached.size()) are collected
+    std::vector<Reached> reached;  // keys[0, reached.size()) are collected
     // Collect the next block of users; returns its wall time.
     const auto collect_block = [&]() {
       obs::TimerSpan scan_span("policy.scan");
       const std::size_t first = reached.size();
       const std::size_t last = std::min(
-          users.size(),
+          keys.size(),
           first + std::max(kMinCollectBlock, first / kCollectAheadDivisor));
       reached.resize(last);
       std::size_t collected = 0;
       for (std::size_t ui = first; ui < last; ++ui) {
         auto& mine = reached[ui].candidates;
-        index.collect_expired(users[ui].user, widest_cutoff(users[ui]), mine);
+        index.collect_expired(keys[ui].user, widest_cutoff(keys[ui]), mine);
         if (!exemptions_.empty()) {
           const auto kept = std::remove_if(mine.begin(), mine.end(), is_exempt);
           exempted += static_cast<std::size_t>(mine.end() - kept);
@@ -202,13 +202,13 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
       const auto apply_start = std::chrono::steady_clock::now();
       double scan_seconds = 0.0;
       bool purged_any = false;
-      for (std::size_t ui = 0; ui < users.size() && !done; ++ui) {
+      for (std::size_t ui = 0; ui < keys.size() && !done; ++ui) {
         if (ui == reached.size()) scan_seconds += collect_block();
-        const trace::UserId user = users[ui].user;
+        const trace::UserId user = keys[ui].user;
         // This pass's victims: the candidate prefix under the decayed
         // cutoff, starting where the previous pass left off.
         const util::TimePoint cutoff =
-            now - effective_lifetime(users[ui], pass);
+            now - effective_lifetime(plan.at(keys[ui]), pass);
         Reached& mine = reached[ui];
         for (; !done && mine.cursor < mine.candidates.size() &&
                mine.candidates[mine.cursor].atime < cutoff;
@@ -255,8 +255,9 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
         // decay for the whole group while later users still have positive
         // lifetimes left to shrink.
         util::Duration max_lifetime = 0;
-        for (const auto& ua : users) {
-          max_lifetime = std::max(max_lifetime, effective_lifetime(ua, pass));
+        for (const activeness::ScanKey& key : keys) {
+          max_lifetime =
+              std::max(max_lifetime, effective_lifetime(plan.at(key), pass));
           if (max_lifetime > 0) break;
         }
         if (max_lifetime == 0) break;
@@ -270,12 +271,12 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
     // The target stopped the apply before the scan reached these users.
     // Their exempt files still count once for the group when expired at
     // its widest cutoff (DESIGN.md §8); nothing else of theirs is needed.
-    if (!exemptions_.empty() && reached.size() < users.size()) {
+    if (!exemptions_.empty() && reached.size() < keys.size()) {
       obs::TimerSpan scan_span("policy.scan");
       std::vector<fs::PurgeIndex::Entry> expired;
-      for (std::size_t ui = reached.size(); ui < users.size(); ++ui) {
+      for (std::size_t ui = reached.size(); ui < keys.size(); ++ui) {
         expired.clear();
-        index.collect_expired(users[ui].user, widest_cutoff(users[ui]),
+        index.collect_expired(keys[ui].user, widest_cutoff(keys[ui]),
                               expired);
         exempted += static_cast<std::size_t>(
             std::count_if(expired.begin(), expired.end(), is_exempt));

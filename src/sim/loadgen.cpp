@@ -100,7 +100,10 @@ bool same_outputs(const activeness::IncrementalEvaluator& a,
     const auto& gb = b.plan().groups[g];
     if (ga.size() != gb.size()) return false;
     for (std::size_t i = 0; i < ga.size(); ++i) {
-      if (!same_activeness(ga[i], gb[i])) return false;
+      if (ga[i].user != gb[i].user ||
+          !same_activeness(a.plan().at(ga[i]), b.plan().at(gb[i]))) {
+        return false;
+      }
     }
   }
   return true;

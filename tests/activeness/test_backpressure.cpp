@@ -49,7 +49,7 @@ std::vector<Event> make_events(std::uint64_t seed, std::size_t users,
 ActivityStore empty_store(std::size_t users) {
   ActivityStore store(users, 2);
   store.sort_all();
-  store.take_dirty();
+  store.drain_dirty({});
   return store;
 }
 

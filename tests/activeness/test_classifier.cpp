@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace adr::activeness {
 namespace {
 
@@ -100,6 +102,39 @@ TEST(ScanPlan, TiesBrokenByUserId) {
   EXPECT_EQ(g[0].user, 1u);
   EXPECT_EQ(g[1].user, 3u);
   EXPECT_EQ(g[2].user, 5u);
+}
+
+TEST(ScanPlan, OwnsItsRecords) {
+  // The groups hold keys and at(key) reads the plan's own record table, so
+  // a plan built from a temporary, and every copy or move of it, reads the
+  // right record after its source is gone.
+  const auto expect_reads = [](const ScanPlan& plan) {
+    ASSERT_EQ(plan.total_users(), 3u);
+    for (std::size_t g = 0; g < kGroupCount; ++g) {
+      for (const ScanKey& k : plan.groups[g]) {
+        EXPECT_EQ(plan.at(k).user, k.user);
+        EXPECT_EQ(classify(plan.at(k)), static_cast<UserGroup>(g));
+        EXPECT_EQ(scan_key(static_cast<UserGroup>(g), plan.at(k), k.index), k);
+      }
+    }
+    EXPECT_EQ(plan.at(plan.group(UserGroup::kBothActive)[0]).user, 7u);
+    EXPECT_EQ(plan.at(plan.group(UserGroup::kOperationActiveOnly)[0]).user,
+              5u);
+    EXPECT_EQ(plan.at(plan.group(UserGroup::kBothInactive)[0]).user, 3u);
+  };
+  ScanPlan copy;
+  ScanPlan moved;
+  {
+    ScanPlan built =
+        build_scan_plan({ua(7, 2, 2), ua(3, 0.1, 0.2), ua(5, 2, 0.5)});
+    expect_reads(built);
+    copy = built;
+    moved = std::move(built);
+  }
+  expect_reads(copy);
+  expect_reads(moved);
+  copy.users[0].last_activity = 99;  // a copy's table is its own
+  EXPECT_NE(moved.users[0].last_activity, 99);
 }
 
 TEST(LifetimeMultiplier, ActiveCategoriesOnlyMode) {

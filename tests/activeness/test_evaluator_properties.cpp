@@ -1,17 +1,22 @@
 // Property-based tests of the activeness evaluation (Eqs. 1-6): invariances
 // and orderings that must hold for every period length and scheme, the
-// stable-until instant, and the production kernel (evaluate_stream_indexed)
-// held to a literal walk of the equations.
+// stable-until instant, the production kernel (evaluate_stream_indexed)
+// held to a literal walk of the equations, and the block loop
+// (Evaluator::evaluate_users) held to per-user evaluation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "activeness/evaluator.hpp"
+#include "obs/metrics.hpp"
 #include "stream_eval.hpp"
 #include "util/rng.hpp"
 
@@ -427,6 +432,137 @@ TEST(WalkingOracle, IndexedKernelMatchesTheWalk) {
     }
   });
   EXPECT_GT(positive, 0);
+}
+
+// The block loop behind every delta advance and full evaluation: for any
+// subset of users it must write exactly what per-user evaluate_user calls
+// return, touch no other slot, and advance the evaluator counters by the
+// same totals. The stores mix bulk rows, streaming appends and
+// future-dated activities (so both of trim_to_now's paths run), empty
+// streams, and two or three types per category; the subsets run from
+// empty through one user to everyone, across one block and many.
+TEST(EvaluateUsers, MatchesEvaluateUserOnAnySubset) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto counters = [&registry] {
+    return std::array<std::uint64_t, 3>{
+        registry.counter("evaluator.users_evaluated").value(),
+        registry.counter("evaluator.zero_ranks").value(),
+        registry.counter("evaluator.streams_trimmed").value()};
+  };
+  util::Rng rng(0xb10c);
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ActivityCatalog catalog;
+    const auto per_category = [&rng] { return rng.uniform_int(2, 3); };
+    for (std::int64_t t = per_category(); t > 0; --t) {
+      catalog.add({"op" + std::to_string(t), ActivityCategory::kOperation,
+                   1.0});
+    }
+    for (std::int64_t t = per_category(); t > 0; --t) {
+      catalog.add({"oc" + std::to_string(t), ActivityCategory::kOutcome,
+                   1.0});
+    }
+    const std::size_t users =
+        static_cast<std::size_t>(rng.uniform_int(150, 700));
+    ActivityStore store(users, catalog.size());
+    const auto random_activity = [&rng](double future_share) {
+      const double days = rng.uniform() < future_share
+                              ? -rng.uniform(0, 60)   // after t_c
+                              : rng.uniform(0, 400);  // at or before t_c
+      return Activity{kT0 - static_cast<util::Duration>(days * kDay),
+                      rng.uniform(0.1, 50.0)};
+    };
+    for (trace::UserId u = 0; u < users; ++u) {
+      for (ActivityTypeId t = 0; t < catalog.size(); ++t) {
+        if (rng.uniform() < 0.3) continue;  // an empty stream
+        for (std::int64_t i = rng.uniform_int(1, 30); i > 0; --i) {
+          store.add(u, t, random_activity(0.1));
+        }
+      }
+    }
+    store.sort_all();
+    for (int i = 0; i < static_cast<int>(users); ++i) {
+      store.append(static_cast<trace::UserId>(rng.bounded(users)),
+                   rng.bounded(catalog.size()), random_activity(0.2));
+    }
+
+    EvaluationParams params;
+    params.period_length_days = std::array{7, 30, 90}[rng.bounded(3)];
+    params.now = kT0;
+    params.max_periods = rng.uniform() < 0.5 ? 0 : 6;
+    params.stale =
+        rng.uniform() < 0.5 ? StaleHandling::kClampOldest : StaleHandling::kDrop;
+    const Evaluator ev(catalog, params);
+
+    std::vector<std::vector<trace::UserId>> subsets(3);
+    subsets[1].push_back(static_cast<trace::UserId>(rng.bounded(users)));
+    for (trace::UserId u = 0; u < users; ++u) subsets[2].push_back(u);
+    for (const double p : {0.05, 0.3, 0.8}) {
+      auto& ids = subsets.emplace_back();
+      for (trace::UserId u = 0; u < users; ++u) {
+        if (rng.uniform() < p) ids.push_back(u);
+      }
+    }
+
+    for (const auto& ids : subsets) {
+      SCOPED_TRACE(std::to_string(ids.size()) + " ids");
+      UserActiveness untouched;
+      untouched.user = trace::kInvalidUser - 1;
+      untouched.last_activity = 12345;
+      constexpr util::TimePoint kUntouched = -7;
+      std::vector<UserActiveness> out(users, untouched);
+      std::vector<util::TimePoint> until(users, kUntouched);
+
+      const auto before = counters();
+      ev.evaluate_users(store, ids, out, until);
+      const auto after_block = counters();
+
+      // The counters' totals, and the trim to t_c, worked out from the
+      // store itself rather than from another evaluation.
+      std::array<std::uint64_t, 3> expected{ids.size(), 0, 0};
+      std::vector<std::uint8_t> listed(users, 0);
+      for (const trace::UserId u : ids) {
+        listed[u] = 1;
+        util::TimePoint want_until = 0;
+        const UserActiveness want = ev.evaluate_user(store, u, &want_until);
+        const UserActiveness& got = out[u];
+        EXPECT_EQ(got.user, want.user);
+        for (const auto& [g, w] : {std::pair{&got.op, &want.op},
+                                   std::pair{&got.oc, &want.oc}}) {
+          EXPECT_EQ(g->has_data, w->has_data) << "user " << u;
+          EXPECT_EQ(g->zero, w->zero) << "user " << u;
+          EXPECT_EQ(g->log_phi, w->log_phi) << "user " << u;
+          expected[1] += g->zero ? 1 : 0;
+        }
+        EXPECT_EQ(got.last_activity, want.last_activity) << "user " << u;
+        EXPECT_EQ(until[u], want_until) << "user " << u;
+
+        util::TimePoint last = std::numeric_limits<util::TimePoint>::min();
+        for (ActivityTypeId t = 0; t < catalog.size(); ++t) {
+          for (const Activity& a : store.stream(u, t)) {
+            if (a.timestamp <= params.now) last = std::max(last, a.timestamp);
+          }
+          const auto stream = store.stream(u, t);
+          if (!stream.empty() && stream.back().timestamp > params.now) {
+            ++expected[2];
+          }
+        }
+        EXPECT_EQ(got.last_activity, last) << "user " << u;
+      }
+      const auto after_single = counters();
+      for (std::size_t c = 0; c < before.size(); ++c) {
+        EXPECT_EQ(after_block[c] - before[c], expected[c]) << "counter " << c;
+        EXPECT_EQ(after_single[c] - after_block[c], expected[c])
+            << "counter " << c;
+      }
+      for (trace::UserId u = 0; u < users; ++u) {
+        if (listed[u]) continue;
+        EXPECT_EQ(out[u].user, untouched.user) << "user " << u;
+        EXPECT_EQ(out[u].last_activity, untouched.last_activity);
+        EXPECT_EQ(until[u], kUntouched) << "user " << u;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -36,13 +36,27 @@ void expect_same_activeness(const UserActiveness& a, const UserActiveness& b) {
   EXPECT_EQ(a.last_activity, b.last_activity);
 }
 
+/// Every key must be the one its record yields now: a splice that kept a
+/// re-evaluated user's old key would leave it stale.
+void expect_current_keys(const ScanPlan& plan) {
+  for (std::size_t g = 0; g < kGroupCount; ++g) {
+    for (const ScanKey& k : plan.groups[g]) {
+      EXPECT_EQ(scan_key(static_cast<UserGroup>(g), plan.at(k), k.index), k)
+          << "group " << g << " user " << k.user;
+    }
+  }
+}
+
 void expect_same_plan(const ScanPlan& a, const ScanPlan& b) {
   for (std::size_t g = 0; g < kGroupCount; ++g) {
     ASSERT_EQ(a.groups[g].size(), b.groups[g].size()) << "group " << g;
     for (std::size_t i = 0; i < a.groups[g].size(); ++i) {
-      expect_same_activeness(a.groups[g][i], b.groups[g][i]);
+      EXPECT_EQ(a.groups[g][i].user, b.groups[g][i].user);
+      expect_same_activeness(a.at(a.groups[g][i]), b.at(b.groups[g][i]));
     }
   }
+  expect_current_keys(a);
+  expect_current_keys(b);
 }
 
 /// Identical base population for the concurrent run and its serial replay.

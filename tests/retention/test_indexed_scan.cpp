@@ -28,6 +28,7 @@ namespace adr::retention {
 namespace {
 
 using activeness::Rank;
+using activeness::ScanKey;
 using activeness::ScanPlan;
 using activeness::UserActiveness;
 
@@ -132,8 +133,9 @@ PurgeReport reference_walk(fs::Vfs& vfs, const ActiveDrPolicy& policy,
     if (done || users.empty()) continue;
     const int max_pass =
         no_target ? 0 : policy.config().retrospective_passes;
-    for (const UserActiveness& user : users) {
-      const util::Duration widest = policy.effective_lifetime(user, max_pass);
+    for (const ScanKey& user : users) {
+      const util::Duration widest =
+          policy.effective_lifetime(plan.at(user), max_pass);
       vfs.for_each_under(
           registry.home_dir(user.user),
           [&](const std::string& path, const fs::FileMeta& meta) {
@@ -146,9 +148,10 @@ PurgeReport reference_walk(fs::Vfs& vfs, const ActiveDrPolicy& policy,
     for (int pass = 0; pass <= max_pass && !done; ++pass) {
       if (pass > 0) ++report.retrospective_passes_used;
       bool purged_any = false;
-      for (const UserActiveness& user : users) {
+      for (const ScanKey& user : users) {
         if (done) break;
-        const util::Duration lifetime = policy.effective_lifetime(user, pass);
+        const util::Duration lifetime =
+            policy.effective_lifetime(plan.at(user), pass);
         std::vector<Victim> victims;
         vfs.for_each_under(
             registry.home_dir(user.user),
@@ -191,8 +194,10 @@ PurgeReport reference_walk(fs::Vfs& vfs, const ActiveDrPolicy& policy,
       if (!purged_any && pass > 0) {
         // Stop decaying once every lifetime in the group has bottomed out.
         bool bottomed_out = true;
-        for (const UserActiveness& user : users) {
-          if (policy.effective_lifetime(user, pass) > 0) bottomed_out = false;
+        for (const ScanKey& user : users) {
+          if (policy.effective_lifetime(plan.at(user), pass) > 0) {
+            bottomed_out = false;
+          }
         }
         if (bottomed_out) break;
       }
