@@ -37,10 +37,10 @@ int main() {
   service.record(1, campaigns, now - util::days(40), 1.0);
   // user2: silent.
 
-  const auto& ranks = service.evaluate(now);
+  service.evaluate(now);
   std::cout << "Classification with site-specific activity types:\n";
   for (trace::UserId u = 0; u < 3; ++u) {
-    const auto ua = ranks.get(u);
+    const auto ua = service.activeness_of(u);
     std::cout << "  " << service.registry().name(u) << " -> "
               << activeness::group_name(activeness::classify(ua))
               << "  (op " << ua.op.value() << ", outcome " << ua.oc.value()
@@ -51,7 +51,8 @@ int main() {
   std::cout << "\nEffective file lifetimes (initial 90 days):\n";
   for (trace::UserId u = 0; u < 3; ++u) {
     const double mult = activeness::lifetime_multiplier(
-        ranks.get(u), activeness::LifetimeMode::kActiveCategoriesOnly);
+        service.activeness_of(u),
+        activeness::LifetimeMode::kActiveCategoriesOnly);
     std::cout << "  " << service.registry().name(u) << ": "
               << static_cast<int>(90 * mult) << " days\n";
   }

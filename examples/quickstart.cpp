@@ -55,10 +55,10 @@ int main() {
   service.vfs().set_capacity_bytes(5 * gib);
 
   // 4. Evaluate and classify.
-  const auto& ranks = service.evaluate(now);
+  service.evaluate(now);
   std::cout << "User activeness at " << util::format_date(now) << ":\n";
   for (trace::UserId u = 0; u < 5; ++u) {
-    const auto ua = ranks.get(u);
+    const auto ua = service.activeness_of(u);
     std::cout << "  " << service.registry().name(u) << ": "
               << activeness::group_name(activeness::classify(ua))
               << " (op rank " << ua.op.value() << ", outcome rank "

@@ -52,10 +52,17 @@ bool scan_key_less(const ScanKey& a, const ScanKey& b) {
 
 void ScanPlan::sort_keys() {
   for (auto& keys : groups) keys.clear();
+  // Dense by user id in the pipeline, so the table never grows there.
+  group_by_user.assign(users.size(), UserGroup::kBothInactive);
   for (std::size_t i = 0; i < users.size(); ++i) {
-    const UserGroup group = classify(users[i]);
+    const UserActiveness& ua = users[i];
+    const UserGroup group = classify(ua);
     groups[static_cast<std::size_t>(group)].push_back(
-        scan_key(group, users[i], static_cast<std::uint32_t>(i)));
+        scan_key(group, ua, static_cast<std::uint32_t>(i)));
+    if (ua.user >= group_by_user.size()) {
+      group_by_user.resize(ua.user + std::size_t{1}, UserGroup::kBothInactive);
+    }
+    group_by_user[ua.user] = group;
   }
   // The groups sort independently, one pool task each: rebuilds run this
   // on every busy trigger.

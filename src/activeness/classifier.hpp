@@ -80,11 +80,15 @@ bool scan_key_less(const ScanKey& a, const ScanKey& b);
 /// activeness) order. The plan stores every record once, in `users`; a
 /// group holds only its users' ScanKeys, and at(key) reads the record a
 /// key stands for. Sorting or splicing a group therefore moves 48-byte
-/// keys, never records. A plan owns its records, so a copy or a move reads
-/// its own.
+/// keys, never records; `group_by_user` holds the same groups by user id. A
+/// plan owns its records, so a copy or a move reads its own. It is the only
+/// in-memory copy of an evaluation.
 struct ScanPlan {
   std::vector<UserActiveness> users;                     // by ScanKey::index
   std::array<std::vector<ScanKey>, kGroupCount> groups;  // by UserGroup
+  /// Each record's group, by its user id; sized to the largest id + 1,
+  /// kBothInactive where no record carries the id.
+  std::vector<UserGroup> group_by_user;
 
   const std::vector<ScanKey>& group(UserGroup g) const {
     return groups[static_cast<std::size_t>(g)];
@@ -92,11 +96,16 @@ struct ScanPlan {
   const UserActiveness& at(const ScanKey& key) const {
     return users[key.index];
   }
+  /// kBothInactive (a fresh account's group) for an id past the table.
+  UserGroup group_of(trace::UserId user) const {
+    return user < group_by_user.size() ? group_by_user[user]
+                                       : UserGroup::kBothInactive;
+  }
   std::size_t total_users() const;
 
   /// Classify every record, rebuild the groups' keys (index = the record's
-  /// slot in `users`) and sort each group, one pool task per group. The
-  /// groups keep their capacity.
+  /// slot in `users`) and group_by_user, and sort each group, one pool
+  /// task per group. The vectors keep their capacity.
   void sort_keys();
 };
 

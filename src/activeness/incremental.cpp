@@ -54,10 +54,6 @@ void IncrementalEvaluator::rebuild(ActivityStore& store, util::TimePoint now) {
   Evaluator evaluator(*catalog_, params);
   plan_ = build_scan_plan(evaluator.evaluate_all(store, &stable_until_));
   reeval_.clear();
-  groups_.resize(plan_.users.size());
-  for (std::size_t u = 0; u < plan_.users.size(); ++u) {
-    groups_[u] = classify(plan_.users[u]);
-  }
 }
 
 std::size_t IncrementalEvaluator::mark_candidates(ActivityStore& store,
@@ -76,7 +72,7 @@ void IncrementalEvaluator::splice() {
   for (auto& keys : incoming_) keys.clear();
   for (const trace::UserId u : reeval_) {
     const UserGroup g = classify(plan_.users[u]);
-    groups_[u] = g;
+    plan_.group_by_user[u] = g;
     incoming_[static_cast<std::size_t>(g)].push_back(
         scan_key(g, plan_.users[u], u));
   }
@@ -164,9 +160,6 @@ AdvanceStats IncrementalEvaluator::advance(ActivityStore& store,
       // Near-full delta: sorting every key afresh is cheaper than
       // splicing. Same output either way — scan_key_less is a strict total
       // order.
-      for (const trace::UserId u : reeval_) {
-        groups_[u] = classify(plan_.users[u]);
-      }
       plan_.sort_keys();
     } else if (!reeval_.empty()) {
       splice();

@@ -5,10 +5,11 @@
 // two triggers almost nothing changes: most users had no new activity, and
 // Eqs. 1–5 anchor the periods at t_c, so a user's rank moves only when a
 // period boundary passes one of their activities. IncrementalEvaluator
-// exploits that. It keeps the latest evaluation (a ScanPlan holding every
-// user's activeness once, dense by user id, plus each group's sorted keys,
-// and a user -> group table) and, on each advance to a new t_c,
-// re-evaluates only users that can have changed:
+// exploits that. It keeps the latest evaluation as one ScanPlan — every
+// user's activeness once, dense by user id, each group's sorted keys, and
+// the user -> group table — the only copy of it in memory: the Service,
+// the policies and the emulator read this plan. On each advance to a new
+// t_c it re-evaluates only users that can have changed:
 //
 //  * users the store marked dirty (streaming appends since the last drain);
 //  * users with activity inside (t_prev, t_c] revealed by the advancing trim
@@ -30,15 +31,16 @@
 // The users to re-evaluate go through Evaluator::evaluate_users, which
 // writes their records in place in the plan's table in contiguous blocks,
 // prefetching each user's streams two users ahead. The plan stores each
-// record once; its groups hold ScanKeys. Re-evaluated users' keys are
-// sorted per group in instance scratch, and each group is rebuilt by one
-// forward merge that drops the users' old keys, the four groups as pool
-// tasks: no record moves, and no kept key is rebuilt. scan_key_less is a
-// strict total order, so the patched plan is element-for-element identical
-// to a from-scratch build_scan_plan. Both eval modes therefore produce
-// identical ranks, classifications, scan orderings, and downstream
-// PurgeReports — the property suite in tests/activeness/test_incremental.cpp
-// holds them to it.
+// record once; its groups hold ScanKeys. The loop that builds the
+// re-evaluated users' keys also writes each one's group into the plan's
+// user -> group table. The keys are sorted per group in instance scratch,
+// and each group is rebuilt by one forward merge that drops the users' old
+// keys, the four groups as pool tasks: no record moves, and no kept key is
+// rebuilt. scan_key_less is a strict total order, so the patched plan is
+// element-for-element identical to a from-scratch build_scan_plan. Both
+// eval modes therefore produce identical ranks, classifications, scan
+// orderings, and downstream PurgeReports — the property suite in
+// tests/activeness/test_incremental.cpp holds them to it.
 
 #include <array>
 #include <cstdint>
@@ -91,11 +93,10 @@ class IncrementalEvaluator {
   const std::vector<trace::UserId>& reevaluated() const { return reeval_; }
 
   /// Latest evaluation (valid after the first advance()), dense by user id.
-  /// users() is the plan's own record table: the pipeline keeps one copy.
+  /// users() is the plan's own record table, and plan().group_of() its
+  /// group table: the pipeline keeps one copy.
   const ScanPlan& plan() const { return plan_; }
   const std::vector<UserActiveness>& users() const { return plan_.users; }
-  const std::vector<UserGroup>& groups() const { return groups_; }
-  UserGroup group_of(trace::UserId user) const { return groups_[user]; }
 
   bool evaluated() const { return evaluated_; }
   util::TimePoint last_now() const { return last_now_; }
@@ -112,8 +113,8 @@ class IncrementalEvaluator {
   /// chronological index shows active in (last_now_, now]. Returns their
   /// count.
   std::size_t mark_candidates(ActivityStore& store, util::TimePoint now);
-  /// Replace the keys of the users in reeval_ (flagged in
-  /// candidate_flags_) with keys of their new records.
+  /// Replace the keys and table groups of the users in reeval_ (flagged in
+  /// candidate_flags_) with those of their new records.
   void splice();
 
   const ActivityCatalog* catalog_;
@@ -122,8 +123,7 @@ class IncrementalEvaluator {
 
   bool evaluated_ = false;
   util::TimePoint last_now_ = 0;
-  ScanPlan plan_;                  // plan_.users: dense by user id
-  std::vector<UserGroup> groups_;  // dense by user id
+  ScanPlan plan_;  // plan_.users and plan_.group_by_user: dense by user id
   /// Last t_c at which each user's cached evaluation provably holds while
   /// their trimmed streams are unchanged (Evaluator::evaluate_users).
   std::vector<util::TimePoint> stable_until_;  // dense by user id

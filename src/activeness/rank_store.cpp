@@ -1,7 +1,12 @@
 #include "activeness/rank_store.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "util/csv.hpp"
@@ -10,107 +15,97 @@
 
 namespace adr::activeness {
 
-RankStore::RankStore(std::vector<UserActiveness> users)
-    : users_(std::move(users)) {
-  reindex();
-}
-
-void RankStore::reindex() {
-  index_.clear();
-  for (std::size_t i = 0; i < users_.size(); ++i) {
-    const trace::UserId u = users_[i].user;
-    if (u == trace::kInvalidUser) continue;
-    if (u >= index_.size()) index_.resize(u + 1, 0);
-    index_[u] = i + 1;
-  }
-}
-
-void RankStore::set(const UserActiveness& ua) {
-  if (ua.user == trace::kInvalidUser)
-    throw std::invalid_argument("RankStore: invalid user");
-  if (ua.user < index_.size() && index_[ua.user] != 0) {
-    users_[index_[ua.user] - 1] = ua;
-    return;
-  }
-  users_.push_back(ua);
-  if (ua.user >= index_.size()) index_.resize(ua.user + 1, 0);
-  index_[ua.user] = users_.size();
-}
-
-UserActiveness RankStore::get(trace::UserId user) const {
-  if (user < index_.size() && index_[user] != 0) return users_[index_[user] - 1];
-  UserActiveness fresh;
-  fresh.user = user;
-  return fresh;
-}
-
-bool RankStore::contains(trace::UserId user) const {
-  return user < index_.size() && index_[user] != 0;
-}
-
-std::array<std::size_t, kGroupCount> RankStore::group_counts() const {
-  std::array<std::size_t, kGroupCount> counts{};
-  for (const auto& ua : users_) {
-    ++counts[static_cast<std::size_t>(classify(ua))];
-  }
-  return counts;
-}
-
-void RankStore::save_csv(const std::string& path) const {
-  util::io::AtomicWriter writer(path,
-                                {.fsync = util::io::default_fsync()});
-  util::CsvWriter w(writer.stream());
-  w.write_row({"user", "op_has_data", "op_zero", "op_log_phi", "oc_has_data",
-               "oc_zero", "oc_log_phi", "last_activity"});
-  for (const auto& ua : users_) {
-    w.write_row({std::to_string(ua.user), ua.op.has_data ? "1" : "0",
-                 ua.op.zero ? "1" : "0",
-                 std::to_string(static_cast<double>(ua.op.log_phi)),
-                 ua.oc.has_data ? "1" : "0", ua.oc.zero ? "1" : "0",
-                 std::to_string(static_cast<double>(ua.oc.log_phi)),
-                 std::to_string(ua.last_activity)});
-  }
-  writer.commit();
-}
-
 namespace {
 
-RankStore parse_store(const std::string& content, const std::string& path) {
+const char* flag(bool value) { return value ? "1" : "0"; }
+
+std::string format_log_phi(long double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*Lg",
+                std::numeric_limits<long double>::max_digits10, value);
+  return buf;
+}
+
+bool parse_flag(const std::string& s, const util::RowContext& ctx,
+                const char* column) {
+  if (s == "1") return true;
+  if (s == "0") return false;
+  throw util::ParseError(ctx.describe(column) + ": expected 0 or 1: '" + s +
+                         "'");
+}
+
+// A full-string strtold. Non-finite values (an overflow among them) are
+// refused: a NaN key would break the scan order's strict total order.
+long double parse_log_phi(const std::string& s, const util::RowContext& ctx,
+                          const char* column) {
+  char* tail = nullptr;
+  const long double value = std::strtold(s.c_str(), &tail);
+  if (s.empty() || tail != s.c_str() + s.size() || !std::isfinite(value)) {
+    throw util::ParseError(ctx.describe(column) + ": invalid number: '" + s +
+                           "'");
+  }
+  return value;
+}
+
+std::vector<UserActiveness> parse_rank_file(const std::string& content,
+                                            const std::string& path) {
   std::istringstream in(content);
   util::CsvReader reader(in);
   if (!reader.read_header())
-    throw std::runtime_error("RankStore: empty file " + path);
+    throw std::runtime_error("rank file: empty file " + path);
   std::vector<UserActiveness> users;
+  std::unordered_set<trace::UserId> seen;
   while (auto row = reader.next()) {
     const util::RowContext ctx{&path, reader.line()};
     if (row->size() != 8) {
-      throw util::ParseError("RankStore: " + path + ":" +
+      throw util::ParseError("rank file: " + path + ":" +
                              std::to_string(reader.line()) +
                              ": expected 8 columns, got " +
                              std::to_string(row->size()));
     }
     UserActiveness ua;
     ua.user = static_cast<trace::UserId>(util::parse_u32((*row)[0], ctx, "user"));
-    ua.op.has_data = (*row)[1] == "1";
-    ua.op.zero = (*row)[2] == "1";
-    ua.op.log_phi = util::parse_f64((*row)[3], ctx, "op_log_phi");
-    ua.oc.has_data = (*row)[4] == "1";
-    ua.oc.zero = (*row)[5] == "1";
-    ua.oc.log_phi = util::parse_f64((*row)[6], ctx, "oc_log_phi");
+    if (!seen.insert(ua.user).second) {
+      throw util::ParseError(ctx.describe("user") + ": user " +
+                             (*row)[0] + " appears twice");
+    }
+    ua.op.has_data = parse_flag((*row)[1], ctx, "op_has_data");
+    ua.op.zero = parse_flag((*row)[2], ctx, "op_zero");
+    ua.op.log_phi = parse_log_phi((*row)[3], ctx, "op_log_phi");
+    ua.oc.has_data = parse_flag((*row)[4], ctx, "oc_has_data");
+    ua.oc.zero = parse_flag((*row)[5], ctx, "oc_zero");
+    ua.oc.log_phi = parse_log_phi((*row)[6], ctx, "oc_log_phi");
     ua.last_activity = util::parse_i64((*row)[7], ctx, "last_activity");
     users.push_back(ua);
   }
-  return RankStore(std::move(users));
+  return users;
 }
 
 }  // namespace
 
-RankStore RankStore::load_csv(const std::string& path) {
-  return parse_store(util::io::load_verified(path), path);
+void save_rank_file(const std::vector<UserActiveness>& users,
+                    const std::string& path) {
+  util::io::AtomicWriter writer(path,
+                                {.fsync = util::io::default_fsync()});
+  util::CsvWriter w(writer.stream());
+  w.write_row({"user", "op_has_data", "op_zero", "op_log_phi", "oc_has_data",
+               "oc_zero", "oc_log_phi", "last_activity"});
+  for (const auto& ua : users) {
+    w.write_row({std::to_string(ua.user), flag(ua.op.has_data),
+                 flag(ua.op.zero), format_log_phi(ua.op.log_phi),
+                 flag(ua.oc.has_data), flag(ua.oc.zero),
+                 format_log_phi(ua.oc.log_phi),
+                 std::to_string(ua.last_activity)});
+  }
+  writer.commit();
 }
 
-RankStoreLoadResult RankStore::try_load_csv(const std::string& path) {
-  RankStoreLoadResult result;
+std::vector<UserActiveness> load_rank_file(const std::string& path) {
+  return parse_rank_file(util::io::load_verified(path), path);
+}
+
+RankFileLoadResult try_load_rank_file(const std::string& path) {
+  RankFileLoadResult result;
   util::io::Artifact artifact;
   try {
     artifact = util::io::read_artifact(path);
@@ -124,7 +119,7 @@ RankStoreLoadResult RankStore::try_load_csv(const std::string& path) {
     return result;
   }
   try {
-    result.store = parse_store(artifact.content, path);
+    result.users = parse_rank_file(artifact.content, path);
     result.ok = true;
   } catch (const std::exception& e) {
     // CRC-clean but semantically unparseable (legacy damage, hand edits):

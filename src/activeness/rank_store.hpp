@@ -1,62 +1,40 @@
 #pragma once
-// Persistent store of evaluated user activeness. A site runs the evaluator
-// once per purge trigger and keeps the result; storing it lets operators
-// audit why a purge ordered users the way it did, and lets the emulator
-// re-load rather than re-evaluate when replaying long traces.
+// The rank file ("rank store" in the CLI): an evaluation's record table as
+// CSV, one row per user and each user once (user, op_has_data, op_zero,
+// op_log_phi, oc_has_data, oc_zero, oc_log_phi, last_activity), which
+// `activedr classify` audits and `purge --ranks` orders a purge by. Flags
+// are `0` or `1`; log Φ is written with max_digits10 digits of long double
+// and read back as long double, so a record reloads bit for bit and sorts
+// as the evaluation that wrote it (6-decimal files still load).
 
 #include <string>
 #include <vector>
 
-#include "activeness/classifier.hpp"
+#include "activeness/evaluator.hpp"
 
 namespace adr::activeness {
 
-struct RankStoreLoadResult;
+/// Atomic write (tmp + rename + CRC footer) of `users`, in their order.
+void save_rank_file(const std::vector<UserActiveness>& users,
+                    const std::string& path);
 
-class RankStore {
- public:
-  RankStore() = default;
-  explicit RankStore(std::vector<UserActiveness> users);
+/// Verifies the footer and throws on corruption *after* quarantining the
+/// file; throws util::ParseError on a malformed row, a flag other than
+/// 0/1, or a user named twice.
+std::vector<UserActiveness> load_rank_file(const std::string& path);
 
-  void set(const UserActiveness& ua);
-
-  /// Stored activeness for a user; a fresh default (no-data ranks, §3.4
-  /// semantics) if the user is unknown.
-  UserActiveness get(trace::UserId user) const;
-  bool contains(trace::UserId user) const;
-
-  const std::vector<UserActiveness>& all() const { return users_; }
-  std::size_t size() const { return users_.size(); }
-
-  /// Per-group population counts in G(1)..G(4) order (Fig. 5's percentages).
-  std::array<std::size_t, kGroupCount> group_counts() const;
-
-  /// CSV persistence
-  /// (header: user,op_has_data,op_zero,op_log_phi,oc_has_data,oc_zero,oc_log_phi).
-  /// save_csv is atomic (tmp + rename + CRC footer); load_csv verifies the
-  /// footer and throws on corruption *after* quarantining the file.
-  void save_csv(const std::string& path) const;
-  static RankStore load_csv(const std::string& path);
-
-  /// Non-throwing load for callers that can degrade (re-evaluate from traces
-  /// instead of trusting a damaged store). A corrupt or unparseable store is
-  /// quarantined to `<path>.corrupt[.N]` and reported in the result, never
-  /// acted on.
-  static RankStoreLoadResult try_load_csv(const std::string& path);
-
- private:
-  void reindex();
-
-  std::vector<UserActiveness> users_;            // packed
-  std::vector<std::size_t> index_;               // user id -> packed slot + 1
-};
-
-/// Outcome of RankStore::try_load_csv.
-struct RankStoreLoadResult {
+/// Outcome of try_load_rank_file.
+struct RankFileLoadResult {
   bool ok = false;
-  RankStore store;
-  std::string error;           // why the load failed ("" when ok)
-  std::string quarantined_to;  // where the bad file went ("" if none)
+  std::vector<UserActiveness> users;  // in file order
+  std::string error;                  // why the load failed ("" when ok)
+  std::string quarantined_to;         // where the bad file went ("" if none)
 };
+
+/// Non-throwing load for callers that can degrade (re-evaluate from traces
+/// instead of trusting a damaged file). A corrupt or unparseable file is
+/// quarantined to `<path>.corrupt[.N]` and reported in the result, never
+/// acted on.
+RankFileLoadResult try_load_rank_file(const std::string& path);
 
 }  // namespace adr::activeness

@@ -1,18 +1,20 @@
 #include "cli/commands.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <limits>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "activeness/incremental.hpp"
 #include "activeness/rank_store.hpp"
 #include "cli/flags.hpp"
 #include "cli/serve_commands.hpp"
+#include "core/service.hpp"
 #include "obs/metrics.hpp"
 #include "retention/activedr_policy.hpp"
 #include "retention/flt.hpp"
@@ -253,9 +255,11 @@ int cmd_synth(const util::Config& config, std::ostream& out) {
 
 // ---- evaluate / classify ---------------------------------------------------
 
-void print_matrix(const activeness::RankStore& ranks, std::ostream& out) {
-  const auto counts = ranks.group_counts();
-  const double total = static_cast<double>(ranks.size());
+void print_matrix(
+    const std::array<std::size_t, activeness::kGroupCount>& counts,
+    std::ostream& out) {
+  double total = 0.0;
+  for (const std::size_t n : counts) total += static_cast<double>(n);
   util::Table table("User activeness matrix (Fig. 4)");
   table.set_headers({"Group", "Users", "Share"});
   for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
@@ -283,66 +287,74 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
-int cmd_evaluate(const util::Config& config, std::ostream& out) {
-  IngestOptions ingest(config);
-  const auto registry =
-      trace::UserRegistry::load_csv(require_str(config, "users"), ingest.opts);
-  const auto jobs =
-      trace::JobLog::load_csv(require_str(config, "jobs"), ingest.opts);
-  const util::TimePoint now = require_date(config, "now");
-
-  // Catalog: the paper's two types plus one extra type per activity CSV.
-  activeness::ActivityCatalog catalog =
-      activeness::ActivityCatalog::paper_default();
-  const auto op_files = split_list(config.get_string("op-activities", ""));
-  const auto oc_files = split_list(config.get_string("oc-activities", ""));
+// The CLI's one evaluation path: a Service over `registry` fed --jobs,
+// --pubs and (`evaluate` only) one type per --op-/--oc-activities CSV,
+// evaluated at `now` with periods of `period_days`.
+std::unique_ptr<core::Service> evaluate_traces(const util::Config& config,
+                                               trace::UserRegistry registry,
+                                               util::TimePoint now,
+                                               int period_days,
+                                               IngestOptions& ingest,
+                                               std::ostream& out) {
+  core::ServiceConfig service_config;
+  service_config.lifetime_days = period_days;
+  auto service =
+      std::make_unique<core::Service>(std::move(registry), service_config);
+  service->register_paper_types();
   std::vector<std::pair<activeness::ActivityTypeId, std::string>> extra;
-  for (const auto& f : op_files) {
-    extra.emplace_back(
-        catalog.add({f, activeness::ActivityCategory::kOperation, 1.0}), f);
+  for (const auto& f : split_list(config.get_string("op-activities", ""))) {
+    extra.emplace_back(service->register_operation_type(f), f);
   }
-  for (const auto& f : oc_files) {
-    extra.emplace_back(
-        catalog.add({f, activeness::ActivityCategory::kOutcome, 1.0}), f);
+  for (const auto& f : split_list(config.get_string("oc-activities", ""))) {
+    extra.emplace_back(service->register_outcome_type(f), f);
   }
 
-  activeness::ActivityStore store(registry.size(), catalog.size());
-  activeness::ingest_jobs(store, 0, 1.0, jobs);
+  service->ingest_jobs(
+      trace::JobLog::load_csv(require_str(config, "jobs"), ingest.opts),
+      core::kJobActivityType);
   if (const auto pubs_path = config.get("pubs")) {
-    const auto pubs = trace::PublicationLog::load_csv(*pubs_path, ingest.opts);
-    activeness::ingest_publications(store, 1, 1.0, pubs);
+    service->ingest_publications(
+        trace::PublicationLog::load_csv(*pubs_path, ingest.opts),
+        core::kPublicationActivityType);
   }
   for (const auto& [type, file] : extra) {
-    const std::size_t n =
-        activeness::ingest_activities_csv(store, type, 1.0, file, ingest.opts);
+    const std::size_t n = activeness::ingest_activities_csv(
+        service->store(), type, 1.0, file, ingest.opts);
     out << "Ingested " << n << " activities from " << file << "\n";
   }
-  store.sort_all();
+  service->evaluate(now);
+  return service;
+}
+
+int cmd_evaluate(const util::Config& config, std::ostream& out) {
+  IngestOptions ingest(config);
+  auto registry =
+      trace::UserRegistry::load_csv(require_str(config, "users"), ingest.opts);
+  const util::TimePoint now = require_date(config, "now");
+  const int period_days = static_cast<int>(config.get_int("period-days", 90));
+  const auto service = evaluate_traces(config, std::move(registry), now,
+                                       period_days, ingest, out);
   ingest.report(out);
 
-  activeness::EvaluationParams params;
-  params.period_length_days =
-      static_cast<int>(config.get_int("period-days", 90));
-  activeness::IncrementalEvaluator pipeline(catalog, params);
-  pipeline.advance(store, now);
-  activeness::RankStore ranks(pipeline.users());
-
-  out << "Evaluated " << ranks.size() << " users at "
-      << util::format_date(now) << " (period "
-      << params.period_length_days << " days)\n";
-  print_matrix(ranks, out);
+  const auto& users = service->pipeline().users();
+  out << "Evaluated " << users.size() << " users at "
+      << util::format_date(now) << " (period " << period_days << " days)\n";
+  print_matrix(service->group_counts(), out);
 
   if (const auto out_path = config.get("out")) {
-    ranks.save_csv(*out_path);
+    activeness::save_rank_file(users, *out_path);
     out << "Rank store written to " << *out_path << "\n";
   }
   return 0;
 }
 
 int cmd_classify(const util::Config& config, std::ostream& out) {
-  const auto ranks =
-      activeness::RankStore::load_csv(require_str(config, "ranks"));
-  print_matrix(ranks, out);
+  std::array<std::size_t, activeness::kGroupCount> counts{};
+  for (const auto& ua :
+       activeness::load_rank_file(require_str(config, "ranks"))) {
+    ++counts[static_cast<std::size_t>(activeness::classify(ua))];
+  }
+  print_matrix(counts, out);
   return 0;
 }
 
@@ -352,7 +364,7 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
   IngestOptions ingest(config);
   const auto snapshot =
       trace::Snapshot::load_csv(require_str(config, "snapshot"), ingest.opts);
-  const auto registry =
+  auto registry =
       trace::UserRegistry::load_csv(require_str(config, "users"), ingest.opts);
   const util::TimePoint now = require_date(config, "now");
   const int lifetime = static_cast<int>(config.get_int("lifetime", 90));
@@ -380,17 +392,31 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
     const retention::FltPolicy policy(flt_config);
     report = policy.run(vfs, now, target);
   } else if (policy_name == "activedr") {
-    activeness::RankStore ranks;
-    bool have_ranks = false;
+    // The one plan ActiveDR scans: a --ranks file's, else the Service's.
+    activeness::ScanPlan file_plan;
+    std::unique_ptr<core::Service> service;
+    const activeness::ScanPlan* plan = nullptr;
     if (const auto ranks_path = config.get("ranks")) {
-      // A damaged store must never order a purge: try_load_csv quarantines
-      // corrupt/unparseable files, and when the trace inputs are also on the
-      // command line the run degrades to a full inline re-evaluation — the
-      // §10 recovery path — instead of failing the retention window.
-      auto loaded = activeness::RankStore::try_load_csv(*ranks_path);
+      // A damaged store must never order a purge: try_load_rank_file
+      // quarantines corrupt/unparseable files, and when the trace inputs are
+      // also on the command line the run degrades to a full inline
+      // re-evaluation — the §10 recovery path — instead of failing the
+      // retention window. An id outside the registry makes an intact file
+      // unusable too (plan tables are sized by id); it is not quarantined.
+      auto loaded = activeness::try_load_rank_file(*ranks_path);
       if (loaded.ok) {
-        ranks = std::move(loaded.store);
-        have_ranks = true;
+        for (const auto& ua : loaded.users) {
+          if (ua.user < registry.size()) continue;
+          loaded.ok = false;
+          loaded.error = "user " + std::to_string(ua.user) +
+                         " is outside the registry of " +
+                         std::to_string(registry.size()) + " users";
+          break;
+        }
+      }
+      if (loaded.ok) {
+        file_plan = activeness::build_scan_plan(std::move(loaded.users));
+        plan = &file_plan;
       } else if (config.contains("jobs")) {
         out << "WARNING: rank store " << *ranks_path << " unusable ("
             << loaded.error << ")";
@@ -404,28 +430,14 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
                                  ") and no --jobs to re-evaluate from");
       }
     }
-    if (!have_ranks && config.contains("jobs")) {
-      // Inline evaluation at --now through the incremental pipeline — the
-      // single-binary path for sites that don't persist rank stores, and the
-      // fallback when a persisted store failed verification.
-      const auto jobs =
-          trace::JobLog::load_csv(require_str(config, "jobs"), ingest.opts);
-      const activeness::ActivityCatalog catalog =
-          activeness::ActivityCatalog::paper_default();
-      activeness::ActivityStore store(registry.size(), catalog.size());
-      activeness::ingest_jobs(store, 0, 1.0, jobs);
-      if (const auto pubs_path = config.get("pubs")) {
-        const auto pubs =
-            trace::PublicationLog::load_csv(*pubs_path, ingest.opts);
-        activeness::ingest_publications(store, 1, 1.0, pubs);
-      }
-      activeness::IncrementalEvaluator pipeline(
-          catalog, activeness::EvaluationParams{lifetime});
-      pipeline.advance(store, now);
-      ranks = activeness::RankStore(pipeline.users());
-      have_ranks = true;
+    if (!plan && config.contains("jobs")) {
+      // The single-binary path for sites that don't persist rank stores, and
+      // the fallback when a persisted store is unusable.
+      service = evaluate_traces(config, std::move(registry), now, lifetime,
+                                ingest, out);
+      plan = &service->pipeline().plan();
     }
-    if (!have_ranks) {
+    if (!plan) {
       throw std::runtime_error(
           "activedr policy needs --ranks or --jobs (for inline evaluation)");
     }
@@ -437,8 +449,7 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
     if (const auto exempt = config.get("exempt")) {
       policy.set_exemptions(retention::ExemptionList::load(*exempt));
     }
-    const auto plan = activeness::build_scan_plan(ranks.all());
-    report = policy.run(vfs, now, target, plan);
+    report = policy.run(vfs, now, target, *plan);
   } else {
     throw std::runtime_error("unknown --policy: " + policy_name +
                              " (expected activedr or flt)");

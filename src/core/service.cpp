@@ -181,40 +181,41 @@ void Service::load_snapshot(const trace::Snapshot& snapshot) {
   vfs_.import_snapshot(snapshot);
 }
 
-const activeness::RankStore& Service::evaluate(util::TimePoint now) {
+const std::vector<activeness::UserActiveness>& Service::evaluate(
+    util::TimePoint now) {
   activeness::ActivityStore& store = ensure_store();
   // The guard also checks the ingest queue: a daemon trigger repeated at
   // the same `now` must still fold in events producers enqueued since the
   // last advance.
   if (last_eval_time_ && *last_eval_time_ == now && !store.has_dirty() &&
       !store.has_pending_ingest()) {
-    return ranks_;
+    return pipeline_.users();
   }
   util::FaultInjector::global().crash_point("service.evaluate");
-  const activeness::AdvanceStats stats = pipeline_.advance(store, now);
-  const std::vector<activeness::UserActiveness>& users = pipeline_.users();
-  if (stats.full_rebuild) {
-    ranks_ = activeness::RankStore(users);
-  } else {
-    // A delta advance left every other user's evaluation as it was, and
-    // ranks_ already holds it: patch only the re-evaluated users.
-    for (const trace::UserId u : pipeline_.reevaluated()) ranks_.set(users[u]);
-  }
+  pipeline_.advance(store, now);
   last_eval_time_ = now;
-  return ranks_;
+  return pipeline_.users();
 }
 
 std::array<std::size_t, activeness::kGroupCount> Service::group_counts()
     const {
-  return ranks_.group_counts();
+  std::array<std::size_t, activeness::kGroupCount> counts{};
+  for (std::size_t g = 0; g < activeness::kGroupCount; ++g) {
+    counts[g] = pipeline_.plan().groups[g].size();
+  }
+  return counts;
 }
 
 activeness::UserActiveness Service::activeness_of(trace::UserId user) const {
-  return ranks_.get(user);
+  const std::vector<activeness::UserActiveness>& users = pipeline_.users();
+  if (user < users.size()) return users[user];
+  activeness::UserActiveness fresh;
+  fresh.user = user;
+  return fresh;
 }
 
 util::Duration Service::effective_lifetime_of(trace::UserId user) const {
-  const double mult = activeness::lifetime_multiplier(ranks_.get(user),
+  const double mult = activeness::lifetime_multiplier(activeness_of(user),
                                                       config_.lifetime_mode);
   return static_cast<util::Duration>(
       static_cast<double>(util::days(config_.lifetime_days)) * mult);
@@ -234,10 +235,9 @@ retention::PurgeReport Service::purge(util::TimePoint now,
                                       Policy policy) {
   evaluate(now);
   util::FaultInjector::global().crash_point("service.purge");
-  const std::vector<activeness::UserGroup>& groups = pipeline_.groups();
-  const retention::GroupOf group_of = [&groups](trace::UserId user) {
-    return user < groups.size() ? groups[user]
-                                : activeness::UserGroup::kBothInactive;
+  const activeness::ScanPlan& plan = pipeline_.plan();
+  const retention::GroupOf group_of = [&plan](trace::UserId user) {
+    return plan.group_of(user);
   };
   switch (policy) {
     case Policy::kFlt: {
@@ -264,7 +264,7 @@ retention::PurgeReport Service::purge(util::TimePoint now,
     for (const auto& p : exemptions_.reserved_paths()) copy.reserve(p);
     adr.set_exemptions(std::move(copy));
   }
-  return adr.run(vfs_, now, target_bytes, pipeline_.plan());
+  return adr.run(vfs_, now, target_bytes, plan);
 }
 
 std::string Service::policy_name(Policy policy) const {

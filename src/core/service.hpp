@@ -6,10 +6,11 @@
 // IncrementalEvaluator pipeline, Vfs, exemptions. The paper emulator
 // replays each policy run on its own Service (sim/emulator.hpp), loadgen,
 // the scale harness and the chaos soak feed one, and `activedr serve`
-// keeps one resident and feeds it from the WAL. The CLI reaches it through those harnesses (`replay`,
-// `compare`, `loadgen`, `chaos`, `serve`); its one-shot `evaluate` and
-// `purge` commands still wire their own evaluator and policy (`purge
-// --ranks` reads a rank file, which Service has no entry point for).
+// keeps one resident and feeds it from the WAL. The CLI reaches it through
+// those harnesses (`replay`, `compare`, `loadgen`, `chaos`, `serve`) and
+// evaluates through one in `evaluate` and `purge`; only `purge`'s policy
+// run is wired by hand, since a `--ranks` plan never came from a Service.
+// The evaluation lives once, in the pipeline's ScanPlan.
 //
 // Three capabilities exist for the daemon (the other callers get them for
 // free):
@@ -36,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "activeness/rank_store.hpp"
 #include "activeness/incremental.hpp"
 #include "fs/vfs.hpp"
 #include "retention/activedr_policy.hpp"
@@ -136,16 +136,18 @@ class Service {
   void load_snapshot(const trace::Snapshot& snapshot);
 
   // -- evaluation ---------------------------------------------------------
-  /// Evaluate every registered user at `now` (Eqs. 1–6) and cache the
-  /// result. The cache is bypassed whenever the store has dirty users *or*
-  /// pending ingest-queue events, so a warm daemon trigger at an unchanged
-  /// `now` still folds in everything fed since the last trigger.
-  const activeness::RankStore& evaluate(util::TimePoint now);
+  /// Evaluate every registered user at `now` (Eqs. 1–6) and return the
+  /// pipeline's record table (pipeline().users()), dense by user id. A
+  /// repeated `now` reuses it unless the store has dirty users *or* pending
+  /// ingest-queue events, so a warm daemon trigger at an unchanged `now`
+  /// still folds in everything fed since the last trigger.
+  const std::vector<activeness::UserActiveness>& evaluate(util::TimePoint now);
 
+  /// The latest evaluation's group sizes, in G(1)..G(4) order.
   std::array<std::size_t, activeness::kGroupCount> group_counts() const;
+  /// The latest evaluation of `user`, or a fresh record carrying the id.
   activeness::UserActiveness activeness_of(trace::UserId user) const;
   util::Duration effective_lifetime_of(trace::UserId user) const;
-  const activeness::RankStore& ranks() const { return ranks_; }
 
   // -- retention ----------------------------------------------------------
   /// One purge trigger at `now` under `policy`: evaluates at `now` (cached
@@ -206,7 +208,6 @@ class Service {
 
   std::uint64_t last_applied_seq_ = 0;
   std::optional<util::TimePoint> last_eval_time_;
-  activeness::RankStore ranks_;
 };
 
 }  // namespace adr::core

@@ -106,22 +106,12 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
   report.when = now;
   report.target_purge_bytes = target_purge_bytes;
 
-  // Dense user -> group lookup for report attribution.
-  std::vector<activeness::UserGroup> group_lookup;
-  for (std::size_t gi = 0; gi < activeness::kGroupCount; ++gi) {
-    for (const activeness::ScanKey& key : plan.groups[gi]) {
-      if (key.user >= group_lookup.size()) {
-        group_lookup.resize(key.user + 1, activeness::UserGroup::kBothInactive);
-      }
-      group_lookup[key.user] = static_cast<activeness::UserGroup>(gi);
-    }
-  }
-  const GroupOf fast_group_of = [&group_lookup](trace::UserId user) {
-    return user < group_lookup.size() ? group_lookup[user]
-                                      : activeness::UserGroup::kBothInactive;
+  // Report attribution reads the plan's own user -> group table.
+  const GroupOf group_of = [&plan](trace::UserId user) {
+    return plan.group_of(user);
   };
 
-  fill_users_total(report, vfs, fast_group_of);
+  fill_users_total(report, vfs, group_of);
 
   report.dry_run = config_.dry_run;
   const bool record = config_.dry_run || config_.record_victims;
@@ -291,7 +281,7 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
     ADR_WARN << name() << ": purge target NOT reached; " << remaining
              << " bytes short after all groups and retrospective passes";
   }
-  fill_retained_stats(report, vfs, fast_group_of);
+  fill_retained_stats(report, vfs, group_of);
   return report;
 }
 

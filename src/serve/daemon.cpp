@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "activeness/rank_store.hpp"
 #include "obs/metrics.hpp"
 #include "trace/snapshot.hpp"
 #include "util/backoff.hpp"
@@ -319,7 +320,9 @@ void Daemon::handle_command(const std::string& cmd_path) {
         }
       }
       const auto ranks_out = cmd.get("ranks_out");
-      if (ranks_out) service_.ranks().save_csv(*ranks_out);
+      if (ranks_out) {
+        activeness::save_rank_file(service_.pipeline().users(), *ranks_out);
+      }
       obs::MetricsRegistry::global()
           .histogram("serve.trigger_seconds")
           .observe(std::chrono::duration<double>(

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "activeness/activity.hpp"
+#include "activeness/rank_store.hpp"
 #include "core/service.hpp"
 #include "serve/daemon.hpp"
 #include "trace/event_log.hpp"
@@ -206,7 +207,7 @@ struct ChaosWorld {
         static_cast<double>(cold.vfs().total_bytes()) * (1.0 - kRetain));
     const auto report = cold.purge(now, target);
     const std::string cold_ranks = config.dir + "/cold_ranks.csv";
-    cold.ranks().save_csv(cold_ranks);
+    activeness::save_rank_file(cold.pipeline().users(), cold_ranks);
     std::string cold_victims;
     for (const auto& path : report.victim_paths) cold_victims += path + "\n";
 

@@ -42,10 +42,7 @@ EmulationResult replay(const synth::TitanScenario& scenario,
   MetricsCollector metrics(scenario.sim_begin, scenario.sim_end);
   // The group of `user` per the service's latest evaluation.
   const auto group_of = [&service](trace::UserId user) {
-    const std::vector<activeness::UserGroup>& groups =
-        service.pipeline().groups();
-    return user < groups.size() ? groups[user]
-                                : activeness::UserGroup::kBothInactive;
+    return service.pipeline().plan().group_of(user);
   };
 
   // Seed classifications so pre-first-trigger misses attribute correctly.

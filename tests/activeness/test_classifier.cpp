@@ -137,6 +137,24 @@ TEST(ScanPlan, OwnsItsRecords) {
   EXPECT_NE(moved.users[0].last_activity, 99);
 }
 
+TEST(ScanPlan, GroupOfReadsTheTableByUserId) {
+  // Records with gaps in their ids, out of slot order: group_of answers by
+  // user id, not by slot, and a fresh account's group for every id no
+  // record carries, past the table's end included.
+  const ScanPlan plan = build_scan_plan(
+      {ua(9, 2, 2), ua(2, 2, 0.5), ua(6, 0.5, 2), ua(4, 0.1, 0.1)});
+  EXPECT_EQ(plan.group_of(9), UserGroup::kBothActive);
+  EXPECT_EQ(plan.group_of(2), UserGroup::kOperationActiveOnly);
+  EXPECT_EQ(plan.group_of(6), UserGroup::kOutcomeActiveOnly);
+  EXPECT_EQ(plan.group_of(4), UserGroup::kBothInactive);
+  for (const trace::UserId absent : {0u, 1u, 3u, 5u, 7u, 8u}) {
+    EXPECT_EQ(plan.group_of(absent), UserGroup::kBothInactive) << absent;
+  }
+  EXPECT_EQ(plan.group_of(10), UserGroup::kBothInactive);
+  EXPECT_EQ(plan.group_of(trace::kInvalidUser), UserGroup::kBothInactive);
+  EXPECT_EQ(ScanPlan{}.group_of(0), UserGroup::kBothInactive);
+}
+
 TEST(LifetimeMultiplier, ActiveCategoriesOnlyMode) {
   const auto mode = LifetimeMode::kActiveCategoriesOnly;
   // Both active: product of both ranks.

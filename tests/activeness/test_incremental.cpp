@@ -39,12 +39,15 @@ void expect_same_activeness(const UserActiveness& a, const UserActiveness& b) {
 }
 
 /// Every key must be the one its record yields now: a splice that kept a
-/// re-evaluated user's old key would leave it stale.
+/// re-evaluated user's old key would leave it stale. The user -> group
+/// table must name the group each key sits in.
 void expect_current_keys(const ScanPlan& plan) {
   for (std::size_t g = 0; g < kGroupCount; ++g) {
     for (const ScanKey& k : plan.groups[g]) {
       EXPECT_EQ(scan_key(static_cast<UserGroup>(g), plan.at(k), k.index), k)
           << "group " << g << " user " << k.user;
+      EXPECT_EQ(plan.group_of(k.user), static_cast<UserGroup>(g))
+          << "user " << k.user;
     }
   }
 }
@@ -57,6 +60,11 @@ void expect_same_plan(const ScanPlan& a, const ScanPlan& b) {
           << "group " << g << " position " << i;
       expect_same_activeness(a.at(a.groups[g][i]), b.at(b.groups[g][i]));
     }
+  }
+  const std::size_t ids =
+      std::max(a.group_by_user.size(), b.group_by_user.size()) + 1;
+  for (trace::UserId u = 0; u < ids; ++u) {
+    EXPECT_EQ(a.group_of(u), b.group_of(u)) << "user " << u;
   }
   expect_current_keys(a);
   expect_current_keys(b);
@@ -149,7 +157,6 @@ TEST(IncrementalEvaluator, MatchesFullAcrossRandomizedTriggerSweeps) {
         ASSERT_EQ(full.users().size(), inc.users().size());
         for (std::size_t u = 0; u < full.users().size(); ++u) {
           expect_same_activeness(full.users()[u], inc.users()[u]);
-          EXPECT_EQ(full.groups()[u], inc.groups()[u]);
         }
         expect_same_plan(full.plan(), inc.plan());
         if (trigger > 0) {
@@ -209,7 +216,6 @@ TEST(IncrementalEvaluator, MatchesFullAcrossAppendsJumpsAndVictimLists) {
       ASSERT_EQ(inc.users().size(), kUsers);
       for (std::size_t u = 0; u < kUsers; ++u) {
         expect_same_activeness(full.users()[u], inc.users()[u]);
-        EXPECT_EQ(full.groups()[u], inc.groups()[u]);
       }
       expect_same_plan(full.plan(), inc.plan());
     }
@@ -301,7 +307,6 @@ TEST(IncrementalEvaluator, StableUntilSkipMatchesFullAtSubPeriodCadences) {
       EXPECT_EQ(stats.full_rebuild, step == 0);
       for (std::size_t u = 0; u < kUsers; ++u) {
         expect_same_activeness(full.users()[u], inc.users()[u]);
-        EXPECT_EQ(full.groups()[u], inc.groups()[u]);
       }
       expect_same_plan(full.plan(), inc.plan());
       if (only_positive) {
@@ -442,7 +447,7 @@ TEST(IncrementalEvaluator, PlanPatchingMovesUsersAcrossGroups) {
   store.sort_all();
   IncrementalEvaluator inc(catalog, params, EvalMode::kIncremental);
   inc.advance(store, kT0);
-  EXPECT_EQ(inc.group_of(7), UserGroup::kBothInactive);  // fresh
+  EXPECT_EQ(inc.plan().group_of(7), UserGroup::kBothInactive);  // fresh
 
   // A dense recent burst flips user 7 to operation-active.
   std::vector<Activity> burst;
@@ -456,7 +461,7 @@ TEST(IncrementalEvaluator, PlanPatchingMovesUsersAcrossGroups) {
   const AdvanceStats stats = inc.advance(store, kT0 + 25 * kDay);
   EXPECT_FALSE(stats.full_rebuild);
   EXPECT_TRUE(inc.users()[7].op.active());
-  EXPECT_EQ(inc.group_of(7), UserGroup::kOperationActiveOnly);
+  EXPECT_EQ(inc.plan().group_of(7), UserGroup::kOperationActiveOnly);
 
   IncrementalEvaluator full(catalog, params, EvalMode::kFull);
   full.advance(mirror, kT0 + 25 * kDay);
@@ -511,7 +516,6 @@ TEST(IncrementalEvaluator, SustainedChurnStaysOnTheDeltaPathAndMatchesFull) {
     EXPECT_EQ(stats.users_dirty, 6u) << "storm advance " << i;
     for (std::size_t u = 0; u < kUsers; ++u) {
       expect_same_activeness(full.users()[u], pipeline.users()[u]);
-      EXPECT_EQ(full.groups()[u], pipeline.groups()[u]);
     }
     expect_same_plan(full.plan(), pipeline.plan());
   }

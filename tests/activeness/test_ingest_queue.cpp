@@ -37,12 +37,15 @@ void expect_same_activeness(const UserActiveness& a, const UserActiveness& b) {
 }
 
 /// Every key must be the one its record yields now: a splice that kept a
-/// re-evaluated user's old key would leave it stale.
+/// re-evaluated user's old key would leave it stale. The user -> group
+/// table must name the group each key sits in.
 void expect_current_keys(const ScanPlan& plan) {
   for (std::size_t g = 0; g < kGroupCount; ++g) {
     for (const ScanKey& k : plan.groups[g]) {
       EXPECT_EQ(scan_key(static_cast<UserGroup>(g), plan.at(k), k.index), k)
           << "group " << g << " user " << k.user;
+      EXPECT_EQ(plan.group_of(k.user), static_cast<UserGroup>(g))
+          << "user " << k.user;
     }
   }
 }
@@ -54,6 +57,11 @@ void expect_same_plan(const ScanPlan& a, const ScanPlan& b) {
       EXPECT_EQ(a.groups[g][i].user, b.groups[g][i].user);
       expect_same_activeness(a.at(a.groups[g][i]), b.at(b.groups[g][i]));
     }
+  }
+  const std::size_t ids =
+      std::max(a.group_by_user.size(), b.group_by_user.size()) + 1;
+  for (trace::UserId u = 0; u < ids; ++u) {
+    EXPECT_EQ(a.group_of(u), b.group_of(u)) << "user " << u;
   }
   expect_current_keys(a);
   expect_current_keys(b);

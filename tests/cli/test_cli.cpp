@@ -600,6 +600,99 @@ TEST_F(CliTest, CorruptRankStoreFallsBackAndMatchesCleanInlineRun) {
   EXPECT_EQ(clean_list, fallback_list);  // identical purge output
 }
 
+std::vector<std::string> slurp_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST_F(CliTest, PurgeFromSavedRanksMatchesInlineEvaluation) {
+  // The rank file round-trips exactly, so a purge ordered by `evaluate
+  // --out` selects the same victims, in the same order, as a purge that
+  // evaluates at --now itself.
+  const std::string ranks = path("ranks_for_purge.csv");
+  ASSERT_EQ(run({"evaluate", "--users", path("users.csv").c_str(), "--jobs",
+                 path("jobs.csv").c_str(), "--pubs", path("pubs.csv").c_str(),
+                 "--now", "2016-01-01", "--out", ranks.c_str()})
+                .code,
+            0);
+  const std::string from_file = path("victims_from_ranks.txt");
+  const CliResult saved =
+      run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
+           path("users.csv").c_str(), "--ranks", ranks.c_str(), "--now",
+           "2016-01-01", "--target", "0.5", "--dry-run", "--victims",
+           from_file.c_str()});
+  ASSERT_TRUE(saved.code == 0 || saved.code == 2) << saved.err;
+  const std::string inline_victims = path("victims_inline.txt");
+  const CliResult inline_run =
+      run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
+           path("users.csv").c_str(), "--jobs", path("jobs.csv").c_str(),
+           "--pubs", path("pubs.csv").c_str(), "--now", "2016-01-01",
+           "--target", "0.5", "--dry-run", "--victims",
+           inline_victims.c_str()});
+  ASSERT_EQ(inline_run.code, saved.code) << inline_run.err;
+  const auto want = slurp_lines(inline_victims);
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(slurp_lines(from_file), want);
+}
+
+TEST_F(CliTest, PurgeRefusesRanksOfUsersOutsideTheRegistry) {
+  // A rank file naming user 120 in a 120-user registry is intact but
+  // unusable: purge re-evaluates inline when it has --jobs and fails
+  // otherwise, and leaves the file where it is.
+  const std::string ranks = path("ranks_outside.csv");
+  ASSERT_EQ(run({"evaluate", "--users", path("users.csv").c_str(), "--jobs",
+                 path("jobs.csv").c_str(), "--pubs", path("pubs.csv").c_str(),
+                 "--now", "2016-01-01", "--out", ranks.c_str()})
+                .code,
+            0);
+  {
+    // Rewrite it footer-less (a legacy file loads unverified) with one
+    // more row.
+    std::vector<std::string> lines = slurp_lines(ranks);
+    std::ofstream out(ranks, std::ios::trunc);
+    for (const auto& line : lines) {
+      if (line.rfind("#ADRCRC", 0) != 0) out << line << "\n";
+    }
+    out << "120,1,0,0.5,0,0,0,1451606400\n";
+  }
+
+  const CliResult no_jobs =
+      run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
+           path("users.csv").c_str(), "--ranks", ranks.c_str(), "--now",
+           "2016-01-01", "--dry-run"});
+  EXPECT_EQ(no_jobs.code, 1);
+  EXPECT_NE(no_jobs.err.find("user 120 is outside the registry of 120 users"),
+            std::string::npos)
+      << no_jobs.err;
+  EXPECT_TRUE(fsys::exists(ranks));
+  EXPECT_FALSE(fsys::exists(ranks + ".corrupt"));
+
+  const std::string fallback_victims = path("victims_outside_fallback.txt");
+  const CliResult fallback =
+      run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
+           path("users.csv").c_str(), "--ranks", ranks.c_str(), "--jobs",
+           path("jobs.csv").c_str(), "--pubs", path("pubs.csv").c_str(),
+           "--now", "2016-01-01", "--target", "0.5", "--dry-run",
+           "--victims", fallback_victims.c_str()});
+  ASSERT_TRUE(fallback.code == 0 || fallback.code == 2) << fallback.err;
+  EXPECT_NE(fallback.out.find("falling back to inline re-evaluation"),
+            std::string::npos);
+  EXPECT_EQ(fallback.out.find("quarantined"), std::string::npos);
+  EXPECT_TRUE(fsys::exists(ranks));
+
+  const std::string inline_victims = path("victims_outside_inline.txt");
+  ASSERT_EQ(run({"purge", "--snapshot", path("snapshot.csv").c_str(),
+                 "--users", path("users.csv").c_str(), "--jobs",
+                 path("jobs.csv").c_str(), "--pubs", path("pubs.csv").c_str(),
+                 "--now", "2016-01-01", "--target", "0.5", "--dry-run",
+                 "--victims", inline_victims.c_str()})
+                .code,
+            fallback.code);
+  EXPECT_EQ(slurp_lines(fallback_victims), slurp_lines(inline_victims));
+}
+
 TEST_F(CliTest, BadDateRejected) {
   const CliResult r =
       run({"evaluate", "--users", path("users.csv").c_str(), "--jobs",

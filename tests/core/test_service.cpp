@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "activeness/rank_store.hpp"
 #include "obs/metrics.hpp"
 #include "trace/event_log.hpp"
 #include "util/bundle.hpp"
@@ -170,7 +172,7 @@ class ServiceTest : public ::testing::Test {
     for (const auto& event : all_events()) service->apply(event);
     const auto report = service->purge(now_, 0);
     const std::string ranks_path = dir_ + "/ranks_" + tag + ".csv";
-    service->ranks().save_csv(ranks_path);
+    activeness::save_rank_file(service->pipeline().users(), ranks_path);
     return {slurp(ranks_path), report.victim_paths};
   }
 };
@@ -193,7 +195,7 @@ TEST_F(ServiceTest, ApplyIsSeqGuardedAndIdempotent) {
   }
   const auto report = twice_service->purge(now_, 0);
   const std::string ranks_path = dir_ + "/ranks_twice.csv";
-  twice_service->ranks().save_csv(ranks_path);
+  activeness::save_rank_file(twice_service->pipeline().users(), ranks_path);
   EXPECT_EQ(slurp(ranks_path), once.first);
   EXPECT_EQ(report.victim_paths, once.second);
 }
@@ -210,7 +212,7 @@ TEST_F(ServiceTest, WalReplayMatchesDirectRecordIngest) {
   }
   const auto direct_report = direct->purge(now_, 0);
   const std::string direct_ranks = dir_ + "/ranks_direct.csv";
-  direct->ranks().save_csv(direct_ranks);
+  activeness::save_rank_file(direct->pipeline().users(), direct_ranks);
 
   const auto wal = cold_run("wal");
   EXPECT_EQ(slurp(direct_ranks), wal.first);
@@ -260,7 +262,7 @@ TEST_F(ServiceTest, CheckpointPlusTailReplayMatchesColdRun) {
   for (const auto& event : events) second->apply(event);  // idempotent tail
   const auto report = second->purge(now_, 0);
   const std::string ranks_path = dir_ + "/ranks_warm.csv";
-  second->ranks().save_csv(ranks_path);
+  activeness::save_rank_file(second->pipeline().users(), ranks_path);
 
   EXPECT_EQ(slurp(ranks_path), cold.first);
   EXPECT_EQ(report.victim_paths, cold.second);
@@ -387,8 +389,8 @@ TEST_F(ServiceTest, RecordAndEvaluate) {
     }
   }
   const auto& ranks = service_.evaluate(kNow);
-  EXPECT_TRUE(ranks.get(0).op.has_data);
-  EXPECT_TRUE(ranks.get(1).fresh());
+  EXPECT_TRUE(ranks[0].op.has_data);
+  EXPECT_TRUE(ranks[1].fresh());
   const auto counts = service_.group_counts();
   EXPECT_EQ(counts[0] + counts[1] + counts[2] + counts[3], 4u);
 }
@@ -402,7 +404,7 @@ TEST_F(ServiceTest, WeightsScaleImpacts) {
   service_.record(0, heavy, kNow - util::days(1), 2.0);
   const auto& ranks = service_.evaluate(kNow);
   // Single activity: rank 1.0 regardless of weight, but data present.
-  EXPECT_TRUE(ranks.get(0).op.active());
+  EXPECT_TRUE(ranks[0].op.active());
 }
 
 TEST_F(ServiceTest, PurgeUsesActiveness) {
@@ -452,8 +454,8 @@ TEST_F(ServiceTest, IngestLogsMatchesRecord) {
   service_.ingest_publications(pubs, oc_);
 
   const auto& ranks = service_.evaluate(kNow);
-  EXPECT_TRUE(ranks.get(2).op.active());   // single activity -> rank 1
-  EXPECT_TRUE(ranks.get(3).oc.active());
+  EXPECT_TRUE(ranks[2].op.active());   // single activity -> rank 1
+  EXPECT_TRUE(ranks[3].oc.active());
   EXPECT_EQ(service_.group_counts()[1], 1u);  // op-active-only
   EXPECT_EQ(service_.group_counts()[2], 1u);  // oc-active-only
 }
@@ -512,7 +514,7 @@ TEST_F(ServiceTest, EvaluationCachedUntilNewActivity) {
   EXPECT_EQ(&r1, &r2);
   service_.record(0, op_, kNow - util::days(2), 1.0);
   const auto& r3 = service_.evaluate(kNow);
-  EXPECT_TRUE(r3.get(0).op.has_data);
+  EXPECT_TRUE(r3[0].op.has_data);
 }
 
 TEST_F(ServiceTest, IncrementalEvaluationTouchesOnlyTheDirtyUser) {
@@ -542,12 +544,12 @@ TEST_F(ServiceTest, IncrementalEvaluationTouchesOnlyTheDirtyUser) {
   EXPECT_TRUE(service_.activeness_of(2).oc.has_data);
 }
 
-TEST_F(ServiceTest, DeltaAdvancesPatchRanksToAFullCopy) {
+TEST_F(ServiceTest, DeltaAdvancesReadTheOneCopyOfTheEvaluation) {
   // Evaluate after each slice of the history, then twice more with time
   // moving and nothing new: every advance after the first is a delta that
-  // patches the re-evaluated users into ranks() instead of copying every
-  // user. The patched store must equal a full copy field for field, and
-  // save the same bytes.
+  // patches the pipeline's plan. evaluate() returns that plan's own record
+  // table, and group_counts(), activeness_of() and the plan's group table
+  // agree with it after every advance.
   auto service = make_service();
   const auto events = all_events();
   const std::size_t slices = 4;
@@ -558,40 +560,42 @@ TEST_F(ServiceTest, DeltaAdvancesPatchRanksToAFullCopy) {
       service->apply(events[i]);
     }
   };
+  const auto expect_one_copy = [&](const auto& users) {
+    EXPECT_EQ(&users, &service->pipeline().users());
+    ASSERT_EQ(users.size(), kUsers);
+    std::array<std::size_t, activeness::kGroupCount> counted{};
+    for (trace::UserId u = 0; u < users.size(); ++u) {
+      SCOPED_TRACE("user " + std::to_string(u));
+      const activeness::UserGroup group = activeness::classify(users[u]);
+      ++counted[static_cast<std::size_t>(group)];
+      EXPECT_EQ(service->pipeline().plan().group_of(u), group);
+      const activeness::UserActiveness got = service->activeness_of(u);
+      EXPECT_EQ(got.user, u);
+      EXPECT_EQ(got.op.sort_key(), users[u].op.sort_key());
+      EXPECT_EQ(got.oc.sort_key(), users[u].oc.sort_key());
+      EXPECT_EQ(got.last_activity, users[u].last_activity);
+    }
+    EXPECT_EQ(service->group_counts(), counted);
+  };
   apply_slice(0);
-  service->evaluate(now_);  // the first evaluation rebuilds
+  expect_one_copy(service->evaluate(now_));  // the first evaluation rebuilds
   const auto before = obs::MetricsRegistry::global().snapshot();
   std::size_t patched = 0;
   for (std::size_t k = 1; k < slices + 2; ++k) {
     if (k < slices) apply_slice(k);
-    service->evaluate(now_ + static_cast<util::Duration>(k) * util::days(3));
+    expect_one_copy(service->evaluate(
+        now_ + static_cast<util::Duration>(k) * util::days(3)));
     patched += service->pipeline().reevaluated().size();
   }
   const auto after = obs::MetricsRegistry::global().snapshot();
   EXPECT_EQ(after.counters.at("incremental.full_rebuilds"),
             before.counters.at("incremental.full_rebuilds"));
   EXPECT_GT(patched, 0u);
-
-  const auto& users = service->pipeline().users();
-  const auto& ranks = service->ranks().all();
-  ASSERT_EQ(ranks.size(), users.size());
-  for (std::size_t u = 0; u < users.size(); ++u) {
-    SCOPED_TRACE("user " + std::to_string(u));
-    EXPECT_EQ(ranks[u].user, users[u].user);
-    for (const auto& [got, want] :
-         {std::pair{ranks[u].op, users[u].op},
-          std::pair{ranks[u].oc, users[u].oc}}) {
-      EXPECT_EQ(got.has_data, want.has_data);
-      EXPECT_EQ(got.zero, want.zero);
-      EXPECT_EQ(got.log_phi, want.log_phi);
-    }
-    EXPECT_EQ(ranks[u].last_activity, users[u].last_activity);
-  }
-  const std::string patched_csv = dir_ + "/ranks_patched.csv";
-  const std::string copied_csv = dir_ + "/ranks_copied.csv";
-  service->ranks().save_csv(patched_csv);
-  activeness::RankStore(users).save_csv(copied_csv);
-  EXPECT_EQ(slurp(patched_csv), slurp(copied_csv));
+  // An id past the registry reads as a fresh account carrying that id.
+  const auto past_end = static_cast<trace::UserId>(kUsers);
+  const activeness::UserActiveness outside = service->activeness_of(past_end);
+  EXPECT_EQ(outside.user, past_end);
+  EXPECT_TRUE(outside.fresh());
 }
 
 TEST_F(ServiceTest, FullEvalModeMatchesIncremental) {

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "activeness/rank_store.hpp"
 #include "core/service.hpp"
 #include "trace/event_log.hpp"
 #include "util/bundle.hpp"
@@ -150,7 +151,7 @@ class DaemonTest : public ::testing::Test {
         static_cast<double>(service.vfs().total_bytes()) * (1.0 - kRetain));
     const auto report = service.purge(now_, target, policy);
     const std::string ranks_path = dir_ + "/cold_ranks_" + tag + ".csv";
-    service.ranks().save_csv(ranks_path);
+    activeness::save_rank_file(service.pipeline().users(), ranks_path);
     ColdResult cold;
     cold.ranks = slurp(ranks_path);
     for (const auto& path : report.victim_paths) cold.victims += path + "\n";

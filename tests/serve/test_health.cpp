@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "activeness/rank_store.hpp"
 #include "core/service.hpp"
 #include "serve/daemon.hpp"
 #include "trace/event_log.hpp"
@@ -247,7 +248,7 @@ TEST_F(DaemonHealthTest, SlowPhaseDegradesDaemonButOutputStaysIdentical) {
         static_cast<double>(service.vfs().total_bytes()) * 0.5);
     const auto report = service.purge(now_, target);
     const std::string path = dir_ + "/cold_ranks.csv";
-    service.ranks().save_csv(path);
+    activeness::save_rank_file(service.pipeline().users(), path);
     cold_ranks = slurp(path);
     for (const auto& p : report.victim_paths) cold_victims += p + "\n";
     ASSERT_FALSE(cold_victims.empty());
@@ -401,7 +402,7 @@ TEST_F(DaemonHealthTest, StatusReportsQueueDepthAndSpillReplayLandsEverything) {
   }
   reference.evaluate(now_);
   const std::string ref_path = dir_ + "/ref_ranks.csv";
-  reference.ranks().save_csv(ref_path);
+  activeness::save_rank_file(reference.pipeline().users(), ref_path);
   EXPECT_EQ(slurp(warm_path), slurp(ref_path));
 }
 

@@ -82,7 +82,7 @@ TEST_F(MalformedInput, UserRegistryWrongColumnCount) {
 TEST_F(MalformedInput, RankStoreWrongColumnCount) {
   write("user,op_has_data,op_zero,op_log_phi,oc_has_data,oc_zero,oc_log_phi,"
         "last_activity\n0,1,0\n");
-  EXPECT_THROW(activeness::RankStore::load_csv(path_), std::runtime_error);
+  EXPECT_THROW(activeness::load_rank_file(path_), std::runtime_error);
 }
 
 TEST_F(MalformedInput, EveryLoaderRejectsMissingFile) {
@@ -92,7 +92,7 @@ TEST_F(MalformedInput, EveryLoaderRejectsMissingFile) {
   EXPECT_THROW(trace::AppLog::load_csv(missing), std::runtime_error);
   EXPECT_THROW(trace::Snapshot::load_csv(missing), std::runtime_error);
   EXPECT_THROW(trace::UserRegistry::load_csv(missing), std::runtime_error);
-  EXPECT_THROW(activeness::RankStore::load_csv(missing), std::runtime_error);
+  EXPECT_THROW(activeness::load_rank_file(missing), std::runtime_error);
 }
 
 TEST_F(MalformedInput, StrictErrorsCarryFileLineAndColumn) {
