@@ -297,16 +297,16 @@ PurgeTriggerRun run_purge_trigger(adr::fs::Vfs& vfs,
                                   adr::util::TimePoint now,
                                   std::uint64_t target, int reps) {
   using namespace adr;
-  retention::ActiveDrConfig config;
-  config.dry_run = true;  // selection cost only; every rep sees equal state
-  const retention::ActiveDrPolicy policy(config);
+  const retention::ActiveDrPolicy policy(retention::ActiveDrConfig{});
+  // Selection cost only; every rep sees equal state.
+  const retention::ApplyOptions dry_run{.dry_run = true};
 
   // Dry runs never mutate, so every rep shares this vfs.
   PurgeTriggerRun run;
   std::vector<double> secs;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto report = policy.run(vfs, now, target, plan);
+    const auto report = policy.run(vfs, now, target, plan, dry_run);
     secs.push_back(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());

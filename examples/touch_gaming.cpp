@@ -76,7 +76,7 @@ int main() {
   fs::Vfs flt_vfs;
   fill_scratch(flt_vfs, registry, now);
   const retention::FltPolicy flt(retention::FltConfig{90});
-  flt.run(flt_vfs, now, target);
+  flt.run(flt_vfs, now, target, plan);
 
   // --- ActiveDR: the toucher sits in Both-Inactive and is scanned first;
   // the retrospective passes decay their lifetime (90d * 0.8^4 = 36.9d)

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -16,9 +17,8 @@
 #include "cli/serve_commands.hpp"
 #include "core/service.hpp"
 #include "obs/metrics.hpp"
-#include "retention/activedr_policy.hpp"
-#include "retention/flt.hpp"
 #include "retention/ledger.hpp"
+#include "retention/policy.hpp"
 #include "sim/experiment.hpp"
 #include "sim/chaos.hpp"
 #include "sim/loadgen.hpp"
@@ -66,7 +66,8 @@ commands:
             One retention pass over a snapshot. --target is the fraction of
             *current usage* to retain (0 disables the byte target). ActiveDR
             needs ranks: either --ranks (from `evaluate`) or --jobs/--pubs
-            to evaluate inline at --now; FLT needs neither. --ledger appends
+            to evaluate inline at --now; FLT needs neither. --exempt (a
+            reservation list) is ActiveDR's; FLT refuses it. --ledger appends
             the run to an audit CSV; --dry-run selects victims without
             deleting; --victims writes the purge list (one path per line,
             committed atomically). --check-index cross-verifies the purge
@@ -289,15 +290,11 @@ std::vector<std::string> split_list(const std::string& csv) {
 
 // The CLI's one evaluation path: a Service over `registry` fed --jobs,
 // --pubs and (`evaluate` only) one type per --op-/--oc-activities CSV,
-// evaluated at `now` with periods of `period_days`.
-std::unique_ptr<core::Service> evaluate_traces(const util::Config& config,
-                                               trace::UserRegistry registry,
-                                               util::TimePoint now,
-                                               int period_days,
-                                               IngestOptions& ingest,
-                                               std::ostream& out) {
-  core::ServiceConfig service_config;
-  service_config.lifetime_days = period_days;
+// evaluated at `now` with periods of `service_config.lifetime_days`.
+std::unique_ptr<core::Service> evaluate_traces(
+    const util::Config& config, trace::UserRegistry registry,
+    util::TimePoint now, const core::ServiceConfig& service_config,
+    IngestOptions& ingest, std::ostream& out) {
   auto service =
       std::make_unique<core::Service>(std::move(registry), service_config);
   service->register_paper_types();
@@ -332,8 +329,10 @@ int cmd_evaluate(const util::Config& config, std::ostream& out) {
       trace::UserRegistry::load_csv(require_str(config, "users"), ingest.opts);
   const util::TimePoint now = require_date(config, "now");
   const int period_days = static_cast<int>(config.get_int("period-days", 90));
+  core::ServiceConfig service_config;
+  service_config.lifetime_days = period_days;
   const auto service = evaluate_traces(config, std::move(registry), now,
-                                       period_days, ingest, out);
+                                       service_config, ingest, out);
   ingest.report(out);
 
   const auto& users = service->pipeline().users();
@@ -361,41 +360,34 @@ int cmd_classify(const util::Config& config, std::ostream& out) {
 // ---- purge -----------------------------------------------------------------
 
 int cmd_purge(const util::Config& config, std::ostream& out) {
+  const std::string policy_name = config.get_string("policy", "activedr");
+  if (policy_name == "flt" && config.contains("exempt")) {
+    throw std::runtime_error(
+        "--exempt is not read by --policy flt (FLT keeps no reservation "
+        "list); drop one of the two");
+  }
   IngestOptions ingest(config);
   const auto snapshot =
       trace::Snapshot::load_csv(require_str(config, "snapshot"), ingest.opts);
   auto registry =
       trace::UserRegistry::load_csv(require_str(config, "users"), ingest.opts);
   const util::TimePoint now = require_date(config, "now");
-  const int lifetime = static_cast<int>(config.get_int("lifetime", 90));
+  core::ServiceConfig service_config;
+  service_config.lifetime_days =
+      static_cast<int>(config.get_int("lifetime", 90));
+  service_config.dry_run = config.get_bool("dry-run", false);
+  service_config.record_victims = config.contains("victims");
   const double retain_fraction = config.get_double("target", 0.5);
-  const std::string policy_name =
-      config.get_string("policy", "activedr");
+  if (policy_name != "activedr" && policy_name != "flt") {
+    throw std::runtime_error("unknown --policy: " + policy_name +
+                             " (expected activedr or flt)");
+  }
 
-  fs::Vfs vfs;
-  vfs.import_snapshot(snapshot);
-  const std::uint64_t target =
-      retain_fraction > 0.0
-          ? static_cast<std::uint64_t>(
-                static_cast<double>(vfs.total_bytes()) * (1.0 - retain_fraction))
-          : 0;
-
-  const bool dry_run = config.get_bool("dry-run", false);
-  const bool want_victims = config.contains("victims");
-
-  retention::PurgeReport report;
-  if (policy_name == "flt") {
-    retention::FltConfig flt_config;
-    flt_config.lifetime_days = lifetime;
-    flt_config.dry_run = dry_run;
-    flt_config.record_victims = want_victims;
-    const retention::FltPolicy policy(flt_config);
-    report = policy.run(vfs, now, target);
-  } else if (policy_name == "activedr") {
-    // The one plan ActiveDR scans: a --ranks file's, else the Service's.
-    activeness::ScanPlan file_plan;
-    std::unique_ptr<core::Service> service;
-    const activeness::ScanPlan* plan = nullptr;
+  // ActiveDR scans one plan: a --ranks file's, else the Service's own
+  // evaluation of --jobs/--pubs. FLT reads neither.
+  std::optional<activeness::ScanPlan> file_plan;
+  std::unique_ptr<core::Service> service;
+  if (policy_name == "activedr") {
     if (const auto ranks_path = config.get("ranks")) {
       // A damaged store must never order a purge: try_load_rank_file
       // quarantines corrupt/unparseable files, and when the trace inputs are
@@ -416,7 +408,6 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
       }
       if (loaded.ok) {
         file_plan = activeness::build_scan_plan(std::move(loaded.users));
-        plan = &file_plan;
       } else if (config.contains("jobs")) {
         out << "WARNING: rank store " << *ranks_path << " unusable ("
             << loaded.error << ")";
@@ -430,29 +421,39 @@ int cmd_purge(const util::Config& config, std::ostream& out) {
                                  ") and no --jobs to re-evaluate from");
       }
     }
-    if (!plan && config.contains("jobs")) {
+    if (!file_plan) {
+      if (!config.contains("jobs")) {
+        throw std::runtime_error(
+            "activedr policy needs --ranks or --jobs (for inline "
+            "evaluation)");
+      }
       // The single-binary path for sites that don't persist rank stores, and
       // the fallback when a persisted store is unusable.
-      service = evaluate_traces(config, std::move(registry), now, lifetime,
-                                ingest, out);
-      plan = &service->pipeline().plan();
+      service = evaluate_traces(config, std::move(registry), now,
+                                service_config, ingest, out);
     }
-    if (!plan) {
-      throw std::runtime_error(
-          "activedr policy needs --ranks or --jobs (for inline evaluation)");
-    }
-    retention::ActiveDrConfig adr_config;
-    adr_config.initial_lifetime_days = lifetime;
-    adr_config.dry_run = dry_run;
-    adr_config.record_victims = want_victims;
-    retention::ActiveDrPolicy policy(adr_config);
-    if (const auto exempt = config.get("exempt")) {
-      policy.set_exemptions(retention::ExemptionList::load(*exempt));
-    }
-    report = policy.run(vfs, now, target, *plan);
+  }
+  if (!service) {
+    service =
+        std::make_unique<core::Service>(std::move(registry), service_config);
+  }
+  service->load_snapshot(snapshot);
+  if (const auto exempt = config.get("exempt")) {
+    service->set_exemptions(retention::ExemptionList::load(*exempt));
+  }
+  const fs::Vfs& vfs = service->vfs();
+  const std::uint64_t target =
+      retention::retain_target_bytes(vfs, retain_fraction);
+
+  retention::PurgeReport report;
+  if (policy_name == "flt") {
+    // Attributed to an empty plan: every owner is Both Inactive.
+    report = service->purge(now, target, core::Policy::kFlt,
+                            activeness::ScanPlan{});
+  } else if (file_plan) {
+    report = service->purge(now, target, core::Policy::kActiveDr, *file_plan);
   } else {
-    throw std::runtime_error("unknown --policy: " + policy_name +
-                             " (expected activedr or flt)");
+    report = service->purge(now, target, core::Policy::kActiveDr);
   }
 
   ingest.report(out);

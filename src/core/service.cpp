@@ -48,17 +48,11 @@ retention::ActiveDrConfig activedr_config(const ServiceConfig& config) {
   adr.retrospective_passes = config.retrospective_passes;
   adr.retrospective_decay = config.retrospective_decay;
   adr.lifetime_mode = config.lifetime_mode;
-  adr.dry_run = config.dry_run;
-  adr.record_victims = config.record_victims;
   return adr;
 }
 
 retention::FltConfig flt_config(const ServiceConfig& config) {
-  retention::FltConfig flt;
-  flt.lifetime_days = config.lifetime_days;
-  flt.dry_run = config.dry_run;
-  flt.record_victims = config.record_victims;
-  return flt;
+  return retention::FltConfig{config.lifetime_days};
 }
 
 }  // namespace
@@ -234,37 +228,32 @@ retention::PurgeReport Service::purge(util::TimePoint now,
                                       std::uint64_t target_bytes,
                                       Policy policy) {
   evaluate(now);
+  return purge(now, target_bytes, policy, pipeline_.plan());
+}
+
+retention::PurgeReport Service::purge(util::TimePoint now,
+                                      std::uint64_t target_bytes,
+                                      Policy policy,
+                                      const activeness::ScanPlan& plan) {
   util::FaultInjector::global().crash_point("service.purge");
-  const activeness::ScanPlan& plan = pipeline_.plan();
-  const retention::GroupOf group_of = [&plan](trace::UserId user) {
-    return plan.group_of(user);
-  };
+  const retention::ApplyOptions options{config_.dry_run,
+                                        config_.record_victims};
   switch (policy) {
-    case Policy::kFlt: {
-      retention::FltPolicy flt(flt_config(config_));
-      flt.set_group_of(group_of);
-      return flt.run(vfs_, now, target_bytes);
-    }
-    case Policy::kValue: {
-      retention::ValuePolicy value(retention::ValueConfig{});
-      value.set_group_of(group_of);
-      return value.run(vfs_, now, target_bytes);
-    }
-    case Policy::kScratchCache: {
-      retention::ScratchCachePolicy cache(retention::ScratchCacheConfig{});
-      cache.set_group_of(group_of);
-      return cache.run(vfs_, now, target_bytes);
-    }
+    case Policy::kFlt:
+      return retention::FltPolicy(flt_config(config_))
+          .run(vfs_, now, target_bytes, plan, options);
+    case Policy::kValue:
+      return retention::ValuePolicy(retention::ValueConfig{})
+          .run(vfs_, now, target_bytes, plan, options);
+    case Policy::kScratchCache:
+      return retention::ScratchCachePolicy(retention::ScratchCacheConfig{})
+          .run(vfs_, now, target_bytes, plan, options);
     case Policy::kActiveDr:
       break;
   }
   retention::ActiveDrPolicy adr(activedr_config(config_));
-  if (!exemptions_.empty()) {
-    retention::ExemptionList copy;
-    for (const auto& p : exemptions_.reserved_paths()) copy.reserve(p);
-    adr.set_exemptions(std::move(copy));
-  }
-  return adr.run(vfs_, now, target_bytes, plan);
+  adr.set_exemptions(exemptions_);
+  return adr.run(vfs_, now, target_bytes, plan, options);
 }
 
 std::string Service::policy_name(Policy policy) const {

@@ -8,9 +8,12 @@
 // the scale harness and the chaos soak feed one, and `activedr serve`
 // keeps one resident and feeds it from the WAL. The CLI reaches it through
 // those harnesses (`replay`, `compare`, `loadgen`, `chaos`, `serve`) and
-// evaluates through one in `evaluate` and `purge`; only `purge`'s policy
-// run is wired by hand, since a `--ranks` plan never came from a Service.
-// The evaluation lives once, in the pipeline's ScanPlan.
+// evaluates and purges through one in `evaluate` and `purge` (a `--ranks`
+// file's plan goes to the purge overload that takes a plan), so every
+// policy run these callers make is built in purge(). (The emulator ages its
+// snapshot with facility FLT on a bare Vfs, and benches and examples that
+// time or contrast policies run them directly.) The evaluation lives once,
+// in the pipeline's ScanPlan.
 //
 // Three capabilities exist for the daemon (the other callers get them for
 // free):
@@ -49,7 +52,7 @@ namespace adr::core {
 /// Everything a deployment configures once. The first block holds the
 /// paper's knobs (file lifetime = activeness period length d, purge
 /// target, Eq. 7 and the retrospective policy, Eqs. 1–5); the second block
-/// carries the execution knobs of each policy run. Evaluation always runs
+/// is every policy run's retention::ApplyOptions. Evaluation always runs
 /// the delta pipeline (activeness/incremental.hpp), and ActiveDR always
 /// scans the Vfs's purge index.
 struct ServiceConfig {
@@ -70,11 +73,12 @@ struct ServiceConfig {
   bool record_victims = false;
 };
 
-/// The retention policy one purge trigger runs. ActiveDR scans the latest
-/// evaluation's plan; the other three purge on their own criteria and
-/// attribute their reports to the same evaluation's groups. kValue and
-/// kScratchCache run at their default configs (retention/value_policy.hpp,
-/// retention/cache_policy.hpp).
+/// The retention policy one purge trigger runs. ActiveDR scans the plan's
+/// groups; the other three select on their own criteria and attribute their
+/// reports to the same plan's groups. All four honour dry_run and
+/// record_victims. kValue and kScratchCache run at their default configs
+/// (retention/value_policy.hpp, retention/cache_policy.hpp); only ActiveDR
+/// reads the reservation list.
 enum class Policy { kActiveDr, kFlt, kValue, kScratchCache };
 
 /// WAL events carry no catalog ids, only kinds; these are the fixed type
@@ -151,8 +155,8 @@ class Service {
 
   // -- retention ----------------------------------------------------------
   /// One purge trigger at `now` under `policy`: evaluates at `now` (cached
-  /// if nothing changed), then runs the policy against the Vfs. The
-  /// no-target overload derives the byte target from
+  /// if nothing changed), then runs the policy against the Vfs over the
+  /// evaluation's plan. The no-target overload derives the byte target from
   /// config().purge_target_utilization and the Vfs capacity; the explicit
   /// overload takes the target in bytes (0 = no target, purge all expired)
   /// — the daemon computes cmd_purge-compatible retain-fraction targets
@@ -162,6 +166,12 @@ class Service {
   retention::PurgeReport purge(util::TimePoint now,
                                std::uint64_t target_bytes,
                                Policy policy = Policy::kActiveDr);
+  /// The same run over `plan` instead of an evaluation, which it neither
+  /// runs nor reads: `purge --ranks` passes a rank file's plan, and an
+  /// empty plan reports every owner as Both Inactive.
+  retention::PurgeReport purge(util::TimePoint now,
+                               std::uint64_t target_bytes, Policy policy,
+                               const activeness::ScanPlan& plan);
   /// The name `policy`'s reports carry (e.g. "FLT-90d").
   std::string policy_name(Policy policy) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "fs/purge_index.hpp"
@@ -78,8 +77,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 ActiveDrPolicy::ActiveDrPolicy(ActiveDrConfig config) : config_(config) {}
 
-void ActiveDrPolicy::set_exemptions(ExemptionList exemptions) {
-  exemptions_ = std::move(exemptions);
+const ExemptionList& ActiveDrPolicy::exemptions() const {
+  static const ExemptionList kNone;
+  return exemptions_ ? *exemptions_ : kNone;
 }
 
 std::string ActiveDrPolicy::name() const {
@@ -100,36 +100,23 @@ util::Duration ActiveDrPolicy::effective_lifetime(
 
 PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
                                 std::uint64_t target_purge_bytes,
-                                const activeness::ScanPlan& plan) const {
-  PurgeReport report;
-  report.policy = name();
-  report.when = now;
-  report.target_purge_bytes = target_purge_bytes;
-
-  // Report attribution reads the plan's own user -> group table.
-  const GroupOf group_of = [&plan](trace::UserId user) {
-    return plan.group_of(user);
-  };
-
-  fill_users_total(report, vfs, group_of);
-
-  report.dry_run = config_.dry_run;
-  const bool record = config_.dry_run || config_.record_victims;
+                                const activeness::ScanPlan& plan,
+                                ApplyOptions options) const {
+  PurgeApply apply(vfs, plan, name(), now, target_purge_bytes, options);
+  PurgeReport& report = apply.report();
   indexed_scans().add();
   const fs::PurgeIndex& index = vfs.purge_index();
 
-  std::uint64_t remaining = target_purge_bytes;
   const bool no_target = target_purge_bytes == 0;
-  std::vector<bool> user_affected;
+  const ExemptionList& exemptions = this->exemptions();
   std::size_t exempted = 0;
   const auto is_exempt = [&](const fs::PurgeIndex::Entry& e) {
-    return exemptions_.is_exempt(index.path(e.id));
+    return exemptions.is_exempt(index.path(e.id));
   };
 
   obs::TimerSpan run_span("policy.run");
-  bool done = false;
   for (const activeness::UserGroup group : activeness::kScanOrder) {
-    if (done) break;
+    if (apply.done()) break;
     const auto& keys = plan.group(group);
     if (keys.empty()) continue;
     groups_scanned().add();
@@ -168,7 +155,7 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
       for (std::size_t ui = first; ui < last; ++ui) {
         auto& mine = reached[ui].candidates;
         index.collect_expired(keys[ui].user, widest_cutoff(keys[ui]), mine);
-        if (!exemptions_.empty()) {
+        if (!exemptions.empty()) {
           const auto kept = std::remove_if(mine.begin(), mine.end(), is_exempt);
           exempted += static_cast<std::size_t>(mine.end() - kept);
           mine.erase(kept, mine.end());
@@ -180,7 +167,7 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
       return scan_span.stop();
     };
 
-    for (int pass = 0; pass <= max_pass && !done; ++pass) {
+    for (int pass = 0; pass <= max_pass && !apply.done(); ++pass) {
       if (pass > 0) {
         ++report.retrospective_passes_used;
         retrospective_passes().add();
@@ -192,7 +179,7 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
       const auto apply_start = std::chrono::steady_clock::now();
       double scan_seconds = 0.0;
       bool purged_any = false;
-      for (std::size_t ui = 0; ui < keys.size() && !done; ++ui) {
+      for (std::size_t ui = 0; ui < keys.size() && !apply.done(); ++ui) {
         if (ui == reached.size()) scan_seconds += collect_block();
         const trace::UserId user = keys[ui].user;
         // This pass's victims: the candidate prefix under the decayed
@@ -200,35 +187,13 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
         const util::TimePoint cutoff =
             now - effective_lifetime(plan.at(keys[ui]), pass);
         Reached& mine = reached[ui];
-        for (; !done && mine.cursor < mine.candidates.size() &&
+        for (; !apply.done() && mine.cursor < mine.candidates.size() &&
                mine.candidates[mine.cursor].atime < cutoff;
              ++mine.cursor) {
           const fs::PurgeIndex::Entry& v = mine.candidates[mine.cursor];
-          const std::string& path = index.path(v.id);
-          if (record) report.victim_paths.push_back(path);
-          if (!config_.dry_run && !vfs.remove(path)) {
-            if (record) report.victim_paths.pop_back();
-            continue;  // already gone
-          }
-          purged_any = true;
-          victims_purged().add();
-          report.purged_bytes += v.size_bytes;
-          ++report.purged_files;
-          auto& g = report.group(group);
-          g.purged_bytes += v.size_bytes;
-          ++g.purged_files;
-          if (user != trace::kInvalidUser) {
-            if (user >= user_affected.size())
-              user_affected.resize(user + 1, false);
-            if (!user_affected[user]) {
-              user_affected[user] = true;
-              ++g.users_affected;
-              report.affected_users.push_back(user);
-            }
-          }
-          if (!no_target) {
-            remaining -= std::min(remaining, v.size_bytes);
-            if (remaining == 0) done = true;
+          if (apply.take(v.id, user, v.size_bytes)) {
+            purged_any = true;
+            victims_purged().add();
           }
         }
       }
@@ -255,13 +220,13 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
       ADR_DEBUG << name() << ": group '" << activeness::group_name(group)
                 << "' pass " << pass << " done, remaining "
                 << (no_target ? std::string("(no target)")
-                              : std::to_string(remaining) + " bytes");
+                              : std::to_string(apply.remaining()) + " bytes");
     }
 
     // The target stopped the apply before the scan reached these users.
     // Their exempt files still count once for the group when expired at
     // its widest cutoff (DESIGN.md §8); nothing else of theirs is needed.
-    if (!exemptions_.empty() && reached.size() < keys.size()) {
+    if (!exemptions.empty() && reached.size() < keys.size()) {
       obs::TimerSpan scan_span("policy.scan");
       std::vector<fs::PurgeIndex::Entry> expired;
       for (std::size_t ui = reached.size(); ui < keys.size(); ++ui) {
@@ -276,13 +241,12 @@ PurgeReport ActiveDrPolicy::run(fs::Vfs& vfs, util::TimePoint now,
   }
 
   report.exempted_files = exempted;
-  report.target_reached = no_target || remaining == 0;
-  if (!report.target_reached) {
-    ADR_WARN << name() << ": purge target NOT reached; " << remaining
+  PurgeReport result = apply.finish();
+  if (!result.target_reached) {
+    ADR_WARN << name() << ": purge target NOT reached; " << apply.remaining()
              << " bytes short after all groups and retrospective passes";
   }
-  fill_retained_stats(report, vfs, group_of);
-  return report;
+  return result;
 }
 
 }  // namespace adr::retention

@@ -31,7 +31,8 @@
 // serial, DESIGN.md §5.) Within a user, victims go oldest first (atime, then
 // path id). An exempt file counts toward exempted_files once per scanned
 // group, when it is expired at that group's widest cutoff — also when the
-// target stops the apply before the scan reaches its owner.
+// target stops the apply before the scan reaches its owner. What happens to
+// a victim once chosen is PurgeApply's, as for every policy.
 
 #include <cstdint>
 #include <string>
@@ -59,29 +60,29 @@ struct ActiveDrConfig {
   /// Clamps for the lifetime multiplier.
   double min_multiplier = 1e-3;
   double max_multiplier = 1e6;
-
-  /// Select and account victims without deleting anything (operators review
-  /// the purge list first). Implies record_victims.
-  bool dry_run = false;
-  /// Record every victim path into PurgeReport::victim_paths.
-  bool record_victims = false;
-
 };
 
 class ActiveDrPolicy {
  public:
   explicit ActiveDrPolicy(ActiveDrConfig config);
 
-  /// Install the administrator's reservation list (optional).
-  void set_exemptions(ExemptionList exemptions);
-  const ExemptionList& exemptions() const { return exemptions_; }
+  /// Borrow the administrator's reservation list (optional): read in place
+  /// by every later run, so it must outlive them.
+  void set_exemptions(const ExemptionList& exemptions) {
+    exemptions_ = &exemptions;
+  }
+  void set_exemptions(ExemptionList&&) = delete;  // would dangle
+  /// The borrowed list, or an empty one.
+  const ExemptionList& exemptions() const;
 
   /// Purge at `now` until `target_purge_bytes` are freed (0 = no target:
   /// one normal pass over every group, purging everything expired under the
-  /// adjusted lifetimes).
+  /// adjusted lifetimes), scanning `plan`'s groups and attributing the
+  /// report to them.
   PurgeReport run(fs::Vfs& vfs, util::TimePoint now,
                   std::uint64_t target_purge_bytes,
-                  const activeness::ScanPlan& plan) const;
+                  const activeness::ScanPlan& plan,
+                  ApplyOptions options = {}) const;
 
   /// The effective file lifetime (seconds) ActiveDR grants this user at the
   /// given retrospective pass — exposed for tests and the ablation benches.
@@ -93,7 +94,7 @@ class ActiveDrPolicy {
 
  private:
   ActiveDrConfig config_;
-  ExemptionList exemptions_;
+  const ExemptionList* exemptions_ = nullptr;
 };
 
 }  // namespace adr::retention

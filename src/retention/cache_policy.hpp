@@ -28,12 +28,13 @@ class ScratchCachePolicy {
  public:
   explicit ScratchCachePolicy(ScratchCacheConfig config);
 
-  void set_group_of(GroupOf group_of);
-
-  /// Evict everything idle beyond the horizon. The byte target is ignored:
-  /// a cache holds exactly the working set, no more and no less.
+  /// Evict everything idle beyond the horizon, in system scan order. The
+  /// byte target is ignored: a cache holds exactly the working set, no more
+  /// and no less. The report's rows follow `plan`'s groups.
   PurgeReport run(fs::Vfs& vfs, util::TimePoint now,
-                  std::uint64_t target_purge_bytes = 0) const;
+                  std::uint64_t target_purge_bytes,
+                  const activeness::ScanPlan& plan,
+                  ApplyOptions options = {}) const;
 
   const ScratchCacheConfig& config() const { return config_; }
   std::string name() const {
@@ -42,7 +43,6 @@ class ScratchCachePolicy {
 
  private:
   ScratchCacheConfig config_;
-  GroupOf group_of_;
 };
 
 }  // namespace adr::retention

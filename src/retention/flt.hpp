@@ -3,7 +3,7 @@
 // last access exceeds a fixed lifetime. This is the policy deployed at the
 // facilities of Table 1, and the baseline all paper figures compare against.
 //
-// Two modes, each with its own scan:
+// Two modes, each with its own selection (the apply is PurgeApply's):
 //  * strict (target = 0): purge *all* expired files — the classic cron
 //    behaviour behind Fig. 1. The victim set is order-independent, so it is
 //    read straight off the Vfs's atime-ordered purge index;
@@ -12,6 +12,8 @@
 //    "same purge target" comparison mode of §4. FLT has no recourse beyond
 //    expired files: if they don't cover the target the run reports
 //    target_reached = false.
+//
+// FLT reads no reservation list.
 
 #include <cstdint>
 #include <string>
@@ -22,10 +24,6 @@ namespace adr::retention {
 
 struct FltConfig {
   int lifetime_days = 90;
-  /// Select and account victims without deleting anything.
-  bool dry_run = false;
-  /// Record every victim path into PurgeReport::victim_paths.
-  bool record_victims = false;
 
   /// Facility presets from Table 1.
   static FltConfig ncar() { return {120}; }
@@ -38,20 +36,20 @@ class FltPolicy {
  public:
   explicit FltPolicy(FltConfig config);
 
-  /// Attribute per-group report rows (comparison figures group FLT results
-  /// by the ActiveDR classification). Defaults to Both-Inactive for all.
-  void set_group_of(GroupOf group_of);
-
   /// Purge at `now`; free at least `target_purge_bytes` (0 = all expired).
+  /// The report's rows follow `plan`'s groups (the comparison figures group
+  /// FLT results by the ActiveDR classification); an empty plan puts every
+  /// owner in Both Inactive.
   PurgeReport run(fs::Vfs& vfs, util::TimePoint now,
-                  std::uint64_t target_purge_bytes = 0) const;
+                  std::uint64_t target_purge_bytes,
+                  const activeness::ScanPlan& plan,
+                  ApplyOptions options = {}) const;
 
   const FltConfig& config() const { return config_; }
   std::string name() const;
 
  private:
   FltConfig config_;
-  GroupOf group_of_;
 };
 
 }  // namespace adr::retention

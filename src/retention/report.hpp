@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -16,11 +15,6 @@
 #include "util/time.hpp"
 
 namespace adr::retention {
-
-/// Maps a user to the activeness group the *report* should attribute them
-/// to. Both policies are reported against the same grouping so the
-/// comparison figures line up.
-using GroupOf = std::function<activeness::UserGroup(trace::UserId)>;
 
 struct GroupStats {
   std::uint64_t purged_bytes = 0;
@@ -58,7 +52,9 @@ struct PurgeReport {
   /// Files skipped because they were on the reservation list.
   std::size_t exempted_files = 0;
 
-  /// Indexed by activeness::UserGroup.
+  /// Indexed by activeness::UserGroup: every policy's report follows the
+  /// groups of the scan plan it ran against (PurgeApply), so the comparison
+  /// figures line up.
   std::array<GroupStats, activeness::kGroupCount> by_group{};
 
   /// Users who lost at least one file in this run (unique, unordered) —
@@ -70,8 +66,8 @@ struct PurgeReport {
   /// but nothing was deleted (retained stats then describe the *untouched*
   /// state).
   bool dry_run = false;
-  /// The selected victims, populated when the policy's record_victims (or
-  /// dry-run) option is on — the purge list operators review before
+  /// The selected victims, populated when the run's record_victims (or
+  /// dry_run) apply option is on — the purge list operators review before
   /// committing.
   std::vector<std::string> victim_paths;
 

@@ -4,16 +4,11 @@
 #include <cmath>
 #include <vector>
 
+#include "fs/purge_index.hpp"
+
 namespace adr::retention {
 
-ValuePolicy::ValuePolicy(ValueConfig config)
-    : config_(std::move(config)), group_of_([](trace::UserId) {
-        return activeness::UserGroup::kBothInactive;
-      }) {}
-
-void ValuePolicy::set_group_of(GroupOf group_of) {
-  group_of_ = std::move(group_of);
-}
+ValuePolicy::ValuePolicy(ValueConfig config) : config_(std::move(config)) {}
 
 namespace {
 
@@ -51,61 +46,37 @@ double ValuePolicy::value_of(const std::string& path, const fs::FileMeta& meta,
 }
 
 PurgeReport ValuePolicy::run(fs::Vfs& vfs, util::TimePoint now,
-                             std::uint64_t target_purge_bytes) const {
-  PurgeReport report;
-  report.policy = name();
-  report.when = now;
-  report.target_purge_bytes = target_purge_bytes;
-  fill_users_total(report, vfs, group_of_);
-
+                             std::uint64_t target_purge_bytes,
+                             const activeness::ScanPlan& plan,
+                             ApplyOptions options) const {
+  PurgeApply apply(vfs, plan, name(), now, target_purge_bytes, options);
   struct Scored {
     double value;
-    std::string path;
-    trace::UserId owner;
-    std::uint64_t size;
+    Victim victim;
   };
   std::vector<Scored> scored;
   scored.reserve(vfs.file_count());
   vfs.for_each([&](const std::string& path, const fs::FileMeta& meta) {
-    scored.push_back(
-        {value_of(path, meta, now), path, meta.owner, meta.size_bytes});
+    scored.push_back({value_of(path, meta, now),
+                      {meta.path_id, meta.owner, meta.size_bytes}});
   });
-  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.path < b.path;  // deterministic ties
-  });
+  const fs::PurgeIndex& index = vfs.purge_index();
+  std::sort(scored.begin(), scored.end(),
+            [&index](const Scored& a, const Scored& b) {
+              if (a.value != b.value) return a.value < b.value;
+              // Deterministic ties.
+              return index.path(a.victim.id) < index.path(b.victim.id);
+            });
 
-  const bool no_target = target_purge_bytes == 0;
-  std::uint64_t remaining = target_purge_bytes;
-  std::vector<bool> seen_user;
-  for (const auto& victim : scored) {
-    if (no_target) {
-      if (victim.value >= config_.value_floor) break;  // sorted: rest valuable
-    } else if (remaining == 0) {
+  for (const Scored& s : scored) {
+    // Sorted: without a target, the rest are at or above the floor.
+    if (target_purge_bytes == 0 ? s.value >= config_.value_floor
+                                : apply.done()) {
       break;
     }
-    vfs.remove(victim.path);
-    report.purged_bytes += victim.size;
-    ++report.purged_files;
-    auto& g = report.group(group_of_(victim.owner));
-    g.purged_bytes += victim.size;
-    ++g.purged_files;
-    if (victim.owner != trace::kInvalidUser) {
-      if (victim.owner >= seen_user.size()) {
-        seen_user.resize(victim.owner + 1, false);
-      }
-      if (!seen_user[victim.owner]) {
-        seen_user[victim.owner] = true;
-        ++g.users_affected;
-        report.affected_users.push_back(victim.owner);
-      }
-    }
-    if (!no_target) remaining -= std::min(remaining, victim.size);
+    apply.take(s.victim.id, s.victim.owner, s.victim.size_bytes);
   }
-
-  report.target_reached = no_target || remaining == 0;
-  fill_retained_stats(report, vfs, group_of_);
-  return report;
+  return apply.finish();
 }
 
 }  // namespace adr::retention

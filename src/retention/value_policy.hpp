@@ -13,8 +13,9 @@
 //          + w_freq    * min(1, accesses / freq_ref)
 //          + w_type    * type_score(extension)
 //
-// A run sorts candidate files by ascending value and purges until the byte
-// target is met (no target: purges every file below `value_floor`).
+// A run sorts every file by ascending value (ties by path) and purges until
+// the byte target is met (no target: purges every file below
+// `value_floor`); the apply is PurgeApply's.
 
 #include <map>
 #include <string>
@@ -54,19 +55,19 @@ class ValuePolicy {
   double value_of(const std::string& path, const fs::FileMeta& meta,
                   util::TimePoint now) const;
 
-  void set_group_of(GroupOf group_of);
-
   /// Purge ascending-value files until `target_purge_bytes` are freed
-  /// (0 = purge everything below the value floor).
+  /// (0 = purge everything below the value floor). The report's rows follow
+  /// `plan`'s groups.
   PurgeReport run(fs::Vfs& vfs, util::TimePoint now,
-                  std::uint64_t target_purge_bytes = 0) const;
+                  std::uint64_t target_purge_bytes,
+                  const activeness::ScanPlan& plan,
+                  ApplyOptions options = {}) const;
 
   const ValueConfig& config() const { return config_; }
   std::string name() const { return "ValueBased"; }
 
  private:
   ValueConfig config_;
-  GroupOf group_of_;
 };
 
 }  // namespace adr::retention

@@ -15,6 +15,7 @@
 #include "activeness/activity.hpp"
 #include "activeness/rank_store.hpp"
 #include "core/service.hpp"
+#include "retention/policy.hpp"
 #include "serve/daemon.hpp"
 #include "trace/event_log.hpp"
 #include "trace/user_registry.hpp"
@@ -203,9 +204,8 @@ struct ChaosWorld {
     for (const auto& flood : admitted_flood) {
       cold.store().append(flood.user, core::kJobActivityType, flood.activity);
     }
-    const auto target = static_cast<std::uint64_t>(
-        static_cast<double>(cold.vfs().total_bytes()) * (1.0 - kRetain));
-    const auto report = cold.purge(now, target);
+    const auto report = cold.purge(
+        now, retention::retain_target_bytes(cold.vfs(), kRetain));
     const std::string cold_ranks = config.dir + "/cold_ranks.csv";
     activeness::save_rank_file(cold.pipeline().users(), cold_ranks);
     std::string cold_victims;

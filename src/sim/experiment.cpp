@@ -70,13 +70,14 @@ fs::Vfs build_state_at(const synth::TitanScenario& scenario,
 
   const retention::FltPolicy facility_flt(
       retention::FltConfig{facility_lifetime_days});
+  const activeness::ScanPlan no_groups;  // the reports are not read
   const util::Duration interval = util::days(purge_interval_days);
   util::TimePoint next_trigger = scenario.sim_begin + interval;
 
   for (const auto& entry : scenario.replay.entries()) {
     if (entry.timestamp > as_of) break;
     while (entry.timestamp >= next_trigger && next_trigger <= as_of) {
-      facility_flt.run(vfs, next_trigger, 0);
+      facility_flt.run(vfs, next_trigger, 0, no_groups);
       next_trigger += interval;
     }
     fs::FileMeta meta;
@@ -94,7 +95,7 @@ fs::Vfs build_state_at(const synth::TitanScenario& scenario,
     }
   }
   while (next_trigger <= as_of) {
-    facility_flt.run(vfs, next_trigger, 0);
+    facility_flt.run(vfs, next_trigger, 0, no_groups);
     next_trigger += interval;
   }
   return vfs;

@@ -118,8 +118,9 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // far more than running a few dozen iterations inline. This keeps
   // delta-sized work (e.g. an incremental re-evaluation of a handful of
   // users) from paying full-fan-out dispatch latency. An explicit grain is
-  // a deliberate chunking request (parallel_shards needs one chunk per
-  // party), so only the grain = auto path short-circuits.
+  // a deliberate chunking request (the evaluator's blocks and the plan's
+  // four groups ask for one item per chunk), so only the grain = auto path
+  // short-circuits.
   constexpr std::size_t kInlineCutoff = 64;
   if (workers_.empty() || (grain == 0 && n <= kInlineCutoff)) {
     pf_calls().add();
@@ -175,13 +176,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
 
   if (first_error->load()) std::rethrow_exception(*error);
-}
-
-void ThreadPool::parallel_shards(
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  const std::size_t shards = workers_.size() + 1;
-  parallel_for(0, shards, [&](std::size_t i) { fn(i, shards); },
-               /*grain=*/1);
 }
 
 ThreadPool& global_pool() {

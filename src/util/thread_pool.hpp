@@ -1,10 +1,12 @@
 #pragma once
 // Fixed-size worker pool with a blocking parallel_for.
 //
-// ActiveDR's scan phase is data-parallel over disjoint user directories (the
-// paper partitions by MPI rank; we partition the same way over threads).
-// Workers pull contiguous index chunks from a shared atomic cursor, so uneven
-// per-user costs (Fig. 12d) self-balance.
+// Its callers are the evaluation's: the evaluator's block loop (contiguous
+// blocks of users per task, Evaluator::evaluate_users) and the scan plan's
+// four group sorts (ScanPlan::sort_keys) and group splices
+// (IncrementalEvaluator::splice). Workers pull contiguous index chunks
+// from a shared atomic cursor, so uneven per-item costs self-balance.
+// ActiveDR's scan runs serially (DESIGN.md §8).
 //
 // Observability (registry names, see DESIGN.md "Observability"):
 //   threadpool.tasks.submitted      counter, one per submit()
@@ -72,10 +74,6 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 0);
-
-  /// Run fn(shard_index, shard_count) on every worker plus the caller —
-  /// the MPI-rank-style decomposition used by the snapshot scanner.
-  void parallel_shards(const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
   void worker_loop();

@@ -117,13 +117,14 @@ void expect_same_victims(const ScanPlan& want_plan, const ScanPlan& got_plan,
       vfs_inc.create(path, meta);
     }
   }
-  retention::ActiveDrConfig config;
-  config.dry_run = true;
-  const retention::ActiveDrPolicy policy(config);
+  const retention::ActiveDrPolicy policy(retention::ActiveDrConfig{});
+  const retention::ApplyOptions dry_run{.dry_run = true};
   const std::uint64_t target = vfs_full.total_bytes() / 3;
-  const auto want = policy.run(vfs_full, t, target, want_plan).victim_paths;
+  const auto want =
+      policy.run(vfs_full, t, target, want_plan, dry_run).victim_paths;
   EXPECT_FALSE(want.empty());
-  EXPECT_EQ(policy.run(vfs_inc, t, target, got_plan).victim_paths, want);
+  EXPECT_EQ(policy.run(vfs_inc, t, target, got_plan, dry_run).victim_paths,
+            want);
 }
 
 EvaluationParams params_for(int period_days, StaleHandling stale,

@@ -249,6 +249,40 @@ TEST_F(CliTest, PurgeActiveDrWithoutRanksOrJobsFails) {
   EXPECT_NE(r.err.find("needs --ranks or --jobs"), std::string::npos);
 }
 
+TEST_F(CliTest, PurgeRefusesAReservationListUnderFlt) {
+  // FLT reads no reservation list, so --exempt with --policy flt would
+  // select reserved files without a word: the pair is refused before any
+  // work. ActiveDR honours the same list.
+  const std::string exempt = path("exempt_user0.txt");
+  std::ofstream(exempt) << "/scratch/user_00000\n";
+  const std::string flt_victims = path("victims_flt_exempt.txt");
+  const CliResult flt =
+      run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
+           path("users.csv").c_str(), "--now", "2016-06-01", "--policy",
+           "flt", "--target", "0", "--dry-run", "--exempt", exempt.c_str(),
+           "--victims", flt_victims.c_str()});
+  EXPECT_NE(flt.code, 0);
+  EXPECT_NE(flt.err.find("--exempt"), std::string::npos) << flt.err;
+  EXPECT_NE(flt.err.find("--policy flt"), std::string::npos) << flt.err;
+  EXPECT_EQ(flt.out.find("Purge report"), std::string::npos);
+  EXPECT_FALSE(fsys::exists(flt_victims));
+
+  const std::string adr_victims = path("victims_adr_exempt.txt");
+  const CliResult adr =
+      run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",
+           path("users.csv").c_str(), "--jobs", path("jobs.csv").c_str(),
+           "--now", "2016-06-01", "--target", "0", "--dry-run", "--exempt",
+           exempt.c_str(), "--victims", adr_victims.c_str()});
+  EXPECT_EQ(adr.code, 0) << adr.err;
+  EXPECT_NE(adr.out.find("exempted files: "), std::string::npos) << adr.out;
+  std::ifstream in(adr_victims);
+  std::size_t victims = 0;
+  for (std::string line; std::getline(in, line); ++victims) {
+    EXPECT_NE(line.rfind("/scratch/user_00000/", 0), 0u) << line;
+  }
+  EXPECT_GT(victims, 0u);
+}
+
 TEST_F(CliTest, PurgeRejectsUnknownPolicy) {
   const CliResult r =
       run({"purge", "--snapshot", path("snapshot.csv").c_str(), "--users",

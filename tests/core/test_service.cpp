@@ -478,6 +478,34 @@ TEST_F(ServiceTest, PurgeFltBaseline) {
   EXPECT_EQ(report.by_group[group].purged_bytes, 100u);
 }
 
+TEST_F(ServiceTest, DryRunDeletesNothingUnderAnyPolicy) {
+  // dry_run and record_victims are every policy's apply options: each
+  // selects and records its victims and leaves the Vfs as it was.
+  ServiceConfig config;
+  config.dry_run = true;
+  config.record_victims = true;
+  for (const Policy policy : {Policy::kActiveDr, Policy::kFlt, Policy::kValue,
+                              Policy::kScratchCache}) {
+    Service service(trace::UserRegistry::with_synthetic_users(4), config);
+    service.register_paper_types();
+    SCOPED_TRACE(service.policy_name(policy));
+    std::vector<std::string> paths;
+    for (trace::UserId u = 0; u < 4; ++u) {
+      paths.push_back(service.registry().home_dir(u) + "/old.dat");
+      service.vfs().create(paths.back(), meta(u, 100, 500));
+    }
+    const auto report = service.purge(kNow, 0, policy);
+    EXPECT_TRUE(report.dry_run);
+    EXPECT_EQ(report.purged_files, 4u);
+    std::vector<std::string> victims = report.victim_paths;
+    std::sort(victims.begin(), victims.end());
+    EXPECT_EQ(victims, paths);
+    EXPECT_EQ(service.vfs().file_count(), 4u);
+    EXPECT_EQ(service.vfs().total_bytes(), 400u);
+    for (const auto& path : paths) EXPECT_TRUE(service.vfs().exists(path));
+  }
+}
+
 TEST_F(ServiceTest, SnapshotLoading) {
   trace::Snapshot snap;
   trace::SnapshotEntry e;

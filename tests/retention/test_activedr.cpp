@@ -193,7 +193,7 @@ TEST_F(ActiveDrTest, ExemptFilesAreNeverPurged) {
   ActiveDrPolicy policy(config);
   ExemptionList exemptions;
   exemptions.reserve(file(3, "keep"));
-  policy.set_exemptions(std::move(exemptions));
+  policy.set_exemptions(exemptions);
   const PurgeReport report =
       policy.run(vfs_, kNow, 0, plan({ua(3, 0.0, 0.0)}));
   EXPECT_TRUE(vfs_.exists(file(3, "keep/precious.dat")));
@@ -224,13 +224,14 @@ TEST_F(ActiveDrTest, ActiveUserRewardedOverFlt) {
   build(flt_vfs);
   build(adr_vfs);
 
+  const ScanPlan both = plan({ua(0, 4.0, 4.0), ua(3, 0.0, 0.0)});
   const FltPolicy flt(FltConfig{90});
-  flt.run(flt_vfs, kNow, 100);
+  flt.run(flt_vfs, kNow, 100, both);
   // FLT scans in path order: user_00000 comes first and is purged.
   EXPECT_FALSE(flt_vfs.exists(file(0, "stale_120d")));
 
   const ActiveDrPolicy adr(ActiveDrConfig{});
-  adr.run(adr_vfs, kNow, 100, plan({ua(0, 4.0, 4.0), ua(3, 0.0, 0.0)}));
+  adr.run(adr_vfs, kNow, 100, both);
   EXPECT_TRUE(adr_vfs.exists(file(0, "stale_120d")));
   EXPECT_FALSE(adr_vfs.exists(file(3, "stale_120d")));
 }
@@ -256,11 +257,10 @@ TEST_F(ActiveDrTest, DryRunSelectsWithoutDeleting) {
   vfs_.create(file(3, "old1"), meta(3, 100, 200));
   vfs_.create(file(3, "old2"), meta(3, 100, 200));
   vfs_.create(file(3, "fresh"), meta(3, 100, 1));
-  ActiveDrConfig config;
-  config.dry_run = true;
-  const ActiveDrPolicy policy(config);
-  const PurgeReport report =
-      policy.run(vfs_, kNow, 150, plan({ua(3, 0.0, 0.0)}));
+  const ActiveDrPolicy policy(ActiveDrConfig{});
+  const PurgeReport report = policy.run(vfs_, kNow, 150,
+                                        plan({ua(3, 0.0, 0.0)}),
+                                        {.dry_run = true});
 
   EXPECT_TRUE(report.dry_run);
   EXPECT_TRUE(report.target_reached);
@@ -271,11 +271,8 @@ TEST_F(ActiveDrTest, DryRunSelectsWithoutDeleting) {
   EXPECT_TRUE(vfs_.exists(file(3, "old1")));
 
   // A real run selects exactly the same victims.
-  ActiveDrConfig wet = config;
-  wet.dry_run = false;
-  wet.record_victims = true;
-  const PurgeReport real = ActiveDrPolicy(wet)
-                               .run(vfs_, kNow, 150, plan({ua(3, 0.0, 0.0)}));
+  const PurgeReport real = policy.run(vfs_, kNow, 150, plan({ua(3, 0.0, 0.0)}),
+                                      {.record_victims = true});
   EXPECT_EQ(real.victim_paths, report.victim_paths);
   EXPECT_EQ(vfs_.file_count(), 1u);
 }
@@ -284,11 +281,10 @@ TEST_F(ActiveDrTest, DryRunRetrospectivePassesDoNotDoubleCount) {
   // A file eligible at pass 0 is re-seen by every decayed pass; the dry run
   // must count it once.
   vfs_.create(file(3, "old"), meta(3, 100, 500));
-  ActiveDrConfig config;
-  config.dry_run = true;
-  const ActiveDrPolicy policy(config);
-  const PurgeReport report =
-      policy.run(vfs_, kNow, 10'000, plan({ua(3, 0.0, 0.0)}));
+  const ActiveDrPolicy policy(ActiveDrConfig{});
+  const PurgeReport report = policy.run(vfs_, kNow, 10'000,
+                                        plan({ua(3, 0.0, 0.0)}),
+                                        {.dry_run = true});
   EXPECT_EQ(report.purged_files, 1u);
   EXPECT_FALSE(report.target_reached);
 }

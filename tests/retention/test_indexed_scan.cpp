@@ -102,9 +102,9 @@ ScanPlan make_plan(util::Rng& rng, std::size_t count = kUsers) {
 /// because the target is met first.
 PurgeReport reference_walk(fs::Vfs& vfs, const ActiveDrPolicy& policy,
                            const trace::UserRegistry& registry,
-                           const ScanPlan& plan, std::uint64_t target) {
-  const bool dry_run = policy.config().dry_run;
-  const GroupOf group_of = [&plan](trace::UserId user) {
+                           const ScanPlan& plan, std::uint64_t target,
+                           bool dry_run) {
+  const auto group_of = [&plan](trace::UserId user) {
     for (std::size_t gi = 0; gi < activeness::kGroupCount; ++gi) {
       for (const auto& u : plan.groups[gi]) {
         if (u.user == user) return static_cast<activeness::UserGroup>(gi);
@@ -115,7 +115,9 @@ PurgeReport reference_walk(fs::Vfs& vfs, const ActiveDrPolicy& policy,
   PurgeReport report;
   report.target_purge_bytes = target;
   report.dry_run = dry_run;
-  fill_users_total(report, vfs, group_of);
+  for (const auto& [user, usage] : vfs.usage_by_user()) {
+    if (usage.files > 0) ++report.group(group_of(user)).users_total;
+  }
 
   struct Victim {
     std::string path;
@@ -204,7 +206,11 @@ PurgeReport reference_walk(fs::Vfs& vfs, const ActiveDrPolicy& policy,
     }
   }
   report.target_reached = no_target || remaining == 0;
-  fill_retained_stats(report, vfs, group_of);
+  for (const auto& [user, usage] : vfs.usage_by_user()) {
+    if (usage.files == 0) continue;
+    report.group(group_of(user)).retained_bytes += usage.bytes;
+    report.group(group_of(user)).retained_files += usage.files;
+  }
   return report;
 }
 
@@ -241,19 +247,18 @@ PurgeReport expect_matches_reference(const fs::Vfs& initial,
                                      const std::string& label,
                                      const std::vector<std::string>& reserved =
                                          {}) {
-  ActiveDrConfig config;
-  config.dry_run = dry_run;
-  config.record_victims = true;
-  ActiveDrPolicy policy(config);
+  ActiveDrPolicy policy(ActiveDrConfig{});
   ExemptionList exemptions;
   for (const auto& path : reserved) exemptions.reserve(path);
-  policy.set_exemptions(std::move(exemptions));
+  policy.set_exemptions(exemptions);
   fs::Vfs indexed_vfs, walked_vfs;
   indexed_vfs.import_snapshot(initial.export_snapshot());
   walked_vfs.import_snapshot(initial.export_snapshot());
-  const PurgeReport indexed = policy.run(indexed_vfs, kNow, target, plan);
+  const PurgeReport indexed =
+      policy.run(indexed_vfs, kNow, target, plan,
+                 {.dry_run = dry_run, .record_victims = true});
   const PurgeReport walked =
-      reference_walk(walked_vfs, policy, registry, plan, target);
+      reference_walk(walked_vfs, policy, registry, plan, target, dry_run);
   expect_reports_equal(walked, indexed, label);
   EXPECT_TRUE(indexed_vfs.verify_purge_index()) << label;
   EXPECT_EQ(walked_vfs.total_bytes(), indexed_vfs.total_bytes()) << label;
@@ -378,10 +383,8 @@ TEST(IndexedScan, FltStrictSelectsTheExpiredSet) {
   fs::Vfs vfs;
   populate(vfs, registry, rng);
 
-  FltConfig config;
-  config.record_victims = true;
-  const FltPolicy policy(config);
-  const util::Duration lifetime = util::days(config.lifetime_days);
+  const FltPolicy policy(FltConfig{});
+  const util::Duration lifetime = util::days(policy.config().lifetime_days);
   std::vector<std::string> want;
   std::uint64_t want_bytes = 0;
   vfs.for_each([&](const std::string& path, const fs::FileMeta& meta) {
@@ -395,7 +398,8 @@ TEST(IndexedScan, FltStrictSelectsTheExpiredSet) {
 
   fs::Vfs run;
   run.import_snapshot(vfs.export_snapshot());
-  const PurgeReport report = policy.run(run, kNow, /*target=*/0);
+  const PurgeReport report = policy.run(run, kNow, /*target=*/0, ScanPlan{},
+                                        {.record_victims = true});
   std::vector<std::string> got = report.victim_paths;
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, want);

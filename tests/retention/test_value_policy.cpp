@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "group_plan.hpp"
+
 namespace adr::retention {
 namespace {
 
 constexpr util::TimePoint kNow = 1'600'000'000;
+const activeness::ScanPlan kNoGroups;
 
 fs::FileMeta meta(trace::UserId owner, std::uint64_t size, double age_days,
                   std::uint32_t accesses = 0) {
@@ -74,7 +77,7 @@ TEST(ValuePolicy, PurgesAscendingValueUntilTarget) {
   vfs.create("/s/u0/mid", meta(0, 100, 60));
   vfs.create("/s/u0/fresh", meta(0, 100, 1, 20));  // highest value
   const ValuePolicy policy(ValueConfig{});
-  const PurgeReport report = policy.run(vfs, kNow, 150);
+  const PurgeReport report = policy.run(vfs, kNow, 150, kNoGroups);
   EXPECT_TRUE(report.target_reached);
   EXPECT_EQ(report.purged_files, 2u);
   EXPECT_FALSE(vfs.exists("/s/u0/stale"));
@@ -89,7 +92,7 @@ TEST(ValuePolicy, NoTargetUsesValueFloor) {
   ValueConfig config;
   config.value_floor = 0.3;
   const ValuePolicy policy(config);
-  const PurgeReport report = policy.run(vfs, kNow, 0);
+  const PurgeReport report = policy.run(vfs, kNow, 0, kNoGroups);
   EXPECT_TRUE(report.target_reached);
   EXPECT_FALSE(vfs.exists("/s/u0/worthless"));
   EXPECT_TRUE(vfs.exists("/s/u0/precious"));
@@ -100,12 +103,11 @@ TEST(ValuePolicy, ReportAttribution) {
   fs::Vfs vfs;
   vfs.create("/s/u0/a", meta(0, 100, 400));
   vfs.create("/s/u1/b", meta(1, 100, 400));
-  ValuePolicy policy{ValueConfig{}};
-  policy.set_group_of([](trace::UserId u) {
-    return u == 0 ? activeness::UserGroup::kBothActive
-                  : activeness::UserGroup::kBothInactive;
-  });
-  const PurgeReport report = policy.run(vfs, kNow, 0);
+  const ValuePolicy policy{ValueConfig{}};
+  const PurgeReport report =
+      policy.run(vfs, kNow, 0,
+                 group_plan({{0, activeness::UserGroup::kBothActive},
+                             {1, activeness::UserGroup::kBothInactive}}));
   EXPECT_EQ(report.group(activeness::UserGroup::kBothActive).purged_files, 1u);
   EXPECT_EQ(report.group(activeness::UserGroup::kBothInactive).purged_files,
             1u);

@@ -61,21 +61,6 @@ TEST(ThreadPool, ParallelForPropagatesException) {
       std::runtime_error);
 }
 
-TEST(ThreadPool, ParallelShardsPartitionIdsAreSane) {
-  ThreadPool pool(3);
-  std::mutex m;
-  std::vector<std::pair<std::size_t, std::size_t>> seen;
-  pool.parallel_shards([&](std::size_t shard, std::size_t count) {
-    std::lock_guard<std::mutex> lock(m);
-    seen.emplace_back(shard, count);
-  });
-  ASSERT_EQ(seen.size(), pool.size() + 1);
-  for (const auto& [shard, count] : seen) {
-    EXPECT_EQ(count, pool.size() + 1);
-    EXPECT_LT(shard, count);
-  }
-}
-
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&global_pool(), &global_pool());
 }
